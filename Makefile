@@ -4,19 +4,18 @@
 # then the compile-only bench check, then the determinism gates in
 # increasing cost — lint (static: runs its own selftests, then lints the
 # live tree and byte-compares the JSON report against
-# goldens/lint_baseline.json) before obs-check, faults-check, grid-check
-# and prof-check (dynamic: full pinned-seed sweeps). grid-check and
-# prof-check run last: they are the only gates that spin up the sharded
-# engine, so a plain single-calendar determinism break surfaces in the
-# cheaper gates first and a grid/prof-only failure points straight at the
-# shard or profiling layer. A static violation fails in seconds instead
-# of after a minute of simulation.
+# goldens/lint_baseline.json) before golden-check (dynamic: full
+# pinned-seed sweeps of every registered family). golden-check itself
+# runs the single-calendar families first and the sharded ones last, so a
+# plain determinism break surfaces in the cheaper gates first and a
+# shard-only failure points straight at the shard layer. A static
+# violation fails in seconds instead of after a minute of simulation.
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy benches-check lint lint-selftest obs-check faults-check grid-check prof-check serve-check bench bench-gate
+.PHONY: ci build test fmt clippy benches-check lint lint-selftest golden-check bench bench-gate
 
-ci: build test fmt clippy benches-check lint obs-check faults-check grid-check prof-check serve-check
+ci: build test fmt clippy benches-check lint golden-check
 
 build:
 	$(CARGO) build --release
@@ -54,69 +53,20 @@ lint: lint-selftest
 lint-selftest:
 	$(CARGO) test -q -p tengig-lint
 
-# Observability determinism gate: runs the pinned-seed throughput sweep
-# with metrics enabled on 1 and 4 worker threads (timeline sidecars must
-# be byte-identical), then with obs disabled (report must byte-match the
-# checked-in golden — the side-channel never touches the primary bytes).
-# Regenerate the golden deliberately by appending `--write-golden`.
-obs-check:
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-obs -- \
-		check goldens/obs_throughput.jsonl
-
-# Fault-injection determinism gate: runs the pinned burst-loss sweep, the
-# flap-recovery sweep, and the 64-scenario chaos campaign on 1 and 4
-# worker threads (reports must be byte-identical), then byte-compares
-# each against its checked-in golden (goldens/faults_*.jsonl).
-# Regenerate deliberately by appending `--write-golden`.
-faults-check:
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-chaos -- \
-		check goldens
-
-# Sharded-engine determinism gate: runs the pinned-seed grid fabric sweep
-# (fat-tree and torus presets) at the given shard count on 1 and 4 sweep
-# threads — the two thread counts must be byte-identical, and both must
-# byte-match goldens/grid.jsonl. CI runs this at shards 1 and 4; the
-# golden is shard-count-invariant by construction, so every cell of the
-# matrix compares against the same file. On mismatch the fresh run lands
-# in target/grid_current.jsonl for diffing. Regenerate deliberately by
-# appending `--write-golden`.
-grid-check:
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-grid -- \
-		check goldens/grid.jsonl --shards 1
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-grid -- \
-		check goldens/grid.jsonl --shards 4
-
-# Self-profiling determinism gate: runs the pinned grid sweep with the
-# profiling plane collected, at the given shard count on 1 and 4 sweep
-# threads. The gated "sim" profiling sidecar must be byte-identical
-# across thread counts and byte-match goldens/prof_throughput.jsonl —
-# which is shard-count-invariant, so every cell compares against the same
-# file — and the profiled run's primary report must byte-match
-# goldens/grid.jsonl (collecting the profile never perturbs a sweep
-# byte). The per-shard "local" and host-domain "wall" sections are never
-# gated. On mismatch the fresh sidecar lands in target/prof_current.jsonl
-# for diffing (`tengig-prof diff`). Regenerate deliberately by appending
-# `--write-golden`.
-prof-check:
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-prof -- \
-		check goldens/prof_throughput.jsonl --shards 1
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-prof -- \
-		check goldens/prof_throughput.jsonl --shards 4
-
-# Open-loop workload determinism gate: runs the pinned serve sweep (the
-# four-rung load ladder plus the four-rung disk-to-disk striping ladder)
-# at the given shard count on 1 and 4 sweep threads. The gated document
-# — the FCT/goodput report followed by the per-host CPU-saturation
-# sidecar — must be byte-identical across thread counts and byte-match
-# goldens/serve.jsonl, which is shard-count-invariant by construction
-# (CI runs shards 1 and 4 against the same file). On mismatch the fresh
-# document lands in target/serve_current.jsonl for diffing. Regenerate
+# Determinism golden gates: `tengig-check all` walks the family registry
+# (crates/bench/src/check.rs) and runs each family at every shard count
+# its row lists, on 1 and 4 sweep threads. Every document must be
+# byte-identical across thread counts and byte-match its checked-in golden
+# (goldens/*.jsonl): obs (the metrics side channel never touches the
+# report), faults (burst, flap, chaos), grid (the sharded fabric; the
+# golden is shard-count-invariant), prof (the gated profiling sidecar,
+# and the profiled report equals the grid golden) and serve (open-loop
+# FCT report plus CPU sidecar). A missing golden is an error, not a pass.
+# On mismatch the computed document lands in target/<doc>_current.jsonl.
+# Run one family with `tengig-check <family> [--shards N]`; regenerate
 # deliberately by appending `--write-golden`.
-serve-check:
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-serve -- \
-		check goldens/serve.jsonl --shards 1
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-serve -- \
-		check goldens/serve.jsonl --shards 4
+golden-check:
+	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- all
 
 # Refresh the wall-clock benchmark baseline: runs the fixed pinned-seed
 # workload per experiment family and rewrites BENCH_sim.json in place.

@@ -1,16 +1,14 @@
-//! Shared machinery for the determinism golden gates (`make
-//! {grid,prof,obs,faults,serve}-check`).
+//! Byte-comparison machinery for the determinism golden gates (`make
+//! golden-check`, driven by the registry in [`crate::check`]).
 //!
-//! Every gate binary follows the same contract: recompute a pinned
+//! Every gate follows the same contract: recompute a pinned
 //! deterministic document at two worker-thread counts, require the bytes
 //! identical, byte-compare against a checked-in golden, dump the computed
 //! bytes next to the build artifacts on mismatch (for CI upload), and
 //! exit 0 on pass, 1 on mismatch, 2 on operational error. This module
-//! holds the pieces each `*_main.rs` used to duplicate: first-divergence
-//! diff printing, golden read/write with directory creation, the
-//! current-bytes dump, and the exit-code mapping. The gates themselves
-//! stay in their binaries — what is pinned, and against which golden, is
-//! the interesting part of each tool.
+//! holds the pieces: first-divergence diff printing, golden read/write
+//! with directory creation, the current-bytes dump, and the exit-code
+//! mapping.
 
 /// Print the first few differing lines of two JSONL documents, plus a
 /// note when the line counts differ — enough to localize a drift without

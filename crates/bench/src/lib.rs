@@ -19,5 +19,6 @@ pub fn criterion() -> criterion::Criterion {
         .measurement_time(std::time::Duration::from_secs(3))
 }
 
+pub mod check;
 pub mod gate;
 pub mod golden;

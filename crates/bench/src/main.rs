@@ -241,7 +241,7 @@ fn grid_prof() -> (u64, u64) {
 /// The open-loop serve family: the pinned four-rung load ladder (seeded
 /// Poisson arrivals, bounded-Pareto mice/elephants, FCT percentiles)
 /// plus the four-rung disk-to-disk striping ladder, exactly the
-/// `serve-check` sweep at one shard. Events are the workload figure the
+/// `tengig-check serve` sweep at one shard. Events are the workload figure the
 /// golden gates on (obs sampling netted out), so the gate's exact
 /// event-count match doubles as a determinism check here too.
 fn serve_openloop() -> (u64, u64) {

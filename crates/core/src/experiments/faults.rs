@@ -17,8 +17,8 @@
 //!   the window refill are RTT-clocked.
 //! * [`chaos_campaign`] — N seeded random impairment cocktails run to
 //!   completion with the sanitizer and TCP invariants armed; every
-//!   failure carries the exact seed (and CLI line, via `tengig-chaos`)
-//!   that reproduces it.
+//!   failure carries the exact seed (and CLI line, via `tengig-check
+//!   chaos`) that reproduces it.
 //!
 //! Determinism: every scenario's impairment pattern derives from the
 //! sweep's master seed through `SimRng::scenario_seed`, so reports are

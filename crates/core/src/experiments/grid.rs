@@ -15,8 +15,8 @@
 //! [`lookahead`](tengig_net::FatTreeSpec::lookahead) — the minimum
 //! cross-shard path base latency — is the synchronization window. The
 //! merged result is a pure function of `(preset, seed)`: **shard count
-//! must never change a byte of the report**, which `make grid-check` and
-//! the CI thread-matrix enforce against `goldens/grid.jsonl`.
+//! must never change a byte of the report**, which `tengig-check grid`
+//! and the CI shard matrix enforce against `goldens/grid.jsonl`.
 //!
 //! Shard count and sweep threads are orthogonal: the sweep runner
 //! parallelizes across scenarios while each scenario parallelizes across

@@ -22,8 +22,8 @@
 //! family — conservatively synchronized replicas with host-round-robin
 //! ownership — and the sweep report is a pure function of
 //! `(preset, master seed)`: **neither shard count nor sweep thread count
-//! may change a byte of `goldens/serve.jsonl`**, which `make serve-check`
-//! and the CI shard matrix enforce.
+//! may change a byte of `goldens/serve.jsonl`**, which `tengig-check
+//! serve` and the CI shard matrix enforce.
 //!
 //! The arrival schedule is drawn entirely at build time from a forked
 //! [`SimRng`] (the run itself replays `Ev::StartFlow` at the precomputed

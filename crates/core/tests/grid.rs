@@ -1,7 +1,7 @@
 //! The grid determinism matrix: sweep JSONL must be byte-identical
 //! across shard counts and sweep thread counts, independently.
 //!
-//! This is the in-repo twin of the CI `grid-check` job (which compares
+//! This is the in-repo twin of the CI `tengig-check grid` gate (which compares
 //! the same report against `goldens/grid.jsonl` at shards 1 and 4); here
 //! the matrix also crosses shard count with sweep threads to pin the two
 //! parallelism axes as orthogonal.
@@ -9,8 +9,8 @@
 use tengig::experiments::grid::{grid_sweep_report, run_grid, standard_presets, GridPreset};
 use tengig::sweep::SweepRunner;
 
-/// The pinned master seed of the grid golden (kept in sync with the
-/// `tengig-grid` binary).
+/// The pinned master seed of the grid golden (kept in sync with
+/// `tengig_bench::check::SEED`).
 const SEED: u64 = 2003;
 
 #[test]

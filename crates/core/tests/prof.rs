@@ -2,7 +2,7 @@
 //!
 //! * the gated "sim" profiling sidecar is byte-identical across shard
 //!   counts {1, 2, 4} and sweep threads {1, 4} (the in-repo twin of the
-//!   CI `prof-check` job against `goldens/prof_throughput.jsonl`);
+//!   CI `tengig-check prof` gate against `goldens/prof_throughput.jsonl`);
 //! * collecting the profile never changes the primary report bytes;
 //! * the wall-time plane reports nonzero barrier waiting on a
 //!   multi-shard run while appearing in no golden-gated output;
@@ -16,7 +16,7 @@ use tengig::sweep::SweepRunner;
 use tengig_sim::{Nanos, ObsConfig};
 
 /// The pinned master seed of the grid and prof goldens (kept in sync
-/// with the `tengig-grid` / `tengig-prof` binaries).
+/// with `tengig_bench::check::SEED`).
 const SEED: u64 = 2003;
 
 #[test]

@@ -10,9 +10,7 @@
 //! [`EventFire`] type, stored inline in the calendar's slab
 //! ([`crate::calendar::Calendar`]) and referenced by `u32` handles. The
 //! composition layer (the `tengig` core crate) schedules a plain `enum` of
-//! its event kinds; tests and small models use the default
-//! [`BoxedEvent<W>`] payload, which restores the original boxed-closure
-//! ergonomics ([`Engine::schedule_at`] and friends taking `FnOnce`).
+//! its event kinds.
 
 use crate::calendar::Calendar;
 pub use crate::calendar::EventId;
@@ -30,24 +28,8 @@ pub trait EventFire<W>: Sized {
     fn fire(self, world: &mut W, eng: &mut Engine<W, Self>);
 }
 
-/// The closure type a [`BoxedEvent`] boxes.
-type BoxedFire<W> = dyn FnOnce(&mut W, &mut Engine<W>);
-
-/// The default payload: a boxed `FnOnce` closure, for worlds that prefer
-/// closure ergonomics over allocation-free scheduling.
-pub struct BoxedEvent<W>(Box<BoxedFire<W>>);
-
-/// Backwards-compatible alias for the boxed payload type.
-pub type Event<W> = BoxedEvent<W>;
-
-impl<W> EventFire<W> for BoxedEvent<W> {
-    fn fire(self, world: &mut W, eng: &mut Engine<W, Self>) {
-        (self.0)(world, eng)
-    }
-}
-
 /// A deterministic discrete-event scheduler over world state `W`.
-pub struct Engine<W, E: EventFire<W> = BoxedEvent<W>> {
+pub struct Engine<W, E: EventFire<W>> {
     executed: u64,
     calendar: Calendar<E>,
     sanitizer: Option<Sanitizer>,
@@ -317,45 +299,85 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     }
 }
 
-impl<W> Engine<W, BoxedEvent<W>> {
-    /// Schedule closure `f` to run at absolute time `at` (boxed-payload
-    /// engines only). See [`Engine::schedule_event_at`].
-    pub fn schedule_at<F>(&mut self, at: Nanos, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        self.schedule_event_at(at, BoxedEvent(Box::new(f)))
-    }
-
-    /// Schedule closure `f` to run `delay` after the current time.
-    pub fn schedule_in<F>(&mut self, delay: Nanos, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        self.schedule_event_in(delay, BoxedEvent(Box::new(f)))
-    }
-
-    /// Schedule closure `f` to run "immediately" (at the current time,
-    /// after all callbacks already queued for this instant).
-    pub fn schedule_now<F>(&mut self, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        self.schedule_event_now(BoxedEvent(Box::new(f)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The tests' world: a log of labels and fire times (in ns).
+    type Log = Vec<u64>;
+
+    /// A small event vocabulary covering every scheduling pattern the
+    /// tests exercise.
+    enum Ev {
+        /// Append a label to the log.
+        Push(u64),
+        /// Append the current time to the log.
+        PushNow,
+        /// Log the time, then schedule `PushNow` 5 ns ahead and one now.
+        Spawn,
+        /// Reschedule itself 1 ns ahead, forever.
+        Respawn,
+        /// Schedule `PushNow` at an absolute (possibly past) time.
+        ScheduleAt(Nanos),
+        /// Schedule `PushNow` after a delay.
+        ScheduleIn(Nanos),
+        /// Log `label`, cancel `stale` (which must be live), and arm
+        /// `Push(label + 1)` at `at` — the timer-reschedule pattern.
+        Reschedule {
+            stale: EventId,
+            at: Nanos,
+            label: u64,
+        },
+    }
+
+    impl EventFire<Log> for Ev {
+        fn fire(self, log: &mut Log, e: &mut Engine<Log, Ev>) {
+            match self {
+                Ev::Push(label) => log.push(label),
+                Ev::PushNow => log.push(e.now().as_nanos()),
+                Ev::Spawn => {
+                    log.push(e.now().as_nanos());
+                    e.schedule_event_in(Nanos(5), Ev::PushNow);
+                    e.schedule_event_now(Ev::PushNow);
+                }
+                Ev::Respawn => {
+                    e.schedule_event_in(Nanos(1), Ev::Respawn);
+                }
+                Ev::ScheduleAt(at) => {
+                    e.schedule_event_at(at, Ev::PushNow);
+                }
+                Ev::ScheduleIn(delay) => {
+                    e.schedule_event_in(delay, Ev::PushNow);
+                }
+                Ev::Reschedule { stale, at, label } => {
+                    log.push(label);
+                    assert!(e.cancel(stale));
+                    e.schedule_event_at(at, Ev::Push(label + 1));
+                }
+            }
+        }
+    }
+
+    fn engine() -> Engine<Log, Ev> {
+        Engine::new()
+    }
+
+    /// An engine with `Push(t)` scheduled at each `t`.
+    fn engine_at(times: &[u64]) -> Engine<Log, Ev> {
+        let mut eng = engine();
+        for &t in times {
+            eng.schedule_event_at(Nanos(t), Ev::Push(t));
+        }
+        eng
+    }
+
     #[test]
     fn events_run_in_time_order() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let mut eng = engine();
         let mut log = Vec::new();
-        eng.schedule_at(Nanos(30), |w: &mut Vec<u32>, _| w.push(3));
-        eng.schedule_at(Nanos(10), |w, _| w.push(1));
-        eng.schedule_at(Nanos(20), |w, _| w.push(2));
+        eng.schedule_event_at(Nanos(30), Ev::Push(3));
+        eng.schedule_event_at(Nanos(10), Ev::Push(1));
+        eng.schedule_event_at(Nanos(20), Ev::Push(2));
         eng.run(&mut log);
         assert_eq!(log, vec![1, 2, 3]);
         assert_eq!(eng.now(), Nanos(30));
@@ -364,10 +386,10 @@ mod tests {
 
     #[test]
     fn ties_break_in_insertion_order() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let mut eng = engine();
         let mut log = Vec::new();
         for i in 0..100 {
-            eng.schedule_at(Nanos(5), move |w: &mut Vec<u32>, _| w.push(i));
+            eng.schedule_event_at(Nanos(5), Ev::Push(i));
         }
         eng.run(&mut log);
         assert_eq!(log, (0..100).collect::<Vec<_>>());
@@ -375,27 +397,17 @@ mod tests {
 
     #[test]
     fn events_can_schedule_events() {
-        let mut eng: Engine<Vec<Nanos>> = Engine::new();
+        let mut eng = engine();
         let mut log = Vec::new();
-        eng.schedule_at(
-            Nanos(10),
-            |w: &mut Vec<Nanos>, e: &mut Engine<Vec<Nanos>>| {
-                w.push(e.now());
-                e.schedule_in(Nanos(5), |w, e| w.push(e.now()));
-                e.schedule_now(|w, e| w.push(e.now()));
-            },
-        );
+        eng.schedule_event_at(Nanos(10), Ev::Spawn);
         eng.run(&mut log);
-        assert_eq!(log, vec![Nanos(10), Nanos(10), Nanos(15)]);
+        assert_eq!(log, vec![10, 10, 15]);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let mut eng = engine_at(&[5, 10, 15, 20]);
         let mut log = Vec::new();
-        for t in [5u64, 10, 15, 20] {
-            eng.schedule_at(Nanos(t), move |w: &mut Vec<u64>, _| w.push(t));
-        }
         eng.run_until(&mut log, Nanos(12));
         assert_eq!(log, vec![5, 10]);
         assert_eq!(eng.pending(), 2);
@@ -406,11 +418,8 @@ mod tests {
 
     #[test]
     fn advance_to_lands_exactly_on_the_deadline() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let mut eng = engine_at(&[5, 10, 15, 20]);
         let mut log = Vec::new();
-        for t in [5u64, 10, 15, 20] {
-            eng.schedule_at(Nanos(t), move |w: &mut Vec<u64>, _| w.push(t));
-        }
         eng.advance_to(&mut log, Nanos(12));
         assert_eq!(log, vec![5, 10]);
         assert_eq!(eng.now(), Nanos(12), "clock pinned to the deadline");
@@ -425,11 +434,8 @@ mod tests {
 
     #[test]
     fn run_before_excludes_the_deadline_instant() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let mut eng = engine_at(&[5, 10, 15]);
         let mut log = Vec::new();
-        for t in [5u64, 10, 15] {
-            eng.schedule_at(Nanos(t), move |w: &mut Vec<u64>, _| w.push(t));
-        }
         eng.run_before(&mut log, Nanos(10));
         assert_eq!(log, vec![5], "the event at the window end stays queued");
         assert_eq!(eng.peek_time(), Some(Nanos(10)));
@@ -439,51 +445,43 @@ mod tests {
 
     #[test]
     fn front_class_events_run_before_normals_of_the_same_instant() {
-        let mut eng: Engine<Vec<&'static str>> = Engine::new();
+        const FRONT: u64 = 0;
+        const NORMAL: u64 = 1;
+        let mut eng = engine();
         let mut log = Vec::new();
-        eng.schedule_at(Nanos(10), |w: &mut Vec<&'static str>, _| w.push("normal"));
-        eng.schedule_front_at(
-            Nanos(10),
-            BoxedEvent(Box::new(|w: &mut Vec<&'static str>, _| w.push("front"))),
-        );
+        eng.schedule_event_at(Nanos(10), Ev::Push(NORMAL));
+        eng.schedule_front_at(Nanos(10), Ev::Push(FRONT));
         eng.run(&mut log);
-        assert_eq!(log, vec!["front", "normal"]);
+        assert_eq!(log, vec![FRONT, NORMAL]);
     }
 
     #[test]
     #[should_panic(expected = "event limit")]
     fn event_limit_trips_on_livelock() {
-        fn respawn(_: &mut (), e: &mut Engine<()>) {
-            e.schedule_in(Nanos(1), respawn);
-        }
-        let mut eng: Engine<()> = Engine::new();
+        let mut eng = engine();
         eng.event_limit = 1000;
-        eng.schedule_at(Nanos(0), respawn);
-        eng.run(&mut ());
+        eng.schedule_event_at(Nanos(0), Ev::Respawn);
+        eng.run(&mut Vec::new());
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled in the past")]
     fn past_scheduling_panics_without_a_sanitizer() {
-        let mut eng: Engine<()> = Engine::new();
-        eng.schedule_at(Nanos(100), |_, e: &mut Engine<()>| {
-            e.schedule_at(Nanos(50), |_, _| {});
-        });
-        eng.run(&mut ());
+        let mut eng = engine();
+        eng.schedule_event_at(Nanos(100), Ev::ScheduleAt(Nanos(50)));
+        eng.run(&mut Vec::new());
     }
 
     #[test]
     fn past_scheduling_is_recorded_by_the_sanitizer() {
-        let mut eng: Engine<Vec<Nanos>> = Engine::new();
+        let mut eng = engine();
         eng.install_sanitizer(Sanitizer::new(0xD06));
         let mut log = Vec::new();
-        eng.schedule_at(Nanos(100), |_, e: &mut Engine<Vec<Nanos>>| {
-            e.schedule_at(Nanos(50), |w, e| w.push(e.now()));
-        });
+        eng.schedule_event_at(Nanos(100), Ev::ScheduleAt(Nanos(50)));
         eng.run(&mut log);
         // The offending event still ran, clamped to the current time.
-        assert_eq!(log, vec![Nanos(100)]);
+        assert_eq!(log, vec![100]);
         let s = eng.take_sanitizer().expect("sanitizer was installed");
         assert_eq!(s.violations().len(), 1);
         let v = &s.violations()[0];
@@ -495,22 +493,20 @@ mod tests {
 
     #[test]
     fn saturating_delay_does_not_overflow() {
-        let mut eng: Engine<u32> = Engine::new();
-        let mut w = 0u32;
-        eng.schedule_at(Nanos(100), |_, e: &mut Engine<u32>| {
-            e.schedule_in(Nanos::MAX, |w: &mut u32, _| *w += 1);
-        });
-        eng.run(&mut w);
-        assert_eq!(w, 1);
+        let mut eng = engine();
+        let mut log = Vec::new();
+        eng.schedule_event_at(Nanos(100), Ev::ScheduleIn(Nanos::MAX));
+        eng.run(&mut log);
+        assert_eq!(log, vec![Nanos::MAX.as_nanos()]);
         assert_eq!(eng.now(), Nanos::MAX);
     }
 
     #[test]
     fn cancelled_events_never_fire_and_leave_pending_clean() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let mut eng = engine();
         let mut log = Vec::new();
-        let a = eng.schedule_at(Nanos(10), |w: &mut Vec<u32>, _| w.push(1));
-        eng.schedule_at(Nanos(20), |w, _| w.push(2));
+        let a = eng.schedule_event_at(Nanos(10), Ev::Push(1));
+        eng.schedule_event_at(Nanos(20), Ev::Push(2));
         assert_eq!(eng.pending(), 2);
         assert!(eng.cancel(a), "live event cancels");
         assert_eq!(eng.pending(), 1);
@@ -525,16 +521,22 @@ mod tests {
     fn cancel_from_within_a_handler_kills_a_pending_timer() {
         // The timer-reschedule pattern: a handler cancels a previously
         // armed event and arms a replacement.
-        let mut eng: Engine<Vec<&'static str>> = Engine::new();
+        const STALE: u64 = 0;
+        const RESCHEDULE: u64 = 1;
+        const FRESH: u64 = RESCHEDULE + 1;
+        let mut eng = engine();
         let mut log = Vec::new();
-        let stale = eng.schedule_at(Nanos(100), |w: &mut Vec<&'static str>, _| w.push("stale"));
-        eng.schedule_at(Nanos(50), move |w: &mut Vec<&'static str>, e| {
-            w.push("reschedule");
-            assert!(e.cancel(stale));
-            e.schedule_at(Nanos(200), |w, _| w.push("fresh"));
-        });
+        let stale = eng.schedule_event_at(Nanos(100), Ev::Push(STALE));
+        eng.schedule_event_at(
+            Nanos(50),
+            Ev::Reschedule {
+                stale,
+                at: Nanos(200),
+                label: RESCHEDULE,
+            },
+        );
         eng.run(&mut log);
-        assert_eq!(log, vec!["reschedule", "fresh"]);
+        assert_eq!(log, vec![RESCHEDULE, FRESH]);
         assert_eq!(eng.now(), Nanos(200));
     }
 }

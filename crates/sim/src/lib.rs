@@ -5,10 +5,10 @@
 //!
 //! * [`Nanos`] — the nanosecond-resolution virtual clock value,
 //! * [`Bandwidth`] — data rates and serialization-time arithmetic,
-//! * [`Engine`] — a deterministic closure-based event calendar,
+//! * [`Engine`] — a deterministic event calendar over caller-defined
+//!   event enums ([`EventFire`]),
 //! * [`FifoServer`]/[`ServerBank`] — analytic work-conserving resources used
 //!   to model CPUs, buses, and wires,
-//! * [`DropTailQueue`] — bounded byte queues for switch/router buffers,
 //! * statistics instruments ([`stats`]) and a packet-path tracer ([`trace`],
 //!   the substrate of the MAGNET analog),
 //! * [`SimRng`] — deterministic, forkable randomness,
@@ -25,7 +25,6 @@ pub mod calendar;
 pub mod engine;
 pub mod obs;
 pub mod prof;
-pub mod queue;
 pub mod rng;
 pub mod sanitizer;
 pub mod server;
@@ -37,10 +36,9 @@ pub mod units;
 pub mod workload;
 
 pub use calendar::{Calendar, EventId};
-pub use engine::{BoxedEvent, Engine, EventFire};
+pub use engine::{Engine, EventFire};
 pub use obs::{FlightDump, MetricKind, ObsConfig, Scope, StepSeries, Timelines};
 pub use prof::{CalendarCounters, EngineCounters, Hist, WallStats};
-pub use queue::{DropTailQueue, Enqueue};
 pub use rng::SimRng;
 pub use sanitizer::{Sanitizer, SimConfig, Violation, ViolationKind};
 pub use server::{Admission, FifoServer, ServerBank};

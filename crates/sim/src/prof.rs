@@ -23,9 +23,8 @@
 //! 65 power-of-two buckets cover the full `u64` range with bounded
 //! relative error, merging is bucket-wise addition (associative and
 //! commutative, so per-shard histograms fold into one shard-count
-//! invariant whole), and — unlike [`crate::stats::LogHistogram`], its
-//! figure-plotting sibling — it is pure-integer end to end and
-//! round-trips through a compact JSON rendering.
+//! invariant whole), and it is pure-integer end to end and round-trips
+//! through a compact JSON rendering.
 
 use std::sync::OnceLock;
 

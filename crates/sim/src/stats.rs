@@ -1,7 +1,6 @@
-//! Measurement instruments: counters, running means, time-weighted values,
-//! histograms, and (x, y) series used to regenerate the paper's figures.
+//! Measurement instruments: counters, running means, and (x, y) series
+//! used to regenerate the paper's figures.
 
-use crate::time::Nanos;
 use std::fmt;
 
 /// A simple monotonically increasing event counter.
@@ -98,137 +97,6 @@ impl Summary {
     /// Largest sample (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-}
-
-/// A value integrated over time — e.g. queue depth or window occupancy.
-///
-/// `update(t, v)` declares that the value became `v` at time `t`; the
-/// time-weighted mean over the observation interval is then exact.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_t: Nanos,
-    last_v: f64,
-    integral: f64,
-    start: Nanos,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Begin observation at `start` with initial value `v0`.
-    pub fn new(start: Nanos, v0: f64) -> Self {
-        TimeWeighted {
-            last_t: start,
-            last_v: v0,
-            integral: 0.0,
-            start,
-            max: v0,
-        }
-    }
-
-    /// Record that the observed value became `v` at time `t` (t must be
-    /// non-decreasing).
-    pub fn update(&mut self, t: Nanos, v: f64) {
-        debug_assert!(t >= self.last_t, "time-weighted update out of order");
-        let dt = t.saturating_sub(self.last_t).as_nanos() as f64;
-        self.integral += self.last_v * dt;
-        self.last_t = t;
-        self.last_v = v;
-        self.max = self.max.max(v);
-    }
-
-    /// Time-weighted mean over `[start, t]`.
-    pub fn mean_at(&self, t: Nanos) -> f64 {
-        let span = t.saturating_sub(self.start).as_nanos() as f64;
-        if span == 0.0 {
-            return self.last_v;
-        }
-        let tail = t.saturating_sub(self.last_t).as_nanos() as f64;
-        (self.integral + self.last_v * tail) / span
-    }
-
-    /// Largest value observed.
-    pub fn max_seen(&self) -> f64 {
-        self.max
-    }
-
-    /// Current value.
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-}
-
-/// A log₂-bucketed histogram of `u64` samples (latencies in ns, sizes in
-/// bytes). Bucket `i` holds samples in `[2^i, 2^(i+1))`; bucket 0 also holds
-/// zero.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u128,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LogHistogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: u64) {
-        let idx = if x == 0 {
-            0
-        } else {
-            63 - x.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += x as u128;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate quantile: the upper bound of the bucket containing the
-    /// q-th sample (q in `[0, 1]`).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0)) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-            }
-        }
-        u64::MAX
     }
 }
 
@@ -339,33 +207,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(Nanos(0), 0.0);
-        tw.update(Nanos(100), 10.0); // 0 for [0,100)
-        tw.update(Nanos(200), 0.0); // 10 for [100,200)
-                                    // over [0,200]: (0*100 + 10*100)/200 = 5
-        assert!((tw.mean_at(Nanos(200)) - 5.0).abs() < 1e-12);
-        // extend to 400 with value 0 → (1000)/400 = 2.5
-        assert!((tw.mean_at(Nanos(400)) - 2.5).abs() < 1e-12);
-        assert_eq!(tw.max_seen(), 10.0);
-        assert_eq!(tw.current(), 0.0);
-    }
-
-    #[test]
-    fn log_histogram_quantiles() {
-        let mut h = LogHistogram::new();
-        for x in 1..=1000u64 {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 1000);
-        assert!((h.mean() - 500.5).abs() < 1e-9);
-        // Median of 1..=1000 is ~500; bucket upper bound is 511.
-        assert_eq!(h.quantile(0.5), 511);
-        assert!(h.quantile(1.0) >= 1000);
-        assert_eq!(LogHistogram::new().quantile(0.5), 0);
     }
 
     #[test]

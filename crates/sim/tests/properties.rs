@@ -1,21 +1,49 @@
 //! Property-based tests for the simulation kernel.
 
 use proptest::prelude::*;
-use tengig_sim::{Bandwidth, DropTailQueue, Engine, Enqueue, FifoServer, Nanos};
+use tengig_sim::{Bandwidth, Engine, EventFire, FifoServer, Nanos};
+
+/// World for the engine properties: a log of `(fire time, index)` pairs
+/// and a stack of delays still to chain.
+#[derive(Default)]
+struct World {
+    log: Vec<(u64, usize)>,
+    remaining: Vec<u64>,
+}
+
+/// Test event vocabulary for the engine properties.
+enum Ev {
+    /// Log the fire time with this insertion index.
+    Log(usize),
+    /// Pop the next delay and re-arm after it.
+    Tick,
+}
+
+impl EventFire<World> for Ev {
+    fn fire(self, w: &mut World, e: &mut Engine<World, Ev>) {
+        match self {
+            Ev::Log(i) => w.log.push((e.now().as_nanos(), i)),
+            Ev::Tick => {
+                if let Some(d) = w.remaining.pop() {
+                    e.schedule_event_in(Nanos(d), Ev::Tick);
+                }
+            }
+        }
+    }
+}
 
 proptest! {
     /// The engine executes events in non-decreasing time order regardless of
     /// insertion order, and ties preserve insertion order.
     #[test]
     fn engine_total_order(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-        let mut eng: Engine<Vec<(u64, usize)>> = Engine::new();
+        let mut eng = Engine::new();
         for (i, &t) in times.iter().enumerate() {
-            eng.schedule_at(Nanos(t), move |w: &mut Vec<(u64, usize)>, e: &mut Engine<_>| {
-                w.push((e.now().as_nanos(), i));
-            });
+            eng.schedule_event_at(Nanos(t), Ev::Log(i));
         }
-        let mut log = Vec::new();
-        eng.run(&mut log);
+        let mut w = World::default();
+        eng.run(&mut w);
+        let log = w.log;
         prop_assert_eq!(log.len(), times.len());
         for pair in log.windows(2) {
             prop_assert!(pair[0].0 <= pair[1].0, "time order violated");
@@ -68,43 +96,14 @@ proptest! {
         prop_assert!(measured.bps() <= bw.bps() + 1);
     }
 
-    /// Byte conservation in a drop-tail queue: accepted bytes = dequeued +
-    /// still-queued, and depth never exceeds capacity.
-    #[test]
-    fn queue_conserves_bytes(
-        ops in proptest::collection::vec((any::<bool>(), 1u64..5_000), 1..300),
-        cap in 1_000u64..100_000,
-    ) {
-        let mut q = DropTailQueue::new(cap);
-        let mut accepted_bytes = 0u64;
-        let mut dequeued_bytes = 0u64;
-        for (deq, bytes) in ops {
-            if deq {
-                if let Some(item) = q.dequeue() {
-                    dequeued_bytes += item.bytes;
-                }
-            } else if let Enqueue::Accepted { .. } = q.enqueue((), bytes) {
-                accepted_bytes += bytes;
-            }
-            prop_assert!(q.depth_bytes() <= cap);
-        }
-        prop_assert_eq!(accepted_bytes, dequeued_bytes + q.depth_bytes());
-    }
-
     /// A chain of timers fired through the engine advances the clock by the
     /// exact sum of delays.
     #[test]
     fn engine_clock_is_exact(delays in proptest::collection::vec(1u64..1_000_000, 1..50)) {
-        struct W { remaining: Vec<u64> }
-        fn tick(w: &mut W, e: &mut Engine<W>) {
-            if let Some(d) = w.remaining.pop() {
-                e.schedule_in(Nanos(d), tick);
-            }
-        }
         let total: u64 = delays.iter().sum();
-        let mut w = W { remaining: delays };
+        let mut w = World { remaining: delays, ..World::default() };
         let mut eng = Engine::new();
-        eng.schedule_at(Nanos::ZERO, tick);
+        eng.schedule_event_at(Nanos::ZERO, Ev::Tick);
         eng.run(&mut w);
         prop_assert_eq!(eng.now(), Nanos(total));
     }

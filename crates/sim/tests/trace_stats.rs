@@ -1,8 +1,7 @@
 //! Coverage for the measurement substrate: tracer stage counters, ring
 //! eviction, sampling determinism, and histogram edge bins.
 
-use tengig_sim::stats::LogHistogram;
-use tengig_sim::{Nanos, SimRng, Stage, TraceEvent, Tracer};
+use tengig_sim::{Hist, Nanos, SimRng, Stage, TraceEvent, Tracer};
 
 #[test]
 fn per_stage_counters_aggregate_every_emit() {
@@ -84,40 +83,41 @@ fn stage_all_is_exhaustive_and_ordered() {
 
 #[test]
 fn histogram_edge_bins() {
-    let mut h = LogHistogram::new();
-    // Bucket 0 holds both zero and one (the [1,2) bucket also catches 0).
+    // Zero has its own bucket; one opens the next.
+    let mut h = Hist::new();
     h.record(0);
     h.record(1);
     assert_eq!(h.count(), 2);
-    assert_eq!(h.quantile(1.0), 1, "both land in the lowest bucket");
+    assert_eq!(h.percentile(50), 0, "rank 1 is the zero bucket");
+    assert_eq!(h.percentile(100), 1);
 
-    // Exact powers of two sit at the bottom of their bucket: the quantile
-    // reports the bucket's inclusive upper bound.
-    let mut p = LogHistogram::new();
+    // Exact powers of two sit at the bottom of their bucket: a readout
+    // reports the bucket's inclusive upper bound, clamped to the max seen.
+    let mut p = Hist::new();
     p.record(1024);
-    assert_eq!(p.quantile(0.5), 2047);
+    p.record(2000);
+    assert_eq!(
+        p.percentile(50),
+        2000,
+        "1024 shares the [1024, 2047] bucket"
+    );
     p.record(1023);
-    assert_eq!(p.quantile(0.0), 1023, "1023 is in the [512,1024) bucket");
+    assert_eq!(p.percentile(0), 1023, "1023 closes the [512, 1023] bucket");
 
     // The top bucket saturates at u64::MAX without overflow.
-    let mut top = LogHistogram::new();
+    let mut top = Hist::new();
     top.record(u64::MAX);
     top.record(1u64 << 63);
     assert_eq!(top.count(), 2);
-    assert_eq!(top.quantile(0.5), u64::MAX);
-    assert_eq!(top.quantile(1.0), u64::MAX);
-
-    // Mean survives samples that would overflow a u64 sum.
-    let mut big = LogHistogram::new();
-    big.record(u64::MAX);
-    big.record(u64::MAX);
-    assert!((big.mean() - u64::MAX as f64).abs() < 1e4);
+    assert_eq!(top.min(), 1u64 << 63);
+    assert_eq!(top.percentile(50), u64::MAX, "both land in the top bucket");
 }
 
 #[test]
 fn empty_histogram_is_sane() {
-    let h = LogHistogram::new();
+    let h = Hist::new();
     assert_eq!(h.count(), 0);
-    assert_eq!(h.mean(), 0.0);
-    assert_eq!(h.quantile(0.5), 0);
+    assert_eq!(h.percentile(50), 0);
+    assert_eq!(h.permille(999), 0);
+    assert_eq!(h.summary(), "n=0 min=0 p50=0 p90=0 p99=0 max=0");
 }

@@ -6,27 +6,18 @@
 //! * [`iperf`] — time-bounded raw-bandwidth streams,
 //! * [`netpipe`] — single-byte ping-pong latency (Figs. 6-7),
 //! * [`pktgen`] — the single-copy kernel packet generator (§3.5.2),
-//! * [`stream`] — the STREAM memory benchmark,
-//! * [`loadavg`] — `/proc/loadavg` sampling,
-//! * [`magnet`] — per-packet stack profiling (MAGNET),
-//! * [`capture`] — tcpdump-style wire capture and filters.
+//! * [`stream`] — the STREAM memory benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capture;
 pub mod iperf;
-pub mod loadavg;
-pub mod magnet;
 pub mod netpipe;
 pub mod nttcp;
 pub mod pktgen;
 pub mod stream;
 
-pub use capture::{Capture, CapturedSegment, Direction};
 pub use iperf::Iperf;
-pub use loadavg::LoadAvg;
-pub use magnet::{classify_path, PathClass, StackProfile};
 pub use netpipe::{NetPipe, PingPongSide};
 pub use nttcp::{paper_payload_sweep, NttcpReceiver, NttcpResult, NttcpSender, PAPER_PACKET_COUNT};
 pub use pktgen::Pktgen;

@@ -183,7 +183,7 @@ fn chaos_failures_reproduce_from_their_seed() {
     // Deliberately fail scenario 5 through the same panic-capture path a
     // real invariant violation takes, then reproduce it standalone from
     // the seed the campaign reported — the contract behind the
-    // `tengig-chaos repro --seed` CLI line.
+    // `tengig-check chaos repro --seed` CLI line.
     let (rows, report) = chaos_campaign(8, 77, Some(5), SweepRunner::new(2));
     let failed: Vec<_> = rows.iter().filter(|r| r.outcome.is_err()).collect();
     assert_eq!(failed.len(), 1);
