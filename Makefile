@@ -1,7 +1,7 @@
 # Development targets. `make ci` is the gate every change must pass.
 #
 # `ci` ordering: cheap structural gates first (build, test, fmt, clippy),
-# then the compile-only bench check, then the determinism gates in
+# then the benchmark crate's own tests, then the determinism gates in
 # increasing cost — lint (static: runs its own selftests, then lints the
 # live tree and byte-compares the JSON report against
 # goldens/lint_baseline.json) before golden-check (dynamic: full
@@ -13,9 +13,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy benches-check lint lint-selftest golden-check bench bench-gate
+.PHONY: ci build test fmt clippy benchmark-test lint lint-selftest golden-check
 
-ci: build test fmt clippy benches-check lint golden-check
+ci: build test fmt clippy benchmark-test lint golden-check
 
 build:
 	$(CARGO) build --release
@@ -29,12 +29,13 @@ fmt:
 clippy:
 	$(CARGO) clippy --all-targets -- -D warnings
 
-# Bench targets are test = false (they regenerate full paper figures and
-# would dominate `cargo test`); keep them compiling instead. Release
-# profile: that is the profile they run under, and debug-only codegen
-# issues in cold bench code are not worth a separate compile.
-benches-check:
-	$(CARGO) check --benches --release
+# The wall-clock benchmark (BENCHMARK.json) is a separate cargo
+# workspace under benchmark/ that builds the simulator crates through
+# path dependencies, so nothing else compiles it: run its tests here, so
+# a library API change cannot silently break the repository's only
+# timing harness.
+benchmark-test:
+	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
 
 # Determinism lint: lexes and parses every workspace source, forbids
 # wall-clock time, unseeded RNGs, hash-map iteration, unwrap/panic and
@@ -58,7 +59,8 @@ lint-selftest:
 # its row lists, on 1 and 4 sweep threads. Every document must be
 # byte-identical across thread counts and byte-match its checked-in golden
 # (goldens/*.jsonl): obs (the metrics side channel never touches the
-# report), faults (burst, flap, chaos), grid (the sharded fabric; the
+# report), faults (burst, flap, chaos), counts (exact event and sim-byte
+# counts of seven pinned workloads), grid (the sharded fabric; the
 # golden is shard-count-invariant), prof (the gated profiling sidecar,
 # and the profiled report equals the grid golden) and serve (open-loop
 # FCT report plus CPU sidecar). A missing golden is an error, not a pass.
@@ -67,18 +69,3 @@ lint-selftest:
 # deliberately by appending `--write-golden`.
 golden-check:
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- all
-
-# Refresh the wall-clock benchmark baseline: runs the fixed pinned-seed
-# workload per experiment family and rewrites BENCH_sim.json in place.
-# Commit the result to claim a performance win (or accept a justified
-# regression).
-bench:
-	$(CARGO) run --release -p tengig-bench --bin tengig-bench -- --out BENCH_sim.json
-
-# Gate the current tree against the checked-in baseline: events/sec per
-# family must stay within ±15% of BENCH_sim.json (both directions), and
-# event/byte counts must match exactly. The fresh run is written next to
-# the baseline for inspection, never over it.
-bench-gate:
-	$(CARGO) run --release -p tengig-bench --bin tengig-bench -- \
-		--out target/BENCH_current.json --check BENCH_sim.json

@@ -11,6 +11,7 @@
 //! `Err` on an operational error (an unreadable golden included).
 //! Gating a new family is one more row.
 
+use crate::counts::counts;
 use crate::golden;
 use tengig::experiments::faults::{
     burst_sweep_report, chaos_campaign, flap_recovery_sweep_report, BURST_LENGTHS, FLAP_RTTS,
@@ -22,8 +23,8 @@ use tengig::{LadderRung, SweepRunner};
 use tengig_ethernet::Mtu;
 use tengig_sim::{Nanos, ObsConfig};
 
-/// Master seed for every pinned workload (the publication year, matching
-/// the paper sweeps and `tengig-bench`).
+/// Master seed for every pinned workload (the publication year, as used
+/// by the paper sweeps).
 pub const SEED: u64 = 2003;
 
 /// Master seed for the default chaos campaign and the pinned gate one.
@@ -131,6 +132,17 @@ pub static REGISTRY: &[Family] = &[
                 golden: Golden::Writes("goldens/faults_chaos.jsonl"),
             },
         ],
+    },
+    // Exact event and sim-byte counts of seven pinned single-calendar
+    // workloads, one line each; the seven run as one parallel sweep.
+    Family {
+        name: "counts",
+        shards: &[1],
+        compute: counts,
+        outputs: &[Output {
+            doc: "counts",
+            golden: Golden::Writes("goldens/counts.jsonl"),
+        }],
     },
     // The golden is shard-count-invariant by construction: every shard
     // count compares against the same file.

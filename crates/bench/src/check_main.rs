@@ -17,9 +17,9 @@
 //!
 //! A gate runs each named family of the registry
 //! ([`tengig_bench::check::REGISTRY`]) at every shard count its row lists,
-//! or only at `--shards N`. `summarize` and `diff` choose a handler from
-//! the document's header line: obs timelines, a profile, or (for `diff`)
-//! any JSONL. `chaos run --inject INDEX` deliberately fails one scenario
+//! or only at `--shards N`, skipping the rows that do not list N.
+//! `summarize` and `diff` choose a handler from the document's header
+//! line: obs timelines, a profile, or (for `diff`) any JSONL. `chaos run --inject INDEX` deliberately fails one scenario
 //! through the same panic-capture path a real invariant violation takes —
 //! the self-test that the printed repro line actually works. Exit status
 //! is 0 on pass, 1 on mismatch or failure, 2 on operational error.
@@ -299,9 +299,11 @@ fn chaos_repro(seed: u64, inject: bool) -> Result<bool, String> {
 }
 
 /// `<family|all> [--shards N] [--write-golden]`: arguments are validated
-/// before any sweep runs. Each family runs at `--shards` or at every
-/// shard count its row lists; a mismatch does not stop the remaining
-/// gates, an operational error does.
+/// before any sweep runs. Each family runs at every shard count its row
+/// lists, or only at `--shards N`: `all` skips the rows that do not list
+/// N with one `skipped` line each, and a shard count no selected row
+/// lists (a named family's included) is a usage error. A mismatch does
+/// not stop the remaining gates, an operational error does.
 fn gate(name: &str, rest: &[&str]) -> Result<bool, String> {
     let families = match name {
         "all" => REGISTRY,
@@ -320,12 +322,23 @@ fn gate(name: &str, rest: &[&str]) -> Result<bool, String> {
             _ => usage(),
         }
     }
-    if shards == Some(0) {
-        usage();
+    if let Some(n) = shards {
+        if !families.iter().any(|f| f.shards.contains(&n)) {
+            eprintln!("tengig-check: `{name}` has no row listing shards={n}");
+            usage();
+        }
     }
     let mut ok = true;
     for fam in families {
-        for &n in shards.as_ref().map_or(fam.shards, std::slice::from_ref) {
+        let runs = match shards.as_ref() {
+            None => fam.shards,
+            Some(n) if fam.shards.contains(n) => std::slice::from_ref(n),
+            Some(n) => {
+                println!("{}: skipped (shards={n} not in {:?})", fam.name, fam.shards);
+                continue;
+            }
+        };
+        for &n in runs {
             ok &= check::check(fam, n, write_golden)?;
         }
     }

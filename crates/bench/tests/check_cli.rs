@@ -30,6 +30,14 @@ fn zero_shards_exits_2() {
 }
 
 #[test]
+fn a_shard_count_the_family_does_not_list_exits_2() {
+    assert_eq!(
+        tengig_check(&["obs", "--shards", "4"]).status.code(),
+        Some(2)
+    );
+}
+
+#[test]
 fn diff_of_a_golden_against_itself_exits_0() {
     let golden = grid_golden();
     let golden = golden.to_str().unwrap();

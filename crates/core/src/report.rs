@@ -1,6 +1,6 @@
 //! Rendering: fixed-width tables and gnuplot-style series dumps, the
 //! paper-vs-measured comparison rows used by `EXPERIMENTS.md` and the
-//! benches, and the line-oriented JSON sweep reports emitted by the sweep
+//! examples, and the line-oriented JSON sweep reports emitted by the sweep
 //! runner.
 
 use std::fmt;
