@@ -18,7 +18,7 @@ use tengig::experiments::faults::{
 };
 use tengig::experiments::grid::{grid_prof_sweep, grid_sweep_report, standard_presets};
 use tengig::experiments::serve::{serve_sweep_report, standard_rungs};
-use tengig::experiments::throughput::{throughput_sweep_report, throughput_sweep_with_metrics};
+use tengig::experiments::throughput::throughput_sweep_report;
 use tengig::{LadderRung, SweepRunner};
 use tengig_ethernet::Mtu;
 use tengig_sim::{Nanos, ObsConfig};
@@ -198,17 +198,20 @@ pub fn obs_config() -> ObsConfig {
 fn obs(_shards: usize, threads: usize) -> Vec<String> {
     let cfg = || LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
     let runner = || SweepRunner::new(threads);
-    let (_, plain) =
-        throughput_sweep_report(cfg(), "obs-check", &OBS_PAYLOADS, OBS_COUNT, SEED, runner());
-    let (_, report, sidecar) = throughput_sweep_with_metrics(
-        cfg(),
-        "obs-check",
-        &OBS_PAYLOADS,
-        OBS_COUNT,
-        SEED,
-        runner(),
-        &obs_config(),
-    );
+    let sweep = |obs: Option<&ObsConfig>| {
+        throughput_sweep_report(
+            cfg(),
+            "obs-check",
+            &OBS_PAYLOADS,
+            OBS_COUNT,
+            SEED,
+            runner(),
+            obs,
+        )
+    };
+    let (_, plain, _) = sweep(None);
+    let (_, report, sidecar) = sweep(Some(&obs_config()));
+    let sidecar = sidecar.expect("obs on yields a sidecar");
     vec![sidecar.concatenated(), plain.to_jsonl(), report.to_jsonl()]
 }
 

@@ -9,7 +9,8 @@
 //! * **torus** — an APENet-style 3D torus of nearest-neighbor exchanges
 //!   ([`tengig_net::TorusSpec`]).
 //!
-//! Every run goes through [`run_grid`], which executes the world as
+//! Every run goes through [`build`] → [`Grid::run`] → [`read`] (or
+//! [`run_grid`], the three in one), which executes the world as
 //! `shards` conservatively synchronized replicas (see
 //! [`crate::lab::grid`] and [`tengig_sim::run_sharded`]); the fabric's
 //! [`lookahead`](tengig_net::FatTreeSpec::lookahead) — the minimum
@@ -23,17 +24,14 @@
 //! shards, and neither axis is allowed to leak into the output.
 
 use crate::config::{HostConfig, LadderRung};
-use crate::lab::{self, App, Ev, GridRt, GridShard, Lab};
+use crate::lab::{App, Ev, Grid, Lab};
 use crate::report::{Json, MetricsSidecar, SweepReport};
 use crate::sweep::{scenarios, Scenario, SweepRunner};
 use std::fmt::Write as _;
 use tengig_ethernet::Mtu;
 use tengig_net::{FatTreeSpec, TorusSpec};
 use tengig_nic::NicSpec;
-use tengig_sim::{
-    rate_of, run_sharded, run_sharded_wall, Engine, EngineCounters, Hist, Nanos, ObsConfig, SimRng,
-    Timelines, WallStats,
-};
+use tengig_sim::{rate_of, EngineCounters, Hist, Nanos, ObsConfig, SimRng, Timelines, WallStats};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -128,20 +126,12 @@ pub(crate) fn tengbe() -> HostConfig {
     LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000)
 }
 
-/// Build one shard's replica of the preset's world: the full topology is
-/// constructed identically on every shard (same seed, same fork labels,
-/// same index order), then the replica is switched into grid mode with a
-/// host-index round-robin ownership map and kicked.
+/// Assemble the preset's world: the full topology, built identically on
+/// every shard (same seed, same fork labels, same index order).
 ///
 /// Links are per-flow private directional paths, which satisfies the
 /// grid partition-safety rule by construction.
-fn build_replica(
-    preset: &GridPreset,
-    seed: u64,
-    shards: usize,
-    shard: usize,
-    obs: Option<&ObsConfig>,
-) -> GridShard {
+fn world(preset: &GridPreset, seed: u64) -> Lab {
     let mut lab = Lab::new();
     let mut rng = SimRng::seeded(seed);
     match preset {
@@ -195,17 +185,16 @@ fn build_replica(
             }
         }
     }
-    let owner: Vec<usize> = (0..lab.hosts.len()).map(|h| h % shards).collect();
-    let flows = lab.flows.len();
-    lab.enable_grid(GridRt::new(shards, shard, owner, flows));
-    if let Some(cfg) = obs {
-        lab.enable_obs(cfg, seed);
-    }
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
-    lab::kick(&mut lab, &mut eng);
-    GridShard { lab, eng }
+    lab
+}
+
+/// Build the preset's world as `shards` conservatively synchronized
+/// replicas (see [`Grid::build`]), with observability on when `obs` is
+/// set. Run it with [`Grid::run`], then [`read`] the result.
+pub fn build(preset: &GridPreset, shards: usize, seed: u64, obs: Option<&ObsConfig>) -> Grid {
+    Grid::build(shards, preset.lookahead(), seed, obs, None, || {
+        world(preset, seed)
+    })
 }
 
 /// Merged result of one grid run. Every field is shard-count-invariant —
@@ -214,9 +203,10 @@ fn build_replica(
 pub struct GridResult {
     /// Flow count.
     pub flows: u64,
-    /// Total events executed, summed over shards. Exactly equal at any
-    /// shard count: every event runs on exactly one shard, and ingress
-    /// drains are per (host, instant) in all modes.
+    /// Total events executed, summed over shards and net of observability
+    /// samples. Exactly equal at any shard count, with or without obs:
+    /// every other event runs on exactly one shard, and ingress drains
+    /// are per (host, instant) at any shard count.
     pub events: u64,
     /// Payload bytes delivered to all receivers.
     pub payload_bytes: u64,
@@ -229,68 +219,49 @@ pub struct GridResult {
 }
 
 /// Run one grid preset as `shards` conservatively synchronized shards and
-/// merge the result. Each per-flow value is read from the shard that owns
-/// the host that produced it: start times from the transmitting host's
+/// merge the result.
+pub fn run_grid(preset: &GridPreset, shards: usize, seed: u64) -> GridResult {
+    let mut grid = build(preset, shards, seed, None);
+    grid.run(None);
+    read(&mut grid).0
+}
+
+/// Settle a finished grid run ([`Grid::finish`]) and merge it into the
+/// shard-count-invariant [`GridResult`], plus the merged timelines when
+/// obs was on. Each per-flow value is read from the shard that owns the
+/// host that produced it: start times from the transmitting host's
 /// owner, completion times and delivered bytes from the receiving host's
 /// owner. (CPU-load figures are deliberately absent: they would read the
 /// *other* endpoint's replica, which is stale by design in grid mode.)
-pub fn run_grid(preset: &GridPreset, shards: usize, seed: u64) -> GridResult {
-    assert!(shards > 0, "a grid run needs at least one shard");
-    let mut replicas = build_replicas(preset, shards, seed, None);
-    run_sharded(&mut replicas, preset.lookahead());
-    merge_grid(&mut replicas, shards)
-}
-
-/// Build every shard's replica of the preset's world.
-fn build_replicas(
-    preset: &GridPreset,
-    shards: usize,
-    seed: u64,
-    obs: Option<&ObsConfig>,
-) -> Vec<GridShard> {
-    (0..shards)
-        .map(|s| build_replica(preset, seed, shards, s, obs))
-        .collect()
-}
-
-/// Check every shard's sanitizer and merge the per-shard state into the
-/// shard-count-invariant [`GridResult`] (shared verbatim by the plain,
-/// profiled, and observed run paths, so all three produce identical
-/// result bytes by construction).
-fn merge_grid(replicas: &mut [GridShard], shards: usize) -> GridResult {
-    for shard in replicas.iter_mut() {
-        // Every calendar drained, so each shard's byte ledger must sit at
-        // zero in-flight (cross-shard frames were handed off explicitly).
-        lab::check_sanitizer(&shard.lab, &mut shard.eng, true);
-    }
-    let events: u64 = replicas.iter().map(|s| s.eng.executed()).sum();
+pub fn read(grid: &mut Grid) -> (GridResult, Option<Timelines>) {
+    let (events, timelines) = grid.finish();
     let mut payload_bytes = 0u64;
     let mut first_start: Option<Nanos> = None;
     let mut last_done: Option<Nanos> = None;
-    let flows = replicas[0].lab.flows.len();
+    let flows = grid.flows();
     for f in 0..flows {
-        let tx_owner = replicas[0].lab.flows[f].host[0] % shards;
-        let rx_owner = replicas[0].lab.flows[f].host[1] % shards;
-        let t_start = replicas[tx_owner].lab.flows[f].meas.t_start;
-        let t_done = replicas[rx_owner].lab.flows[f].meas.t_done;
+        let rx = grid.rx(f);
+        let t_start = grid.tx(f).meas.t_start;
+        let t_done = rx.meas.t_done;
         let t_start = t_start.expect("flow never started on its owning shard");
         let t_done = t_done.expect("flow never finished on its owning shard");
         first_start = Some(first_start.map_or(t_start, |t| t.min(t_start)));
         last_done = Some(last_done.map_or(t_done, |t| t.max(t_done)));
-        if let App::Nttcp { rx, .. } = &replicas[rx_owner].lab.flows[f].app {
+        if let App::Nttcp { rx, .. } = &rx.app {
             payload_bytes += rx.received;
         }
     }
     let first_start = first_start.expect("grid presets always carry flows");
     let last_done = last_done.expect("grid presets always carry flows");
-    GridResult {
+    let result = GridResult {
         flows: flows as u64,
         events,
         payload_bytes,
         first_start,
         last_done,
         aggregate_gbps: rate_of(payload_bytes, last_done - first_start).gbps(),
-    }
+    };
+    (result, timelines)
 }
 
 /// The three-section self-profile of one grid run (see `DESIGN.md` §16).
@@ -314,56 +285,11 @@ pub struct GridProfile {
     pub wall: String,
 }
 
-/// Run one grid preset with the self-profiling plane collected: the
-/// identical simulation [`run_grid`] executes (same events, same result
-/// bytes), plus the deterministic counters and the wall-time
-/// barrier/execute accounting of [`tengig_sim::run_sharded_wall`].
-pub fn run_grid_prof(preset: &GridPreset, shards: usize, seed: u64) -> (GridResult, GridProfile) {
-    assert!(shards > 0, "a grid run needs at least one shard");
-    let mut replicas = build_replicas(preset, shards, seed, None);
-    let mut wall = vec![WallStats::default(); shards];
-    run_sharded_wall(&mut replicas, preset.lookahead(), Some(&mut wall));
-    let result = merge_grid(&mut replicas, shards);
-    let profile = collect_profile(&preset.label(), seed, &replicas, &wall);
-    (result, profile)
-}
-
-/// Run one grid preset with observability timelines enabled on every
-/// shard and merged shard-count-invariantly: each shard samples only the
-/// scopes it owns (see [`crate::lab`]'s grid-aware `obs_sample`), and the
-/// merged [`Timelines`] JSONL is byte-identical at any shard count.
-pub fn run_grid_obs(
-    preset: &GridPreset,
-    shards: usize,
-    seed: u64,
-    obs: &ObsConfig,
-) -> (GridResult, Timelines) {
-    assert!(shards > 0, "a grid run needs at least one shard");
-    let mut replicas = build_replicas(preset, shards, seed, Some(obs));
-    run_sharded(&mut replicas, preset.lookahead());
-    let mut tl = replicas[0]
-        .lab
-        .take_timelines()
-        .expect("obs was enabled on every replica");
-    for shard in &mut replicas[1..] {
-        tl.merge(
-            &shard
-                .lab
-                .take_timelines()
-                .expect("obs was enabled on every replica"),
-        );
-    }
-    let result = merge_grid(&mut replicas, shards);
-    (result, tl)
-}
-
-/// Assemble the three profile sections from the finished replicas.
-fn collect_profile(
-    label: &str,
-    seed: u64,
-    replicas: &[GridShard],
-    wall: &[WallStats],
-) -> GridProfile {
+/// Assemble the three profile sections of a finished grid run: the
+/// preset's `label` and `seed`, the replicas, and the per-shard wall
+/// accounting [`Grid::run`] collected.
+pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridProfile {
+    let replicas = grid.shards();
     // Invariant merges for the gated "sim" section.
     let mut fired = [0u64; Ev::KINDS];
     let mut engine = EngineCounters::default();
@@ -511,7 +437,13 @@ pub fn grid_prof_sweep(
 ) -> (SweepReport, MetricsSidecar, MetricsSidecar) {
     let grid = scenarios(master_seed, presets.iter().copied(), |p| p.label());
     let (results, profiles) = runner
-        .run_split(&grid, |sc| run_grid_prof(&sc.input, shards, sc.seed))
+        .run_split(&grid, |sc| {
+            let mut world = build(&sc.input, shards, sc.seed, None);
+            let mut wall = vec![WallStats::default(); shards];
+            world.run(Some(&mut wall));
+            let result = read(&mut world).0;
+            (result, profile(&sc.label, sc.seed, &world, &wall))
+        })
         .expect("grid prof sweep scenario panicked");
     let mut report = SweepReport::new("grid/fabric", master_seed);
     let mut gated = MetricsSidecar::new("grid/prof");

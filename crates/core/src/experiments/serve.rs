@@ -32,13 +32,13 @@
 //! opt in — the existing goldens cannot drift by construction.
 
 use super::grid::{tengbe, workstation};
-use crate::lab::{self, App, DiskPipe, Ev, GridRt, GridShard, Lab};
+use crate::lab::{App, DiskPipe, Grid, Lab};
 use crate::report::{Json, MetricsSidecar, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_hw::{DiskModel, DiskSpec};
 use tengig_net::{Hop, Path};
 use tengig_sim::{
-    build_schedule, rate_of, ArrivalProcess, Bandwidth, BoundedPareto, Engine, FctStats, FlowPlan,
+    build_schedule, rate_of, ArrivalProcess, Bandwidth, BoundedPareto, FctStats, FlowPlan,
     MetricKind, Nanos, ObsConfig, Scope, SimRng, SizeMix, Timelines, WorkloadSpec,
 };
 use tengig_tools::{NttcpReceiver, NttcpSender};
@@ -228,16 +228,9 @@ fn load_schedule(r: &LoadRung, seed: u64) -> (WorkloadSpec, Vec<FlowPlan>) {
     (spec, plans)
 }
 
-/// Build one shard's replica of a serve rung's world (identical
-/// construction on every shard, host-round-robin ownership — the same
-/// discipline as [`super::grid::build_replica`]).
-fn build_replica(
-    preset: &ServePreset,
-    plans: &[FlowPlan],
-    seed: u64,
-    shards: usize,
-    shard: usize,
-) -> GridShard {
+/// Assemble one serve rung's world, identically on every shard (the
+/// same discipline as the `grid` family's worlds).
+fn world(preset: &ServePreset, plans: &[FlowPlan], seed: u64) -> Lab {
     let mut lab = Lab::new();
     let mut rng = SimRng::seeded(seed);
     match preset {
@@ -284,21 +277,7 @@ fn build_replica(
             }
         }
     }
-    let owner: Vec<usize> = (0..lab.hosts.len()).map(|h| h % shards).collect();
-    let flows = lab.flows.len();
-    lab.enable_grid(GridRt::new(shards, shard, owner, flows));
-    lab.enable_obs(&serve_obs(), seed);
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
-    match preset {
-        ServePreset::Load(_) => {
-            let arrivals: Vec<Nanos> = plans.iter().map(|p| p.at).collect();
-            lab::kick_at(&mut lab, &mut eng, &arrivals);
-        }
-        ServePreset::Stripe(_) => lab::kick(&mut lab, &mut eng),
-    }
-    GridShard { lab, eng }
+    lab
 }
 
 /// Merged result of one load rung. Every field is shard-count-invariant.
@@ -361,79 +340,47 @@ pub enum ServeOutcome {
 
 /// Run one serve rung as `shards` conservatively synchronized shards and
 /// merge the result plus the shard-count-invariant observability
-/// timelines. Per-flow values are read from the shard that owns the host
-/// that produced them, exactly as in [`super::grid::run_grid`].
+/// timelines. Load rungs start each flow at its pre-drawn arrival
+/// instant; striping rungs use the staggered kick.
 pub fn run_serve(preset: &ServePreset, shards: usize, seed: u64) -> (ServeOutcome, Timelines) {
-    assert!(shards > 0, "a serve run needs at least one shard");
-    let (spec, plans) = match preset {
-        ServePreset::Load(r) => load_schedule(r, seed),
-        ServePreset::Stripe(_) => (
-            WorkloadSpec {
-                arrivals: ArrivalProcess::Poisson {
-                    mean_gap: Nanos::from_millis(1),
-                },
-                sizes: serve_mix(),
-                flows: 0,
-            },
-            Vec::new(),
-        ),
+    let schedule = match preset {
+        ServePreset::Load(r) => Some(load_schedule(r, seed)),
+        ServePreset::Stripe(_) => None,
     };
-    let mut replicas: Vec<GridShard> = (0..shards)
-        .map(|s| build_replica(preset, &plans, seed, shards, s))
-        .collect();
-    tengig_sim::run_sharded(&mut replicas, preset.lookahead());
-    let mut tl = replicas[0]
-        .lab
-        .take_timelines()
-        .expect("obs is always enabled on serve replicas");
-    for shard in &mut replicas[1..] {
-        tl.merge(
-            &shard
-                .lab
-                .take_timelines()
-                .expect("obs is always enabled on serve replicas"),
-        );
-    }
-    for shard in replicas.iter_mut() {
-        lab::check_sanitizer(&shard.lab, &mut shard.eng, true);
-    }
-    // Workload events only: obs sampling chains run per shard (each
-    // re-arms while its own calendar holds events and revives on
-    // cross-shard traffic), so raw `executed()` sums are *not*
-    // shard-count-invariant once observability is on. Every non-sample
-    // event fires on exactly one shard, so netting out the per-kind
-    // `ObsSample` fired counter restores the invariant figure the golden
-    // gates on.
-    let events: u64 = replicas
-        .iter()
-        .map(|s| s.eng.executed() - s.lab.prof().fired[Ev::ObsSample.prof_idx()])
-        .sum();
-    let outcome = match preset {
-        ServePreset::Load(_) => {
-            ServeOutcome::Load(merge_load(&replicas, shards, &spec, &plans, events))
-        }
-        ServePreset::Stripe(_) => ServeOutcome::Stripe(merge_stripe(&replicas, shards, events)),
+    let plans = schedule.as_ref().map_or(&[][..], |(_, plans)| plans);
+    let arrivals: Option<Vec<Nanos>> = schedule
+        .as_ref()
+        .map(|(_, plans)| plans.iter().map(|p| p.at).collect());
+    let mut grid = Grid::build(
+        shards,
+        preset.lookahead(),
+        seed,
+        Some(&serve_obs()),
+        arrivals.as_deref(),
+        || world(preset, plans, seed),
+    );
+    grid.run(None);
+    let (events, timelines) = grid.finish();
+    let outcome = match &schedule {
+        Some((spec, plans)) => ServeOutcome::Load(read_load(&grid, spec, plans, events)),
+        None => ServeOutcome::Stripe(read_stripe(&grid, events)),
     };
-    (outcome, tl)
+    let timelines = timelines.expect("obs is always enabled on serve runs");
+    (outcome, timelines)
 }
 
-/// Fold the per-shard state of a finished load rung into [`LoadResult`].
-fn merge_load(
-    replicas: &[GridShard],
-    shards: usize,
-    spec: &WorkloadSpec,
-    plans: &[FlowPlan],
-    events: u64,
-) -> LoadResult {
+/// Read a finished load rung into [`LoadResult`], each value from the
+/// shard owning the host that produced it.
+fn read_load(grid: &Grid, spec: &WorkloadSpec, plans: &[FlowPlan], events: u64) -> LoadResult {
     let mut fct = FctStats::new();
     let mut payload_bytes = 0u64;
     let mut last_done = Nanos::ZERO;
-    let flows = replicas[0].lab.flows.len();
+    let flows = grid.flows();
     for (f, plan) in plans.iter().enumerate().take(flows) {
-        let rx_owner = replicas[0].lab.flows[f].host[1] % shards;
-        let t_done = replicas[rx_owner].lab.flows[f].meas.t_done;
+        let rx = grid.rx(f);
+        let t_done = rx.meas.t_done;
         let t_done = t_done.expect("load flow never finished on its owning shard");
-        let bytes = match &replicas[rx_owner].lab.flows[f].app {
+        let bytes = match &rx.app {
             App::Nttcp { rx, .. } => rx.received,
             _ => 0,
         };
@@ -442,7 +389,6 @@ fn merge_load(
         last_done = last_done.max(t_done);
     }
     let server = LOAD_CLIENTS;
-    let srv_owner = server % shards;
     LoadResult {
         flows: flows as u64,
         events,
@@ -452,40 +398,33 @@ fn merge_load(
         fct_p50: Nanos::from_nanos(fct.fct_permille(500)),
         fct_p99: Nanos::from_nanos(fct.fct_permille(990)),
         fct_p999: Nanos::from_nanos(fct.fct_permille(999)),
-        srv_cpu_busy: replicas[srv_owner].lab.hosts[server].hottest_cpu_busy_total(),
+        srv_cpu_busy: grid.host(server).hottest_cpu_busy_total(),
         last_done,
     }
 }
 
-/// Fold the per-shard state of a finished striping rung into
-/// [`StripeResult`].
-fn merge_stripe(replicas: &[GridShard], shards: usize, events: u64) -> StripeResult {
-    let flows = replicas[0].lab.flows.len();
+/// Read a finished striping rung into [`StripeResult`], each value from
+/// the shard owning the host that produced it.
+fn read_stripe(grid: &Grid, events: u64) -> StripeResult {
+    let flows = grid.flows();
     let mut payload_bytes = 0u64;
     let mut first_start: Option<Nanos> = None;
     let mut last_drain = Nanos::ZERO;
     for f in 0..flows {
-        let tx_owner = replicas[0].lab.flows[f].host[0] % shards;
-        let rx_owner = replicas[0].lab.flows[f].host[1] % shards;
-        let t_start = replicas[tx_owner].lab.flows[f].meas.t_start;
+        let t_start = grid.tx(f).meas.t_start;
         let t_start = t_start.expect("stripe stream never started on its owning shard");
         first_start = Some(first_start.map_or(t_start, |t| t.min(t_start)));
-        if let App::DiskPipe(dp) = &replicas[rx_owner].lab.flows[f].app {
+        if let App::DiskPipe(dp) = &grid.rx(f).app {
             payload_bytes += dp.rx.received;
             last_drain = last_drain.max(dp.drain_done());
         }
     }
     let first_start = first_start.expect("stripe rungs always carry streams");
-    let src = replicas[0].lab.flows[0].host[0];
-    let dst = replicas[0].lab.flows[0].host[1];
-    let src_disk = replicas[src % shards].lab.hosts[src]
-        .disk
-        .as_ref()
-        .expect("stripe source host has a disk bank");
-    let dst_disk = replicas[dst % shards].lab.hosts[dst]
-        .disk
-        .as_ref()
-        .expect("stripe destination host has a disk bank");
+    let [src, dst] = grid.tx(0).host;
+    let src_disk = grid.host(src).disk.as_ref();
+    let src_disk = src_disk.expect("stripe source host has a disk bank");
+    let dst_disk = grid.host(dst).disk.as_ref();
+    let dst_disk = dst_disk.expect("stripe destination host has a disk bank");
     StripeResult {
         streams: flows as u64,
         events,

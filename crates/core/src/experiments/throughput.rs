@@ -4,11 +4,11 @@
 use super::{b2b_lab, run_to_completion};
 use crate::config::{HostConfig, LadderRung};
 use crate::lab::{self, App};
-use crate::report::{Json, SweepReport};
+use crate::report::{Json, MetricsSidecar, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_ethernet::Mtu;
 use tengig_sim::stats::Series;
-use tengig_sim::{rate_of, Nanos};
+use tengig_sim::{rate_of, Nanos, ObsConfig, Timelines};
 use tengig_tools::{NttcpReceiver, NttcpResult, NttcpSender, Pktgen};
 
 /// Default packet count per sweep point. The paper uses 32,768; sweeps
@@ -21,38 +21,29 @@ pub const MASTER_SEED: u64 = 2003;
 
 /// Run a single NTTCP point back-to-back.
 pub fn nttcp_point(cfg: HostConfig, payload: u64, count: u64, seed: u64) -> NttcpResult {
-    let app = App::Nttcp {
-        tx: NttcpSender::new(payload, count),
-        rx: NttcpReceiver::new(payload * count),
-    };
-    let (mut lab, mut eng) = b2b_lab(cfg, app, seed);
-    run_to_completion(&mut lab, &mut eng);
-    let flow = &lab.flows[0];
-    let App::Nttcp { tx, rx } = &flow.app else {
-        unreachable!()
-    };
-    NttcpResult::from_run(tx, rx, lab::cpu_load(&lab, 0, 0), lab::cpu_load(&lab, 0, 1))
-        .expect("run completed")
+    nttcp_run(cfg, payload, count, seed, None).0
 }
 
-/// [`nttcp_point`] with the observability layer enabled: identical
-/// simulation (sampling is strictly read-only), plus the run's metrics
-/// timelines.
-pub fn nttcp_point_obs(
+/// [`nttcp_point`], with the observability layer enabled when `obs` is
+/// set: the identical simulation (sampling is strictly read-only), plus
+/// the run's metrics timelines (`None` when obs is off).
+pub fn nttcp_run(
     cfg: HostConfig,
     payload: u64,
     count: u64,
     seed: u64,
-    obs: &tengig_sim::ObsConfig,
-) -> (NttcpResult, tengig_sim::Timelines) {
+    obs: Option<&ObsConfig>,
+) -> (NttcpResult, Option<Timelines>) {
     let app = App::Nttcp {
         tx: NttcpSender::new(payload, count),
         rx: NttcpReceiver::new(payload * count),
     };
     let (mut lab, mut eng) = b2b_lab(cfg, app, seed);
-    lab.enable_obs(obs, seed);
+    if let Some(cfg) = obs {
+        lab.enable_obs(cfg, seed);
+    }
     run_to_completion(&mut lab, &mut eng);
-    let timelines = lab.take_timelines().expect("obs was enabled");
+    let timelines = lab.take_timelines();
     let flow = &lab.flows[0];
     let App::Nttcp { tx, rx } = &flow.app else {
         unreachable!()
@@ -65,11 +56,14 @@ pub fn nttcp_point_obs(
 
 /// Sweep NTTCP throughput over payload sizes on the deterministic sweep
 /// runner (one simulation per scenario, fanned across worker threads).
-/// Returns a figure series labeled like the paper's legends, plus the
-/// machine-readable [`SweepReport`].
+/// Returns a figure series labeled like the paper's legends, the
+/// machine-readable [`SweepReport`], and — when `obs` is set — the
+/// metrics side-channel: every scenario's timelines, in a
+/// [`MetricsSidecar`] alongside, never inside, the primary report, whose
+/// bytes are identical with obs on or off.
 ///
-/// The result is a pure function of `(cfg, payloads, count, master_seed)`
-/// — the runner's thread count cannot change a byte of it.
+/// Every output is a pure function of `(cfg, payloads, count,
+/// master_seed, obs)` — the runner's thread count cannot change a byte.
 pub fn throughput_sweep_report(
     cfg: HostConfig,
     label: impl Into<String>,
@@ -77,64 +71,22 @@ pub fn throughput_sweep_report(
     count: u64,
     master_seed: u64,
     runner: SweepRunner,
-) -> (Series, SweepReport) {
+    obs: Option<&ObsConfig>,
+) -> (Series, SweepReport, Option<MetricsSidecar>) {
     let label = label.into();
     let grid = scenarios(master_seed, payloads.iter().copied(), |p| {
         format!("{label}/payload={p}")
     });
     let results = runner
-        .run(&grid, |sc| nttcp_point(cfg, sc.input, count, sc.seed))
-        .expect("throughput sweep scenario panicked");
-    let mut series = Series::new(label.clone());
-    let mut report = SweepReport::new(label, master_seed);
-    for (sc, r) in grid.iter().zip(&results) {
-        let mbps = r.throughput.gbps() * 1000.0;
-        series.push(sc.input as f64, mbps);
-        report.push_row(
-            sc.index,
-            sc.label.clone(),
-            sc.seed,
-            vec![
-                ("payload".to_string(), Json::U64(sc.input)),
-                ("mbps".to_string(), Json::F64(mbps)),
-                ("rx_cpu_load".to_string(), Json::F64(r.rx_cpu_load)),
-                ("tx_cpu_load".to_string(), Json::F64(r.tx_cpu_load)),
-            ],
-        );
-    }
-    (series, report)
-}
-
-/// [`throughput_sweep_report`] with the metrics side-channel: every
-/// scenario additionally records its timelines, returned as a
-/// [`crate::report::MetricsSidecar`] alongside — and never inside — the
-/// primary report, whose bytes are identical to the obs-disabled sweep's.
-///
-/// Like the primary report, the sidecar is a pure function of the
-/// arguments: the runner's thread count cannot change a byte of it.
-pub fn throughput_sweep_with_metrics(
-    cfg: HostConfig,
-    label: impl Into<String>,
-    payloads: &[u64],
-    count: u64,
-    master_seed: u64,
-    runner: SweepRunner,
-    obs: &tengig_sim::ObsConfig,
-) -> (Series, SweepReport, crate::report::MetricsSidecar) {
-    let label = label.into();
-    let grid = scenarios(master_seed, payloads.iter().copied(), |p| {
-        format!("{label}/payload={p}")
-    });
-    let (results, timelines) = runner
-        .run_split(&grid, |sc| {
-            let (r, tl) = nttcp_point_obs(cfg, sc.input, count, sc.seed, obs);
-            (r, tl.to_jsonl())
+        .run(&grid, |sc| {
+            let (r, tl) = nttcp_run(cfg, sc.input, count, sc.seed, obs);
+            (r, tl.map(|tl| tl.to_jsonl()))
         })
         .expect("throughput sweep scenario panicked");
     let mut series = Series::new(label.clone());
     let mut report = SweepReport::new(label.clone(), master_seed);
-    let mut sidecar = crate::report::MetricsSidecar::new(label);
-    for ((sc, r), tl) in grid.iter().zip(&results).zip(timelines) {
+    let mut sidecar = obs.map(|_| MetricsSidecar::new(label));
+    for (sc, (r, tl)) in grid.iter().zip(results) {
         let mbps = r.throughput.gbps() * 1000.0;
         series.push(sc.input as f64, mbps);
         report.push_row(
@@ -148,7 +100,9 @@ pub fn throughput_sweep_with_metrics(
                 ("tx_cpu_load".to_string(), Json::F64(r.tx_cpu_load)),
             ],
         );
-        sidecar.push(sc.index, sc.label.clone(), tl);
+        if let (Some(sidecar), Some(tl)) = (&mut sidecar, tl) {
+            sidecar.push(sc.index, sc.label.clone(), tl);
+        }
     }
     (series, report, sidecar)
 }
@@ -172,6 +126,7 @@ pub fn throughput_sweep(
         count,
         MASTER_SEED,
         SweepRunner::default(),
+        None,
     )
     .0
 }

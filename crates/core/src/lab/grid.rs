@@ -27,11 +27,18 @@
 //! trivially). Same-instant events on different hosts then touch
 //! disjoint state, so the cross-host seq-order differences between shard
 //! counts cannot be observed.
+//!
+//! The partition itself lives here and nowhere else: [`Grid::build`]
+//! assigns hosts to shards round-robin by index, and the finished world is read
+//! back through owner-side accessors ([`Grid::tx`], [`Grid::rx`],
+//! [`Grid::host`]) so no experiment does owner arithmetic by hand.
 
-use super::{frame_arrival, Ev, Lab, LabEngine};
+use super::{frame_arrival, Ev, FlowRt, HostRt, Lab, LabEngine};
 use std::collections::BTreeMap;
 use tengig_net::Delivery;
-use tengig_sim::{Hist, Nanos, ShardWorld};
+use tengig_sim::{
+    run_sharded_wall, Engine, Hist, Nanos, ObsConfig, ShardWorld, Timelines, WallStats,
+};
 use tengig_tcp::Segment;
 
 /// One wire arrival traveling through the ingress channel.
@@ -68,6 +75,10 @@ pub struct GridRt {
     pub shard: usize,
     /// Owning shard per host index.
     pub owner: Vec<usize>,
+    /// Transmitting host per link index: the host whose events mutate
+    /// the link (`None` for a link no flow routes). Filled by
+    /// [`Lab::enable_grid`].
+    link_tx: Vec<Option<usize>>,
     /// Per-(flow, endpoint) emission counters for canonical keys. The
     /// counter advances only on the shard owning the transmitting host,
     /// in virtual-time order — identical at any shard count.
@@ -102,6 +113,7 @@ impl GridRt {
             shards,
             shard,
             owner,
+            link_tx: Vec::new(),
             emit: vec![[0; 2]; flows],
             inbox: (0..hosts).map(|_| BTreeMap::new()).collect(),
             outbox: Vec::new(),
@@ -115,6 +127,29 @@ impl GridRt {
     #[inline]
     pub fn owns(&self, h: usize) -> bool {
         self.owner[h] == self.shard
+    }
+
+    /// Name each link's transmitting host: the first flow in index order
+    /// that routes the link, in the direction it routes it. The grid
+    /// partition-safety rule guarantees every other flow sharing the link
+    /// transmits from a host on the same shard.
+    pub(super) fn map_links(&mut self, flows: &[FlowRt], links: usize) {
+        self.link_tx = vec![None; links];
+        for flow in flows {
+            for (route, &h) in flow.route.iter().zip(&flow.host) {
+                for &l in route {
+                    self.link_tx[l].get_or_insert(h);
+                }
+            }
+        }
+    }
+
+    /// Whether this shard owns link `l` — owns its transmitting host, the
+    /// only host whose events change the link's state. A link no flow
+    /// routes is owned by no shard: it never changes.
+    #[inline]
+    pub(super) fn owns_link(&self, l: usize) -> bool {
+        self.link_tx[l].is_some_and(|h| self.owns(h))
     }
 
     /// Mint the canonical channel key for the next delivery emitted by
@@ -264,5 +299,125 @@ impl ShardWorld for GridShard {
         // A message landing on a drained shard restarts its dormant
         // observability sampling chain (no-op when obs is off or armed).
         super::obs_revive(&mut self.lab, &mut self.eng, at);
+    }
+}
+
+/// A sharded world: every shard's replica, built once, run together, and
+/// read back from the shard that owns each value.
+pub struct Grid {
+    /// One replica per shard, in shard order.
+    shards: Vec<GridShard>,
+    /// The conservative synchronization window.
+    lookahead: Nanos,
+}
+
+impl Grid {
+    /// Build `shards` replicas of the world `world` assembles. Each
+    /// replica gets the host-round-robin owner map, grid mode, the
+    /// observability layer when `obs` is set, an engine, the default
+    /// sanitizer, and its flow starts: the arrival instants `arrivals`
+    /// ([`super::kick_at`]) or, without them, the staggered [`super::kick`].
+    /// `world` must build the identical lab every call (same seed, same
+    /// RNG fork labels, same index order).
+    pub fn build(
+        shards: usize,
+        lookahead: Nanos,
+        seed: u64,
+        obs: Option<&ObsConfig>,
+        arrivals: Option<&[Nanos]>,
+        world: impl Fn() -> Lab,
+    ) -> Grid {
+        assert!(shards > 0, "a grid run needs at least one shard");
+        let replicas = (0..shards)
+            .map(|shard| {
+                let mut lab = world();
+                let owner: Vec<usize> = (0..lab.hosts.len()).map(|h| h % shards).collect();
+                let flows = lab.flows.len();
+                lab.enable_grid(GridRt::new(shards, shard, owner, flows));
+                if let Some(cfg) = obs {
+                    lab.enable_obs(cfg, seed);
+                }
+                let mut eng = Engine::new();
+                eng.event_limit = 2_000_000_000;
+                super::install_default_sanitizer(&mut lab, &mut eng, seed);
+                match arrivals {
+                    Some(at) => super::kick_at(&mut lab, &mut eng, at),
+                    None => super::kick(&mut lab, &mut eng),
+                }
+                GridShard { lab, eng }
+            })
+            .collect();
+        Grid {
+            shards: replicas,
+            lookahead,
+        }
+    }
+
+    /// Run every shard to completion, conservatively synchronized; with
+    /// `wall`, also account each shard's barrier and execute time (one
+    /// slot per shard, see [`run_sharded_wall`]).
+    pub fn run(&mut self, wall: Option<&mut [WallStats]>) {
+        run_sharded_wall(&mut self.shards, self.lookahead, wall);
+    }
+
+    /// Settle a finished run: check every shard's sanitizer drained, and
+    /// return the executed event count with the merged timelines (`None`
+    /// when obs was off). The count is net of [`Ev::ObsSample`]: sampling
+    /// chains run per shard, while every other event fires on exactly
+    /// one shard, so only the net count is shard-count-invariant.
+    pub fn finish(&mut self) -> (u64, Option<Timelines>) {
+        let mut events = 0;
+        let mut merged: Option<Timelines> = None;
+        for s in &mut self.shards {
+            // Every calendar drained, so each shard's byte ledger must sit
+            // at zero in-flight (cross-shard frames were handed off).
+            super::check_sanitizer(&s.lab, &mut s.eng, true);
+            events += s.eng.executed() - s.lab.prof().fired[Ev::ObsSample.prof_idx()];
+            if let Some(tl) = s.lab.take_timelines() {
+                match &mut merged {
+                    Some(m) => m.merge(&tl),
+                    None => merged = Some(tl),
+                }
+            }
+        }
+        (events, merged)
+    }
+
+    /// Every shard's replica, in shard order.
+    pub fn shards(&self) -> &[GridShard] {
+        &self.shards
+    }
+
+    /// Mutable access to every shard's replica, in shard order.
+    pub fn shards_mut(&mut self) -> &mut [GridShard] {
+        &mut self.shards
+    }
+
+    /// The replica of the shard that owns host `h`.
+    fn owner_of(&self, h: usize) -> &Lab {
+        let grid = self.shards[0].lab.grid().expect("grid shard without grid");
+        &self.shards[grid.owner[h]].lab
+    }
+
+    /// Flow count (identical on every replica).
+    pub fn flows(&self) -> usize {
+        self.shards[0].lab.flows.len()
+    }
+
+    /// Flow `f` as its transmitting host's shard saw it: start times and
+    /// sender-side state.
+    pub fn tx(&self, f: usize) -> &FlowRt {
+        &self.owner_of(self.shards[0].lab.flows[f].host[0]).flows[f]
+    }
+
+    /// Flow `f` as its receiving host's shard saw it: completion times
+    /// and delivered bytes.
+    pub fn rx(&self, f: usize) -> &FlowRt {
+        &self.owner_of(self.shards[0].lab.flows[f].host[1]).flows[f]
+    }
+
+    /// Host `h` as its owning shard saw it.
+    pub fn host(&self, h: usize) -> &HostRt {
+        &self.owner_of(h).hosts[h]
     }
 }

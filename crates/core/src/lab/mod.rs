@@ -18,7 +18,7 @@ pub mod grid;
 pub mod host;
 
 use crate::config::HostConfig;
-pub use grid::{GridMsg, GridRt, GridShard};
+pub use grid::{Grid, GridMsg, GridRt, GridShard};
 pub use host::{HostRt, RxFrame};
 use std::collections::VecDeque;
 use tengig_hw::DiskModel;
@@ -487,19 +487,27 @@ impl Lab {
 
     /// Switch this replica into grid (sharded) execution. Call after the
     /// topology is fully assembled (the runtime sizes its channel and key
-    /// mint from the current host/flow counts) and before [`kick`].
-    pub fn enable_grid(&mut self, g: GridRt) {
+    /// mint from the current host/flow counts, and names each link's
+    /// transmitting host from the current routes) and before [`kick`].
+    pub fn enable_grid(&mut self, mut g: GridRt) {
         assert_eq!(
             g.owner.len(),
             self.hosts.len(),
             "owner map must cover every host"
         );
+        g.map_links(&self.flows, self.links.len());
         self.grid = Some(g);
     }
 
     /// The grid runtime, if this lab executes as one shard of a grid.
     pub fn grid(&self) -> Option<&GridRt> {
         self.grid.as_ref()
+    }
+
+    /// Whether this replica executes host `h`'s events: the shard owning
+    /// it in grid mode, always otherwise.
+    fn runs_host(&self, h: usize) -> bool {
+        self.grid.as_ref().map_or(true, |g| g.owns(h))
     }
 
     /// This replica's deterministic self-profiling counters.
@@ -713,32 +721,24 @@ fn check_tcp_invariants(lab: &Lab, eng: &mut LabEngine, f: usize, ep: usize) {
 // engine wiring (free functions: events close over flow/endpoint indices)
 // ---------------------------------------------------------------------
 
-/// Start every flow's workload shortly after t=0 (staggered so multi-flow
-/// runs do not phase-lock). In grid mode only the flows whose transmitting
-/// host this shard owns are started — each flow's driver runs on exactly
-/// one shard; the stagger uses the global flow index either way, so start
-/// times are shard-count-invariant.
+/// Start every flow's workload shortly after t=0, staggered so multi-flow
+/// runs do not phase-lock: flow `f` starts at 1 µs + 137 ns·`f` (see
+/// [`kick_at`]). The stagger uses the global flow index, so start times
+/// are shard-count-invariant.
 pub fn kick(lab: &mut Lab, eng: &mut LabEngine) {
-    for f in 0..lab.flows.len() {
-        if let Some(g) = &lab.grid {
-            if !g.owns(lab.flows[f].host[0]) {
-                continue;
-            }
-        }
-        let at = Nanos::from_micros(1) + Nanos::from_nanos(137 * f as u64);
-        eng.schedule_event_at(at, Ev::StartFlow { f });
-    }
-    if let Some(obs) = &lab.obs {
-        eng.schedule_event_at(obs.interval, Ev::ObsSample);
-    }
+    let arrivals: Vec<Nanos> = (0..lab.flows.len())
+        .map(|f| Nanos::from_micros(1) + Nanos::from_nanos(137 * f as u64))
+        .collect();
+    kick_at(lab, eng, &arrivals);
 }
 
 /// Start flows at explicit arrival instants — the open-loop workload
 /// plane. `arrivals[f]` is flow `f`'s absolute start time, typically a
 /// pre-built [`tengig_sim::build_schedule`] draw, so the generator costs
-/// zero RNG draws and zero events inside the run itself. Grid filtering
-/// and obs arming mirror [`kick`]; arrival instants come from outside, so
-/// a pre-built schedule is shard-count-invariant for free.
+/// zero RNG draws and zero events inside the run itself. In grid mode only
+/// the flows whose transmitting host this shard owns are started — each
+/// flow's driver runs on exactly one shard. With observability on, the
+/// first sample is armed one interval in.
 pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
     assert_eq!(
         arrivals.len(),
@@ -746,12 +746,9 @@ pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
         "one arrival instant per flow"
     );
     for (f, at) in arrivals.iter().enumerate() {
-        if let Some(g) = &lab.grid {
-            if !g.owns(lab.flows[f].host[0]) {
-                continue;
-            }
+        if lab.runs_host(lab.flows[f].host[0]) {
+            eng.schedule_event_at(*at, Ev::StartFlow { f });
         }
-        eng.schedule_event_at(*at, Ev::StartFlow { f });
     }
     if let Some(obs) = &lab.obs {
         eng.schedule_event_at(obs.interval, Ev::ObsSample);
@@ -769,8 +766,9 @@ pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
 ///
 /// In grid mode each shard samples **only the scopes it owns** — flow
 /// endpoints on owned hosts, owned hosts, links whose transmitting host
-/// it owns — so the per-shard timelines partition the scope space and
-/// [`Timelines::merge`] reassembles a shard-count-invariant whole. Two
+/// it owns ([`GridRt::owns_link`]) — so the per-shard timelines
+/// partition the scope space and [`Timelines::merge`] reassembles a
+/// shard-count-invariant whole. Two
 /// metrics change shape to keep that invariant: per-interval
 /// [`MetricKind::CpuPermille`] deltas become the cumulative
 /// [`MetricKind::CpuBusyNanos`] (a dormant shard's value is exactly
@@ -786,10 +784,8 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
     let grid_mode = lab.grid.is_some();
     for (f, flow) in lab.flows.iter().enumerate() {
         for ep in 0..2 {
-            if let Some(g) = &lab.grid {
-                if !g.owns(flow.host[ep]) {
-                    continue;
-                }
+            if !lab.runs_host(flow.host[ep]) {
+                continue;
             }
             let c = &flow.conns[ep];
             let scope = Scope::Flow {
@@ -810,10 +806,8 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
         }
     }
     for (h, host) in lab.hosts.iter().enumerate() {
-        if let Some(g) = &lab.grid {
-            if !g.owns(h) {
-                continue;
-            }
+        if !lab.runs_host(h) {
+            continue;
         }
         let scope = Scope::Host { host: h as u32 };
         if grid_mode {
@@ -855,10 +849,8 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
         tl.record(scope, MetricKind::RxCrcDrops, now, host.rx_crc_drops);
     }
     for (l, link) in lab.links.iter().enumerate() {
-        if let Some(g) = &lab.grid {
-            if !link_owned(lab, g, l) {
-                continue;
-            }
+        if !lab.grid.as_ref().map_or(true, |g| g.owns_link(l)) {
+            continue;
         }
         let scope = Scope::Link { link: l as u32 };
         if !grid_mode {
@@ -883,23 +875,6 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
     if rearm {
         eng.schedule_event_at(now + interval, Ev::ObsSample);
     }
-}
-
-/// The owning-shard test for link `l` in grid mode: a link belongs to the
-/// shard owning its *transmitting* host (the only shard whose events
-/// mutate the link's state). Any flow routing over the link names the
-/// transmitter; the grid partition-safety rule guarantees every flow
-/// sharing the link agrees. A link referenced by no flow is sampled by no
-/// shard — it can never change, so omitting it is invariant too.
-fn link_owned(lab: &Lab, g: &GridRt, l: usize) -> bool {
-    for flow in &lab.flows {
-        for dir in 0..2 {
-            if flow.route[dir].contains(&l) {
-                return g.owns(flow.host[dir]);
-            }
-        }
-    }
-    false
 }
 
 /// Grid-mode revival of a dormant sampling chain: when a cross-shard

@@ -7,7 +7,14 @@
 //! parallelism axes as orthogonal.
 
 use tengig::experiments::grid::{grid_sweep_report, run_grid, standard_presets, GridPreset};
+use tengig::experiments::XOVER_PROP;
+use tengig::lab::Grid;
 use tengig::sweep::SweepRunner;
+use tengig::{App, Lab, LadderRung};
+use tengig_ethernet::Mtu;
+use tengig_net::{Hop, Path};
+use tengig_sim::{Bandwidth, MetricKind, Nanos, ObsConfig, Scope, SimRng};
+use tengig_tools::{NttcpReceiver, NttcpSender};
 
 /// The pinned master seed of the grid golden (kept in sync with
 /// `tengig_bench::check::SEED`).
@@ -60,4 +67,62 @@ fn torus_preset_crosses_shards_and_still_merges() {
     assert_eq!(one.events, four.events);
     assert_eq!(one.last_done, four.last_done);
     assert!(one.aggregate_gbps > 1.0);
+}
+
+/// Each link's observability series is recorded by exactly the shard
+/// owning its transmitting host — for a link two flows share from one
+/// host too — and a link no flow routes is recorded by no shard.
+#[test]
+fn each_link_is_sampled_by_the_shard_owning_its_transmitter() {
+    let path = Path {
+        hops: vec![Hop::wire("xover", Bandwidth::from_gbps(10), XOVER_PROP)],
+    };
+    let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    // Hosts 0 → 1: two flows share the forward link, each has a private
+    // reverse link, and one link carries nothing.
+    let world = || {
+        let mut lab = Lab::new();
+        let mut rng = SimRng::seeded(SEED);
+        let a = lab.add_host(cfg);
+        let b = lab.add_host(cfg);
+        let shared = lab.add_link(&path, rng.fork("shared"));
+        let _unrouted = lab.add_link(&path, rng.fork("unrouted"));
+        for f in 0..2 {
+            let rev = lab.add_link(&path, rng.fork(&format!("rev-{f}")));
+            let app = App::Nttcp {
+                tx: NttcpSender::new(8948, 20),
+                rx: NttcpReceiver::new(8948 * 20),
+            };
+            lab.add_flow(a, b, vec![shared], vec![rev], app);
+        }
+        lab
+    };
+    // Link index → its transmitting host (`None`: routed by no flow).
+    let tx_host = [Some(0), None, Some(1), Some(1)];
+    let obs = ObsConfig {
+        sample_interval: Nanos::from_micros(10),
+        ..ObsConfig::default()
+    };
+    for shards in [1usize, 2] {
+        let mut grid = Grid::build(shards, path.base_latency(), SEED, Some(&obs), None, world);
+        grid.run(None);
+        let owner = grid.shards()[0]
+            .lab
+            .grid()
+            .expect("grid mode")
+            .owner
+            .clone();
+        for (s, shard) in grid.shards_mut().iter_mut().enumerate() {
+            let tl = shard.lab.take_timelines().expect("obs was on");
+            for (l, tx) in tx_host.iter().enumerate() {
+                let scope = Scope::Link { link: l as u32 };
+                let recorded = tl.get(scope, MetricKind::QueueDrops).is_some();
+                let owns = tx.is_some_and(|h| owner[h] == s);
+                assert_eq!(
+                    recorded, owns,
+                    "link {l} at {shards} shards: shard {s} recorded={recorded}"
+                );
+            }
+        }
+    }
 }

@@ -9,15 +9,34 @@
 //! * grid-mode observability timelines merge shard-count-invariantly.
 
 use tengig::experiments::grid::{
-    grid_prof_sweep, grid_sweep_report, run_grid, run_grid_obs, run_grid_prof, standard_presets,
-    GridPreset,
+    self, grid_prof_sweep, grid_sweep_report, run_grid, standard_presets, GridPreset, GridProfile,
+    GridResult,
 };
 use tengig::sweep::SweepRunner;
-use tengig_sim::{Nanos, ObsConfig};
+use tengig_sim::{Nanos, ObsConfig, Timelines, WallStats};
 
 /// The pinned master seed of the grid and prof goldens (kept in sync
 /// with `tengig_bench::check::SEED`).
 const SEED: u64 = 2003;
+
+/// One grid run with the wall plane collected, read into its result and
+/// three-section profile.
+fn profiled(preset: &GridPreset, shards: usize) -> (GridResult, GridProfile) {
+    let mut world = grid::build(preset, shards, SEED, None);
+    let mut wall = vec![WallStats::default(); shards];
+    world.run(Some(&mut wall));
+    let result = grid::read(&mut world).0;
+    (result, grid::profile(&preset.label(), SEED, &world, &wall))
+}
+
+/// One grid run with observability on, read into its result and merged
+/// timelines.
+fn observed(preset: &GridPreset, shards: usize, obs: &ObsConfig) -> (GridResult, Timelines) {
+    let mut world = grid::build(preset, shards, SEED, Some(obs));
+    world.run(None);
+    let (result, timelines) = grid::read(&mut world);
+    (result, timelines.expect("obs was on"))
+}
 
 #[test]
 fn prof_sidecar_is_byte_identical_across_shards_and_threads() {
@@ -60,7 +79,7 @@ fn profiling_never_changes_the_primary_report_bytes() {
 fn wall_plane_reports_barrier_stalls_outside_every_gated_byte() {
     let preset = GridPreset::fat_tree(2, 4, 2);
     let plain = run_grid(&preset, 4, SEED);
-    let (profiled, prof) = run_grid_prof(&preset, 4, SEED);
+    let (profiled, prof) = profiled(&preset, 4);
     // Same simulation: the wall plane rides outside the event loop.
     assert_eq!(plain.events, profiled.events);
     assert_eq!(plain.last_done, profiled.last_done);
@@ -100,7 +119,7 @@ fn wall_plane_reports_barrier_stalls_outside_every_gated_byte() {
 #[test]
 fn sim_section_counts_the_grid_event_anatomy() {
     let preset = GridPreset::fat_tree(2, 2, 1);
-    let (r, prof) = run_grid_prof(&preset, 1, SEED);
+    let (r, prof) = profiled(&preset, 1);
     // In grid mode every arrival rides the ingress channel, so the
     // FrameArrival event kind never fires while drains do.
     assert!(prof.sim.contains("\"FrameArrival\":0"), "{}", prof.sim);
@@ -124,15 +143,20 @@ fn grid_obs_timelines_merge_shard_count_invariantly() {
         ..ObsConfig::default()
     };
     let plain = run_grid(&preset, 1, SEED);
-    let (r1, tl1) = run_grid_obs(&preset, 1, SEED, &cfg);
+    let (r1, tl1) = observed(&preset, 1, &cfg);
     let reference = tl1.to_jsonl();
     assert!(reference.contains("cpu_busy_ns"));
     // Observability never changes the primary result, in grid mode too.
     assert_eq!(plain.payload_bytes, r1.payload_bytes);
     assert_eq!(plain.last_done, r1.last_done);
+    assert_eq!(plain.events, r1.events, "events must be net of obs samples");
     for shards in [2usize, 4] {
-        let (rn, tln) = run_grid_obs(&preset, shards, SEED, &cfg);
+        let (rn, tln) = observed(&preset, shards, &cfg);
         assert_eq!(plain.last_done, rn.last_done);
+        assert_eq!(
+            plain.events, rn.events,
+            "events with obs on diverged at {shards} shards"
+        );
         assert_eq!(
             reference,
             tln.to_jsonl(),

@@ -181,6 +181,7 @@ fn sanitized_sweeps_are_byte_identical_across_threads_and_sanitizer_state() {
                 400,
                 2003,
                 runner(),
+                None,
             )
             .1
             .to_jsonl(),

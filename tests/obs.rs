@@ -5,7 +5,7 @@
 
 use std::panic::AssertUnwindSafe;
 
-use tengig::experiments::throughput::{nttcp_point, nttcp_point_obs};
+use tengig::experiments::throughput::{nttcp_point, nttcp_run};
 use tengig::experiments::wan::record_timeline;
 use tengig::experiments::{b2b_lab, run_to_completion};
 use tengig::lab::{self, App};
@@ -87,9 +87,9 @@ fn flight_dump_holds_the_last_events_of_a_run() {
 fn enabling_obs_never_changes_the_primary_result() {
     let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
     let plain = nttcp_point(cfg, 1448, 2_000, SEED);
-    let (observed, tl) = nttcp_point_obs(cfg, 1448, 2_000, SEED, &quick_obs());
+    let (observed, tl) = nttcp_run(cfg, 1448, 2_000, SEED, Some(&quick_obs()));
     assert_eq!(plain, observed, "obs must be a pure observer");
-    assert!(!tl.is_empty(), "timelines recorded");
+    assert!(!tl.expect("obs was on").is_empty(), "timelines recorded");
 }
 
 #[test]

@@ -2,9 +2,7 @@
 //! reports at any thread count) and panic containment, exercised through a
 //! real paper experiment (the Fig. 3/4 NTTCP payload sweep).
 
-use tengig::experiments::throughput::{
-    throughput_sweep_report, throughput_sweep_with_metrics, MASTER_SEED,
-};
+use tengig::experiments::throughput::{throughput_sweep_report, MASTER_SEED};
 use tengig::{scenarios, Json, LadderRung, Scenario, SweepReport, SweepRunner};
 use tengig_ethernet::Mtu;
 use tengig_sim::{Nanos, ObsConfig, SimRng};
@@ -19,14 +17,16 @@ fn fig3_sweep_bytes(threads: usize) -> String {
     let cfg = LadderRung::Stock.pe2650_config(Mtu::JUMBO_9000);
     // Eight payload scenarios spanning the figure's x axis.
     let payloads = [256u64, 512, 1024, 2048, 4096, 6144, 8192, 8948];
-    let (series, report) = throughput_sweep_report(
+    let (series, report, sidecar) = throughput_sweep_report(
         cfg,
         "9000MTU,stock",
         &payloads,
         QUICK,
         MASTER_SEED,
         SweepRunner::new(threads),
+        None,
     );
+    assert!(sidecar.is_none(), "no sidecar without obs");
     assert_eq!(series.points.len(), payloads.len());
     assert_eq!(report.rows.len(), payloads.len());
     report.to_jsonl()
@@ -72,15 +72,16 @@ fn metrics_sidecar_is_byte_identical_across_thread_counts() {
         sample_every: 4,
     };
     let sweep = |threads: usize, master_seed: u64| {
-        let (_, report, sidecar) = throughput_sweep_with_metrics(
+        let (_, report, sidecar) = throughput_sweep_report(
             cfg,
             "obs",
             &payloads,
             QUICK,
             master_seed,
             SweepRunner::new(threads),
-            &obs,
+            Some(&obs),
         );
+        let sidecar = sidecar.expect("obs on yields a sidecar");
         (report.to_jsonl(), sidecar.concatenated())
     };
     let (report_1, sidecar_1) = sweep(1, MASTER_SEED);
@@ -89,27 +90,29 @@ fn metrics_sidecar_is_byte_identical_across_thread_counts() {
     assert_eq!(report_1, report_4);
 
     // Obs on vs off: the primary report bytes are identical.
-    let (_, plain) = throughput_sweep_report(
+    let (_, plain, _) = throughput_sweep_report(
         cfg,
         "obs",
         &payloads,
         QUICK,
         MASTER_SEED,
         SweepRunner::new(4),
+        None,
     );
     assert_eq!(plain.to_jsonl(), report_4, "obs must be a pure observer");
 
     // The sidecar itself is well-formed: one timelines blob per scenario,
     // each parseable back into the exact same bytes.
-    let (_, _, sidecar) = throughput_sweep_with_metrics(
+    let (_, _, sidecar) = throughput_sweep_report(
         cfg,
         "obs",
         &payloads,
         QUICK,
         MASTER_SEED,
         SweepRunner::new(2),
-        &obs,
+        Some(&obs),
     );
+    let sidecar = sidecar.expect("obs on yields a sidecar");
     assert_eq!(sidecar.runs.len(), payloads.len());
     for (_, _, jsonl) in &sidecar.runs {
         let tl = tengig_sim::Timelines::from_jsonl(jsonl).expect("sidecar parses");
