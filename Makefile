@@ -1,6 +1,6 @@
 # Development targets. `make ci` is the gate every change must pass.
 #
-# `ci` ordering: cheap structural gates first (build, test, fmt, clippy),
+# `ci` ordering: cheap structural gates first (build, test, fmt, clippy, doc),
 # then the benchmark crate's own tests, then the determinism gates in
 # increasing cost — lint (static: runs its own selftests, then lints the
 # live tree and byte-compares the JSON report against
@@ -13,9 +13,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy benchmark-test lint lint-selftest golden-check
+.PHONY: ci build test fmt clippy doc benchmark-test lint lint-selftest golden-check
 
-ci: build test fmt clippy benchmark-test lint golden-check
+ci: build test fmt clippy doc benchmark-test lint golden-check
 
 build:
 	$(CARGO) build --release
@@ -28,6 +28,12 @@ fmt:
 
 clippy:
 	$(CARGO) clippy --all-targets -- -D warnings
+
+# Rustdoc gate: every intra-doc link must resolve to a public item, so a
+# doc comment naming a deleted or private function fails here instead of
+# rotting silently.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --offline --no-deps --workspace
 
 # The wall-clock benchmark (BENCHMARK.json) is a separate cargo
 # workspace under benchmark/ that builds the simulator crates through

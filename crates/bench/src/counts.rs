@@ -10,12 +10,12 @@
 //! the simulator lives in the `benchmark/` harness alone.
 
 use std::fmt::Write as _;
-use tengig::experiments::faults::{faults_lab, scaled_wan};
+use tengig::experiments::faults::{faults_lab_tuned, scaled_wan};
 use tengig::experiments::grid::{run_grid, GridPreset};
 use tengig::experiments::multiflow::{aggregate_seeded, Direction};
 use tengig::experiments::wan::wan_lab_seeded;
-use tengig::experiments::{b2b_lab, run_to_completion};
-use tengig::lab::{self, App};
+use tengig::experiments::{b2b_lab, run_to_completion, run_window};
+use tengig::lab::{App, Lab, LabEngine};
 use tengig::{scenarios, LadderRung, SweepRunner};
 use tengig_ethernet::Mtu;
 use tengig_net::{FatTreeSpec, GilbertElliott, Impairments, WanSpec};
@@ -113,25 +113,19 @@ fn multiflow() -> (u64, u64) {
     (events, bytes)
 }
 
-/// Bytes the first flow's NTTCP receiver has taken in.
-fn received(lab: &lab::Lab) -> u64 {
-    match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    }
+/// Run a single-flow lab over a window: the events executed and the
+/// payload bytes delivered inside the window.
+fn windowed((mut lab, mut eng): (Lab, LabEngine), warmup: Nanos, window: Nanos) -> (u64, u64) {
+    let (b0, b1) = run_window(&mut lab, &mut eng, warmup, window, |lab, _| {
+        lab.flows[0].app.received()
+    });
+    (eng.executed(), b1 - b0)
 }
 
 /// §4 Internet2 Land Speed Record: a windowed single-stream WAN run.
 fn wan_record() -> (u64, u64) {
-    let (mut lab, mut eng) = wan_lab_seeded(&WanSpec::record_run(), None, SEED);
-    lab::kick(&mut lab, &mut eng);
-    let warmup = Nanos::from_secs(3);
-    let window = Nanos::from_secs(5);
-    eng.advance_to(&mut lab, warmup);
-    let b0 = received(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    lab::check_sanitizer(&lab, &mut eng, false);
-    (eng.executed(), received(&lab) - b0)
+    let world = wan_lab_seeded(&WanSpec::record_run(), None, SEED);
+    windowed(world, Nanos::from_secs(3), Nanos::from_secs(5))
 }
 
 /// The windowed WAN run again, but with Gilbert–Elliott burst loss on
@@ -141,15 +135,8 @@ fn wan_record() -> (u64, u64) {
 fn wan_burst_loss() -> (u64, u64) {
     let mut wan = scaled_wan(Nanos::from_millis(20), 64 << 20);
     wan.impair = Impairments::none().with_burst(GilbertElliott::bursty(3e-3, 8.0));
-    let (mut lab, mut eng) = faults_lab(&wan, Some(256 << 10), SEED);
-    lab::kick(&mut lab, &mut eng);
-    let warmup = Nanos::from_secs(2);
-    let window = Nanos::from_secs(5);
-    eng.advance_to(&mut lab, warmup);
-    let b0 = received(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    lab::check_sanitizer(&lab, &mut eng, false);
-    (eng.executed(), received(&lab) - b0)
+    let world = faults_lab_tuned(&wan, Some(256 << 10), SEED, &|s| s);
+    windowed(world, Nanos::from_secs(2), Nanos::from_secs(5))
 }
 
 /// §3.5.2 packet generator: single-copy TCP-bypass blast.

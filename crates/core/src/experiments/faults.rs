@@ -24,15 +24,16 @@
 //! sweep's master seed through `SimRng::scenario_seed`, so reports are
 //! byte-identical across 1/4 runner threads.
 
+use super::wan::{endless_stream, wan_host};
+use super::{pair, run_to_completion, run_window};
 use crate::config::HostConfig;
-use crate::experiments::wan::wan_host;
 use crate::lab::{self, App, Lab, LabEngine};
 use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tengig_net::{GilbertElliott, Hop, ImpairmentSchedule, Impairments, Path, Reorder, WanSpec};
 use tengig_nic::NicSpec;
-use tengig_sim::{rate_of, Bandwidth, Engine, Nanos, Sanitizer, SimRng};
+use tengig_sim::{rate_of, Bandwidth, Nanos, Sanitizer, SimRng};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -51,16 +52,12 @@ pub fn scaled_wan(rtt: Nanos, bottleneck_buffer: u64) -> WanSpec {
 }
 
 /// Build the faults lab: the scaled WAN with impairments on the forward
-/// (data) direction only — the reverse (ACK) path is clean, so measured
-/// degradation is attributable to the data-path impairment under study.
-pub fn faults_lab(wan: &WanSpec, buffer: Option<u64>, seed: u64) -> (Lab, LabEngine) {
-    faults_lab_tuned(wan, buffer, seed, &|s| s)
-}
-
-/// [`faults_lab`] with a sysctl override hook, applied to the WAN-tuned
-/// defaults on both hosts. Tests use it to pin down which knob caused a
-/// behavioral change (e.g. the RTO ceiling) by re-running an experiment
-/// with exactly one knob moved.
+/// (data) direction only — the reverse (ACK) path is built from the clean
+/// spec, so measured degradation is attributable to the data-path
+/// impairment under study. `tweak` overrides the WAN-tuned sysctls on
+/// both hosts; tests use it to pin down which knob caused a behavioral
+/// change (e.g. the RTO ceiling) by re-running an experiment with
+/// exactly one knob moved.
 pub fn faults_lab_tuned(
     wan: &WanSpec,
     buffer: Option<u64>,
@@ -73,29 +70,8 @@ pub fn faults_lab_tuned(
         impair: Impairments::none(),
         ..*wan
     };
-    let mut lab = Lab::new();
-    let svl = lab.add_host(cfg);
-    let gva = lab.add_host(cfg);
-    let mut rng = SimRng::seeded(seed);
-    let fwd = lab.add_link(&wan.forward_path(), rng.fork("fwd"));
-    let rev = lab.add_link(&clean.reverse_path(), rng.fork("rev"));
-    // Effectively endless stream: runs are window-measured.
-    let payload = cfg.sysctls.mss();
-    let count = 100_000_000;
-    lab.add_flow(
-        svl,
-        gva,
-        vec![fwd],
-        vec![rev],
-        App::Nttcp {
-            tx: NttcpSender::new(payload, count),
-            rx: NttcpReceiver::new(payload * count),
-        },
-    );
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
-    (lab, eng)
+    let (fwd, rev) = (wan.forward_path(), clean.reverse_path());
+    pair(cfg, cfg, &fwd, &rev, endless_stream(&cfg), seed)
 }
 
 /// Result of one impaired WAN run.
@@ -149,36 +125,6 @@ pub const FLAP_RTTS: [Nanos; 3] = [
 /// interesting — and monotone — regime is the window crossing.
 pub const BURST_LENGTHS: [f64; 3] = [8.0, 16.0, 32.0];
 
-fn windowed_run(
-    wan: &WanSpec,
-    buffer: Option<u64>,
-    warmup: Nanos,
-    window: Nanos,
-    seed: u64,
-) -> FaultResult {
-    let (mut lab, mut eng) = faults_lab(wan, buffer, seed);
-    lab::kick(&mut lab, &mut eng);
-    eng.advance_to(&mut lab, warmup);
-    let received = |lab: &Lab| match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
-    let b0 = received(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    // Windowed run: frames are still in flight, so no drain check.
-    lab::check_sanitizer(&lab, &mut eng, false);
-    let b1 = received(&lab);
-    let conn = &lab.flows[0].conns[0];
-    FaultResult {
-        gbps: rate_of(b1 - b0, window).gbps(),
-        retransmits: conn.stats.retransmits,
-        timeouts: conn.cc.timeouts,
-        fast_retransmits: conn.cc.fast_retransmits,
-        impair_drops: lab.links[0].impair_drops(),
-        drops: lab.links[0].total_drops(),
-    }
-}
-
 /// Sweep Gilbert–Elliott burst length at fixed mean loss on a 20 ms-RTT
 /// scaled WAN and report goodput per point.
 ///
@@ -211,7 +157,19 @@ pub fn burst_sweep_report(
         .run(&grid, |sc| {
             let imp = Impairments::none().with_burst(GilbertElliott::bursty(mean_loss, sc.input));
             let spec = wan.with_impairments(imp);
-            windowed_run(&spec, buffer, warmup, window, sc.seed)
+            let (mut lab, mut eng) = faults_lab_tuned(&spec, buffer, sc.seed, &|s| s);
+            let (b0, b1) = run_window(&mut lab, &mut eng, warmup, window, |lab, _| {
+                lab.flows[0].app.received()
+            });
+            let conn = &lab.flows[0].conns[0];
+            FaultResult {
+                gbps: rate_of(b1 - b0, window).gbps(),
+                retransmits: conn.stats.retransmits,
+                timeouts: conn.cc.timeouts,
+                fast_retransmits: conn.cc.fast_retransmits,
+                impair_drops: lab.links[0].impair_drops(),
+                drops: lab.links[0].total_drops(),
+            }
         })
         .expect("burst sweep scenario panicked");
     let mut report = SweepReport::new("faults/burst_sweep", master_seed);
@@ -320,15 +278,19 @@ pub fn flap_recovery_run_tuned(
     let (mut lab, mut eng) = faults_lab_tuned(&wan, buffer, seed, tweak);
     lab::kick(&mut lab, &mut eng);
     let flap_end = warmup + outage_len;
-    eng.advance_to(&mut lab, flap_end);
-    // Everything sent up to carrier restoration: the recovery target.
-    let mark = lab.flows[0].conns[0].snd_nxt();
-    let step = Nanos::from_millis(1);
     let deadline = flap_end + Nanos::from_secs(120);
+    // Run to carrier restoration, then in 1 ms steps until `snd_una`
+    // passes `mark`: everything sent up to restoration.
+    let mut target = None;
     let mut now = flap_end;
-    while lab.flows[0].conns[0].snd_una() < mark && now < deadline {
-        now += step;
+    loop {
         eng.advance_to(&mut lab, now);
+        let conn = &lab.flows[0].conns[0];
+        let mark = *target.get_or_insert(conn.snd_nxt());
+        if conn.snd_una() >= mark || now >= deadline {
+            break;
+        }
+        now += Nanos::from_millis(1);
     }
     lab::check_sanitizer(&lab, &mut eng, false);
     let conn = &lab.flows[0].conns[0];
@@ -469,25 +431,14 @@ fn chaos_lab(spec: &ChaosSpec, seed: u64) -> (Lab, LabEngine) {
             .with_impairments(imp),
         ],
     };
-    let mut lab = Lab::new();
-    let a = lab.add_host(cfg);
-    let b = lab.add_host(cfg);
-    let mut rng = SimRng::seeded(seed);
-    let fwd = lab.add_link(&bottleneck(imp), rng.fork("fwd"));
-    let rev = lab.add_link(&bottleneck(Impairments::none()), rng.fork("rev"));
     let payload = cfg.sysctls.mss();
     let count = (4 << 20) / payload;
-    lab.add_flow(
-        a,
-        b,
-        vec![fwd],
-        vec![rev],
-        App::Nttcp {
-            tx: NttcpSender::new(payload, count),
-            rx: NttcpReceiver::new(payload * count),
-        },
-    );
-    let mut eng = Engine::new();
+    let app = App::Nttcp {
+        tx: NttcpSender::new(payload, count),
+        rx: NttcpReceiver::new(payload * count),
+    };
+    let (fwd, rev) = (bottleneck(imp), bottleneck(Impairments::none()));
+    let (mut lab, mut eng) = pair(cfg, cfg, &fwd, &rev, app, seed);
     eng.event_limit = 50_000_000;
     // Chaos runs always arm the sanitizer and flight recorder — the whole
     // point is running pathological inputs with the invariants on,
@@ -508,26 +459,16 @@ pub fn chaos_run(seed: u64, inject_failure: bool) -> Result<ChaosOutcome, String
         if inject_failure {
             panic!("injected chaos failure (seed {seed}) — repro-path self-test");
         }
-        lab::kick(&mut lab, &mut eng);
-        eng.run(&mut lab);
-        assert!(
-            lab.all_done(),
-            "chaos scenario stalled: {} events executed without completing",
-            eng.executed()
-        );
         // Drained run: every injected byte must be delivered or accounted
         // as dropped, duplicates and corruption included.
-        lab::check_sanitizer(&lab, &mut eng, true);
+        run_to_completion(&mut lab, &mut eng);
         let m = &lab.flows[0].meas;
         let (t0, t1) = (
             m.t_start.unwrap_or(Nanos::ZERO),
             m.t_done.unwrap_or(Nanos::ZERO),
         );
         let duration = t1.saturating_sub(t0);
-        let bytes = match &lab.flows[0].app {
-            App::Nttcp { rx, .. } => rx.received,
-            _ => 0,
-        };
+        let bytes = lab.flows[0].app.received();
         let conn = &lab.flows[0].conns[0];
         ChaosOutcome {
             gbps: if duration == Nanos::ZERO {
@@ -664,6 +605,29 @@ mod tests {
         assert_eq!(a.retransmits, b.retransmits);
         assert_eq!(a.events, b.events);
         assert!(a.gbps > 0.0);
+    }
+
+    #[test]
+    fn impairments_stay_on_the_data_path() {
+        // Burst loss on the faults lab, measured over a window...
+        let burst = Impairments::none().with_burst(GilbertElliott::bursty(3e-3, 8.0));
+        let wan = scaled_wan(Nanos::from_millis(20), 64 << 20).with_impairments(burst);
+        let (mut faults, mut eng) = faults_lab_tuned(&wan, Some(256 << 10), 2003, &|s| s);
+        let second = Nanos::from_secs(1);
+        run_window(&mut faults, &mut eng, second, second, |_, _| ());
+        // ...and a chaos cocktail, run to completion.
+        let seed = SimRng::scenario_seed(2003, 0);
+        let (mut chaos, mut eng) = chaos_lab(&chaos_spec(seed), seed);
+        run_to_completion(&mut chaos, &mut eng);
+        for (name, lab) in [("faults", &faults), ("chaos", &chaos)] {
+            let (data, ack) = (&lab.links[0], &lab.links[1]);
+            assert!(data.impair_drops() > 0, "{name}: no data frame was lost");
+            assert_eq!(
+                (ack.impair_drops(), ack.dup_frames(), ack.reordered_frames()),
+                (0, 0, 0),
+                "{name}: the ACK path must stay clean"
+            );
+        }
     }
 
     #[test]

@@ -247,9 +247,7 @@ pub fn read(grid: &mut Grid) -> (GridResult, Option<Timelines>) {
         let t_done = t_done.expect("flow never finished on its owning shard");
         first_start = Some(first_start.map_or(t_start, |t| t.min(t_start)));
         last_done = Some(last_done.map_or(t_done, |t| t.max(t_done)));
-        if let App::Nttcp { rx, .. } = &rx.app {
-            payload_bytes += rx.received;
-        }
+        payload_bytes += rx.app.received();
     }
     let first_start = first_start.expect("grid presets always carry flows");
     let last_done = last_done.expect("grid presets always carry flows");

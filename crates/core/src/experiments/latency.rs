@@ -1,20 +1,37 @@
 //! NetPipe latency experiments: Figs. 6 and 7.
 
-use super::two_host_lab;
+use super::{pair, run_to_completion, xover, XOVER_PROP};
 use crate::config::{HostConfig, TuningStep};
-use crate::lab::{self, App};
+use crate::lab::App;
 use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
+use tengig_net::{Hop, Path};
 use tengig_sim::stats::Series;
-use tengig_sim::Nanos;
+use tengig_sim::{Bandwidth, Nanos};
 use tengig_tools::NetPipe;
 
 /// Rounds per NetPipe point ("an averaged round-trip time over several
 /// single-byte, ping-pong tests").
 pub const ROUNDS: u64 = 50;
 
-/// One-way latency for one payload size, with an explicit RNG seed (used
-/// by the sweep runner's per-scenario seeding).
+/// The Fig. 2b path through the FastIron switch: a host link into the
+/// switch, then its store-and-forward egress with the fixed forwarding
+/// latency and a 2 MiB egress buffer.
+fn fastiron() -> Path {
+    let line = Bandwidth::from_gbps(10);
+    Path {
+        hops: vec![
+            Hop::wire("host-sw", line, XOVER_PROP),
+            Hop::wire("sw-egress", line, XOVER_PROP)
+                .with_fixed(Nanos::from_nanos(5_850))
+                .with_buffer(2 << 20),
+        ],
+    }
+}
+
+/// One-way latency for one payload size, back-to-back or through the
+/// switch, with an explicit RNG seed (used by the sweep runner's
+/// per-scenario seeding).
 pub fn netpipe_point_seeded(
     cfg: HostConfig,
     payload: u64,
@@ -22,11 +39,9 @@ pub fn netpipe_point_seeded(
     seed: u64,
 ) -> Nanos {
     let app = App::NetPipe(NetPipe::new(payload, ROUNDS));
-    let (mut lab, mut eng) = two_host_lab(cfg, cfg, app, seed, through_switch);
-    lab::kick(&mut lab, &mut eng);
-    eng.run(&mut lab);
-    assert!(lab.all_done(), "netpipe did not complete");
-    lab::check_sanitizer(&lab, &mut eng, true);
+    let path = if through_switch { fastiron() } else { xover() };
+    let (mut lab, mut eng) = pair(cfg, cfg, &path, &path, app, seed);
+    run_to_completion(&mut lab, &mut eng);
     let App::NetPipe(np) = &lab.flows[0].app else {
         unreachable!()
     };

@@ -2,6 +2,7 @@
 //! hosts against one 10GbE host, in either direction, plus the Itanium-II
 //! aggregation anecdote of §3.4.
 
+use super::run_window;
 use crate::config::HostConfig;
 use crate::lab::{self, App, Lab};
 use crate::report::{Json, SweepReport};
@@ -147,26 +148,11 @@ pub fn aggregate_seeded(
     let mut eng = Engine::new();
     eng.event_limit = 2_000_000_000;
     lab::install_default_sanitizer(&mut lab, &mut eng, seed);
-    lab::kick(&mut lab, &mut eng);
-    // advance_to: the CPU-load and rate math below divide by the window, so
-    // the clock must sit exactly on its edges.
-    eng.advance_to(&mut lab, warmup);
-    let received = |lab: &Lab| -> u64 {
-        lab.flows
-            .iter()
-            .map(|f| match &f.app {
-                App::Nttcp { rx, .. } => rx.received,
-                _ => 0,
-            })
-            .sum()
+    let read = |lab: &Lab, at| {
+        let bytes: u64 = lab.flows.iter().map(|f| f.app.received()).sum();
+        (bytes, lab.hosts[big].hottest_cpu_busy(at))
     };
-    let b0 = received(&lab);
-    let busy0 = lab.hosts[big].hottest_cpu_busy(warmup);
-    eng.advance_to(&mut lab, warmup + window);
-    // Windowed run: frames are still in flight, so no drain check.
-    lab::check_sanitizer(&lab, &mut eng, false);
-    let b1 = received(&lab);
-    let busy1 = lab.hosts[big].hottest_cpu_busy(warmup + window);
+    let ((b0, busy0), (b1, busy1)) = run_window(&mut lab, &mut eng, warmup, window, read);
     MultiflowResult {
         peers,
         aggregate_gbps: rate_of(b1 - b0, window).gbps(),

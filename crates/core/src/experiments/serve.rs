@@ -78,7 +78,7 @@ fn serve_mix() -> SizeMix {
 /// One open-loop load rung.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadRung {
-    /// Offered load as a fraction of [`LOAD_CAPACITY_GBPS`], in permille
+    /// Offered load as a fraction of `LOAD_CAPACITY_GBPS`, in permille
     /// (1200 = 20% past nominal saturation).
     pub rho_permille: u64,
     /// Flows launched by the arrival process.
@@ -380,10 +380,7 @@ fn read_load(grid: &Grid, spec: &WorkloadSpec, plans: &[FlowPlan], events: u64) 
         let rx = grid.rx(f);
         let t_done = rx.meas.t_done;
         let t_done = t_done.expect("load flow never finished on its owning shard");
-        let bytes = match &rx.app {
-            App::Nttcp { rx, .. } => rx.received,
-            _ => 0,
-        };
+        let bytes = rx.app.received();
         fct.record(plan.at, t_done, bytes);
         payload_bytes += bytes;
         last_done = last_done.max(t_done);
@@ -414,8 +411,9 @@ fn read_stripe(grid: &Grid, events: u64) -> StripeResult {
         let t_start = grid.tx(f).meas.t_start;
         let t_start = t_start.expect("stripe stream never started on its owning shard");
         first_start = Some(first_start.map_or(t_start, |t| t.min(t_start)));
-        if let App::DiskPipe(dp) = &grid.rx(f).app {
-            payload_bytes += dp.rx.received;
+        let app = &grid.rx(f).app;
+        payload_bytes += app.received();
+        if let App::DiskPipe(dp) = app {
             last_drain = last_drain.max(dp.drain_done());
         }
     }

@@ -8,7 +8,7 @@ use crate::report::{Json, MetricsSidecar, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_ethernet::Mtu;
 use tengig_sim::stats::Series;
-use tengig_sim::{rate_of, Nanos, ObsConfig, Timelines};
+use tengig_sim::{Nanos, ObsConfig, Timelines};
 use tengig_tools::{NttcpReceiver, NttcpResult, NttcpSender, Pktgen};
 
 /// Default packet count per sweep point. The paper uses 32,768; sweeps
@@ -215,31 +215,6 @@ pub fn pktgen_run(cfg: HostConfig, payload: u64, count: u64) -> PktgenResult {
         pps: pg.packets_per_sec(),
         gbps: pg.throughput().gbps(),
     }
-}
-
-/// Steady-state throughput of a long NTTCP run measured over a window
-/// (used by WAN and anecdotal experiments where slow-start warmup must be
-/// excluded).
-pub fn windowed_throughput(
-    mut lab: crate::lab::Lab,
-    mut eng: crate::lab::LabEngine,
-    warmup: Nanos,
-    window: Nanos,
-) -> f64 {
-    crate::lab::kick(&mut lab, &mut eng);
-    // advance_to (not run_until) so the clock sits exactly on the window
-    // edges and `window` is exactly the virtual time measured over.
-    eng.advance_to(&mut lab, warmup);
-    let bytes_at = |lab: &crate::lab::Lab| match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
-    let b0 = bytes_at(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    // Windowed run: frames are still in flight, so no drain check.
-    crate::lab::check_sanitizer(&lab, &mut eng, false);
-    let b1 = bytes_at(&lab);
-    rate_of(b1 - b0, window).gbps()
 }
 
 #[cfg(test)]

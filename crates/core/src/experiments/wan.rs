@@ -5,13 +5,14 @@
 //! flow-control window caps the congestion window just below the congested
 //! state — "the network approaches congestion but avoids it altogether".
 
+use super::{pair, run_window};
 use crate::config::HostConfig;
-use crate::lab::{self, App, Lab, LabEngine};
+use crate::lab::{App, Lab, LabEngine};
 use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_net::WanSpec;
 use tengig_nic::NicSpec;
-use tengig_sim::{rate_of, Engine, Nanos, SimRng};
+use tengig_sim::{rate_of, Nanos, ObsConfig, Timelines};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -40,38 +41,24 @@ pub fn wan_host(wan: &WanSpec, buffer: Option<u64>) -> HostConfig {
     }
 }
 
-/// Build the WAN lab: two hosts across the OC-192/OC-48 circuit.
-pub fn wan_lab(wan: &WanSpec, buffer: Option<u64>) -> (Lab, LabEngine) {
-    wan_lab_seeded(wan, buffer, 2003)
-}
-
-/// [`wan_lab`] with an explicit RNG seed (the WAN path has stochastic
-/// elements — random loss — so the seed matters here).
-pub fn wan_lab_seeded(wan: &WanSpec, buffer: Option<u64>, seed: u64) -> (Lab, LabEngine) {
-    let cfg = wan_host(wan, buffer);
-    let mut lab = Lab::new();
-    let svl = lab.add_host(cfg);
-    let gva = lab.add_host(cfg);
-    let mut rng = SimRng::seeded(seed);
-    let fwd = lab.add_link(&wan.forward_path(), rng.fork("fwd"));
-    let rev = lab.add_link(&wan.reverse_path(), rng.fork("rev"));
-    // Effectively endless stream: the run is window-measured.
+/// An effectively endless NTTCP stream of `cfg`'s MSS-sized writes, for
+/// runs measured over a window rather than to completion.
+pub(crate) fn endless_stream(cfg: &HostConfig) -> App {
     let payload = cfg.sysctls.mss();
     let count = 100_000_000;
-    lab.add_flow(
-        svl,
-        gva,
-        vec![fwd],
-        vec![rev],
-        App::Nttcp {
-            tx: NttcpSender::new(payload, count),
-            rx: NttcpReceiver::new(payload * count),
-        },
-    );
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
-    (lab, eng)
+    App::Nttcp {
+        tx: NttcpSender::new(payload, count),
+        rx: NttcpReceiver::new(payload * count),
+    }
+}
+
+/// Build the WAN lab: Sunnyvale and Geneva across the OC-192/OC-48
+/// circuit, one endless stream. The path has stochastic elements (random
+/// loss, impairments), so the seed matters here.
+pub fn wan_lab_seeded(wan: &WanSpec, buffer: Option<u64>, seed: u64) -> (Lab, LabEngine) {
+    let cfg = wan_host(wan, buffer);
+    let (fwd, rev) = (wan.forward_path(), wan.reverse_path());
+    pair(cfg, cfg, &fwd, &rev, endless_stream(&cfg), seed)
 }
 
 /// Run the record scenario: warm up past slow start, then measure.
@@ -100,8 +87,8 @@ pub fn record_timeline(
     warmup: Nanos,
     window: Nanos,
     seed: u64,
-    obs: &tengig_sim::ObsConfig,
-) -> (WanResult, tengig_sim::Timelines) {
+    obs: &ObsConfig,
+) -> (WanResult, Timelines) {
     let (result, tl) = record_run_inner(wan, buffer, warmup, window, seed, Some(obs));
     (result, tl.expect("obs was enabled"))
 }
@@ -112,25 +99,15 @@ fn record_run_inner(
     warmup: Nanos,
     window: Nanos,
     seed: u64,
-    obs: Option<&tengig_sim::ObsConfig>,
-) -> (WanResult, Option<tengig_sim::Timelines>) {
+    obs: Option<&ObsConfig>,
+) -> (WanResult, Option<Timelines>) {
     let (mut lab, mut eng) = wan_lab_seeded(wan, buffer, seed);
     if let Some(cfg) = obs {
         lab.enable_obs(cfg, seed);
     }
-    lab::kick(&mut lab, &mut eng);
-    // advance_to: the rate below divides by the window, so the clock must
-    // sit exactly on its edges.
-    eng.advance_to(&mut lab, warmup);
-    let received = |lab: &Lab| match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
-    let b0 = received(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    // Windowed run: frames are still in flight, so no drain check.
-    lab::check_sanitizer(&lab, &mut eng, false);
-    let b1 = received(&lab);
+    let (b0, b1) = run_window(&mut lab, &mut eng, warmup, window, |lab, _| {
+        lab.flows[0].app.received()
+    });
     let gbps = rate_of(b1 - b0, window).gbps();
     let bottleneck = wan.forward_path().bottleneck().gbps();
     let drops = lab.links[0].total_drops();

@@ -59,7 +59,7 @@ pub struct Arrival {
 pub struct GridMsg {
     /// Destination host (owned by the receiving shard).
     pub h: usize,
-    /// Canonical channel key (see [`GridRt::next_key`]).
+    /// Canonical channel key (see `GridRt::next_key`).
     pub key: u64,
     /// The arrival itself.
     pub arr: Arrival,

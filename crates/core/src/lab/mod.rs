@@ -208,7 +208,7 @@ pub struct LabProf {
     /// Frames per receive interrupt (the coalescer's batch sizes),
     /// log-bucketed.
     pub rx_batch: Hist,
-    /// Action-buffer pool hits in [`Lab::take_actions`].
+    /// Action-buffer pool hits in `Lab::take_actions`.
     pub pool_hits: u64,
     /// Action-buffer pool misses (a fresh allocation was needed).
     pub pool_misses: u64,
@@ -306,6 +306,18 @@ pub enum App {
     DiskPipe(DiskPipe),
 }
 
+impl App {
+    /// Payload bytes delivered to the receiving application: the NTTCP
+    /// or disk-relay receiver's count, 0 for the other tools.
+    pub fn received(&self) -> u64 {
+        match self {
+            App::Nttcp { rx, .. } => rx.received,
+            App::DiskPipe(dp) => dp.rx.received,
+            App::NetPipe(_) | App::Pktgen(_) | App::Iperf(_) => 0,
+        }
+    }
+}
+
 /// How many disk chunks a [`DiskPipe`] sender keeps in flight on its read
 /// lane. One chunk would stall the stream every chunk boundary (and
 /// re-pay positioning on each resume); two keeps a streaming spindle
@@ -316,7 +328,7 @@ const DISK_READAHEAD: usize = 2;
 ///
 /// The socket side is an NTTCP pair; the storage side gates it. The
 /// sender may only write bytes its disk has actually produced, so the
-/// pump ([`disk_pump`]) admits chunk reads against the source
+/// pump (`disk_pump`) admits chunk reads against the source
 /// [`DiskModel`] (bounded read-ahead), stages completed chunks, and
 /// streams them into the socket as buffer space allows. The receiver
 /// write-behinds every delivered batch onto its destination disk; the
@@ -1580,46 +1592,26 @@ pub fn cpu_load(lab: &Lab, f: usize, ep: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::config::LadderRung;
+    use crate::experiments::{b2b_lab, run_to_completion};
     use tengig_ethernet::Mtu;
-    use tengig_net::Hop;
-    use tengig_sim::Bandwidth;
 
-    fn b2b_lab(rung: LadderRung, mtu: Mtu, payload: u64, count: u64) -> (Lab, LabEngine) {
-        let cfg = rung.pe2650_config(mtu);
-        let mut lab = Lab::new();
-        let a = lab.add_host(cfg);
-        let b = lab.add_host(cfg);
-        let path = Path {
-            hops: vec![Hop::wire(
-                "xover",
-                Bandwidth::from_gbps(10),
-                Nanos::from_nanos(50),
-            )],
-        };
-        let l_ab = lab.add_link(&path, SimRng::seeded(1));
-        let l_ba = lab.add_link(&path, SimRng::seeded(2));
-        let total = payload * count;
-        lab.add_flow(
-            a,
-            b,
-            vec![l_ab],
-            vec![l_ba],
-            App::Nttcp {
-                tx: NttcpSender::new(payload, count),
-                rx: NttcpReceiver::new(total),
-            },
-        );
-        let mut eng = Engine::new();
-        eng.event_limit = 50_000_000;
-        kick(&mut lab, &mut eng);
+    /// Run `app` back-to-back between two `rung` hosts to completion.
+    fn run_b2b(rung: LadderRung, mtu: Mtu, app: App) -> (Lab, LabEngine) {
+        let (mut lab, mut eng) = b2b_lab(rung.pe2650_config(mtu), app, 1);
+        run_to_completion(&mut lab, &mut eng);
         (lab, eng)
+    }
+
+    fn nttcp(payload: u64, count: u64) -> App {
+        App::Nttcp {
+            tx: NttcpSender::new(payload, count),
+            rx: NttcpReceiver::new(payload * count),
+        }
     }
 
     #[test]
     fn small_nttcp_run_completes() {
-        let (mut lab, mut eng) = b2b_lab(LadderRung::Stock, Mtu::STANDARD, 1448, 200);
-        eng.run(&mut lab);
-        assert!(lab.all_done(), "flow must finish");
+        let (lab, _) = run_b2b(LadderRung::Stock, Mtu::STANDARD, nttcp(1448, 200));
         let m = lab.flows[0].meas;
         let elapsed = m.t_done.unwrap() - m.t_start.unwrap();
         let gbps = tengig_sim::rate_of(1448 * 200, elapsed).gbps();
@@ -1631,9 +1623,7 @@ mod tests {
     #[test]
     fn tuned_beats_stock_for_jumbo() {
         let run = |rung| {
-            let (mut lab, mut eng) = b2b_lab(rung, Mtu::JUMBO_9000, 8948, 600);
-            eng.run(&mut lab);
-            assert!(lab.all_done());
+            let (lab, _) = run_b2b(rung, Mtu::JUMBO_9000, nttcp(8948, 600));
             let m = lab.flows[0].meas;
             tengig_sim::rate_of(8948 * 600, m.t_done.unwrap() - m.t_start.unwrap()).gbps()
         };
@@ -1647,24 +1637,8 @@ mod tests {
 
     #[test]
     fn netpipe_latency_roundtrip() {
-        let cfg = LadderRung::Stock.pe2650_config(Mtu::STANDARD);
-        let mut lab = Lab::new();
-        let a = lab.add_host(cfg);
-        let b = lab.add_host(cfg);
-        let path = Path {
-            hops: vec![Hop::wire(
-                "xover",
-                Bandwidth::from_gbps(10),
-                Nanos::from_nanos(50),
-            )],
-        };
-        let l1 = lab.add_link(&path, SimRng::seeded(1));
-        let l2 = lab.add_link(&path, SimRng::seeded(2));
-        lab.add_flow(a, b, vec![l1], vec![l2], App::NetPipe(NetPipe::new(1, 20)));
-        let mut eng = Engine::new();
-        kick(&mut lab, &mut eng);
-        eng.run(&mut lab);
-        assert!(lab.all_done());
+        let app = App::NetPipe(NetPipe::new(1, 20));
+        let (lab, _) = run_b2b(LadderRung::Stock, Mtu::STANDARD, app);
         let App::NetPipe(np) = &lab.flows[0].app else {
             panic!()
         };
@@ -1675,30 +1649,8 @@ mod tests {
 
     #[test]
     fn pktgen_reaches_multi_gigabit() {
-        let cfg = LadderRung::Mtu8160.pe2650_config(Mtu::TUNED_8160);
-        let mut lab = Lab::new();
-        let a = lab.add_host(cfg);
-        let b = lab.add_host(cfg);
-        let path = Path {
-            hops: vec![Hop::wire(
-                "xover",
-                Bandwidth::from_gbps(10),
-                Nanos::from_nanos(50),
-            )],
-        };
-        let l1 = lab.add_link(&path, SimRng::seeded(1));
-        let l2 = lab.add_link(&path, SimRng::seeded(2));
-        lab.add_flow(
-            a,
-            b,
-            vec![l1],
-            vec![l2],
-            App::Pktgen(Pktgen::new(8132, 3000)),
-        );
-        let mut eng = Engine::new();
-        kick(&mut lab, &mut eng);
-        eng.run(&mut lab);
-        assert!(lab.all_done());
+        let app = App::Pktgen(Pktgen::new(8132, 3000));
+        let (lab, _) = run_b2b(LadderRung::Mtu8160, Mtu::TUNED_8160, app);
         let App::Pktgen(pg) = &lab.flows[0].app else {
             panic!()
         };
@@ -1712,8 +1664,7 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_result() {
         let run = || {
-            let (mut lab, mut eng) = b2b_lab(LadderRung::Stock, Mtu::STANDARD, 1000, 150);
-            eng.run(&mut lab);
+            let (lab, eng) = run_b2b(LadderRung::Stock, Mtu::STANDARD, nttcp(1000, 150));
             let m = lab.flows[0].meas;
             (m.t_start.unwrap(), m.t_done.unwrap(), eng.executed())
         };
@@ -1722,8 +1673,7 @@ mod tests {
 
     #[test]
     fn cpu_load_measured() {
-        let (mut lab, mut eng) = b2b_lab(LadderRung::Stock, Mtu::STANDARD, 1448, 500);
-        eng.run(&mut lab);
+        let (lab, _) = run_b2b(LadderRung::Stock, Mtu::STANDARD, nttcp(1448, 500));
         let rx_load = cpu_load(&lab, 0, 1);
         assert!(rx_load > 0.2, "receiver load {rx_load}");
         assert!(rx_load <= 1.0);

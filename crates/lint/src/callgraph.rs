@@ -1,6 +1,6 @@
 //! Call-site and nondeterminism-source extraction from function bodies.
 //!
-//! For each parsed [`FnItem`](crate::parse::FnItem) this module walks the
+//! For each parsed [`FnItem`] this module walks the
 //! body's token range and records two things: every call that could be an
 //! edge in the workspace call graph, and every direct appearance of a
 //! nondeterminism source (wall clocks, OS entropy, hash-order iteration,

@@ -51,7 +51,7 @@
 //!
 //! A per-line finding can be suppressed with `// lint:allow(rule-name)`
 //! on the same line or the line above. The linter is pure `std` (no
-//! `syn`, no `regex`): [`lex`] hand-rolls a total Rust lexer with exact
+//! `syn`, no `regex`): [`lex`](mod@lex) hand-rolls a total Rust lexer with exact
 //! byte spans, [`parse`] recovers `fn`/`impl`/`mod` item boundaries,
 //! [`callgraph`] extracts per-function call edges and source hits, and
 //! [`taint`] propagates reachability over the result.

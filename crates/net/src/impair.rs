@@ -334,11 +334,6 @@ impl ImpairState {
         Self::default()
     }
 
-    /// Whether the burst-loss chain is currently in the bad state.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
-
     /// Advance the Gilbert–Elliott chain by one offered frame; returns
     /// `true` when the frame is lost. Loss is decided with the *current*
     /// state's probability, then the chain may flip — so a burst of mean

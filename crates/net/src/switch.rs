@@ -120,11 +120,6 @@ impl Switch {
         Some(adm.done)
     }
 
-    /// Utilization of an egress port over `[0, now]`.
-    pub fn egress_utilization(&self, port: usize, now: Nanos) -> f64 {
-        self.egress[port].utilization(now)
-    }
-
     /// Total drops across all ports.
     pub fn total_drops(&self) -> u64 {
         self.drops.iter().map(|c| c.get()).sum()

@@ -186,7 +186,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Anything usable as the size argument of [`vec`]: an exact length or
+    /// Anything usable as the size argument of [`vec()`]: an exact length or
     /// a (half-open / inclusive) range of lengths.
     pub trait IntoSizeRange {
         /// Half-open `[lo, hi)` bounds on the collection length.

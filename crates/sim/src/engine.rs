@@ -168,12 +168,6 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         self.calendar.schedule_timer(at.max(now), ev)
     }
 
-    /// Schedule `ev` on the timer lane `delay` after the current time.
-    pub fn schedule_timer_in(&mut self, delay: Nanos, ev: E) -> EventId {
-        let at = self.calendar.now().saturating_add(delay);
-        self.schedule_timer_at(at, ev)
-    }
-
     /// Schedule `ev` to fire "immediately" (at the current time, after all
     /// events already queued for this instant).
     pub fn schedule_event_now(&mut self, ev: E) -> EventId {

@@ -55,11 +55,6 @@ impl SimRng {
         splitmix64(master ^ splitmix64(index.wrapping_add(1)))
     }
 
-    /// Create the stream for scenario `index` of a sweep seeded by `master`.
-    pub fn for_scenario(master: u64, index: u64) -> Self {
-        SimRng::seeded(Self::scenario_seed(master, index))
-    }
-
     /// Next raw 64-bit output (xoshiro256++).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

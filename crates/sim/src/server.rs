@@ -32,8 +32,6 @@ pub struct FifoServer {
     busy_total: Nanos,
     jobs: u64,
     queued_total: Nanos,
-    /// Largest backlog (in time) observed at admission.
-    max_backlog: Nanos,
 }
 
 impl FifoServer {
@@ -45,7 +43,6 @@ impl FifoServer {
             busy_total: Nanos::ZERO,
             jobs: 0,
             queued_total: Nanos::ZERO,
-            max_backlog: Nanos::ZERO,
         }
     }
 
@@ -59,7 +56,6 @@ impl FifoServer {
         let start = now.max(self.busy_until);
         let done = start.saturating_add(service);
         let queued_for = start - now;
-        self.max_backlog = self.max_backlog.max(self.backlog(now));
         self.busy_until = done;
         self.busy_total = self.busy_total.saturating_add(service);
         self.jobs += 1;
@@ -117,11 +113,6 @@ impl FifoServer {
         }
     }
 
-    /// Largest backlog seen at any admission instant.
-    pub fn max_backlog_seen(&self) -> Nanos {
-        self.max_backlog
-    }
-
     /// Reset counters (jobs, busy time, waits) but keep the busy horizon.
     ///
     /// Used when a measurement window opens after warm-up traffic.
@@ -129,7 +120,6 @@ impl FifoServer {
         self.busy_total = Nanos::ZERO;
         self.jobs = 0;
         self.queued_total = Nanos::ZERO;
-        self.max_backlog = Nanos::ZERO;
     }
 }
 

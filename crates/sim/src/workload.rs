@@ -234,17 +234,6 @@ impl SizeMix {
         )
     }
 
-    /// Bulk-grid preset: 60% mice of 64 KB–1 MB, 40% elephants of
-    /// 8–256 MB — the Kukol–Gray storage-replication regime where bulk
-    /// streams are the rule, not the exception.
-    pub fn bulk_grid() -> Self {
-        SizeMix::new(
-            0.60,
-            BoundedPareto::new(1.2, 64 << 10, 1 << 20),
-            BoundedPareto::new(1.1, 8 << 20, 256 << 20),
-        )
-    }
-
     /// Probability a flow is a mouse.
     pub fn mice_share(&self) -> f64 {
         self.mice_share

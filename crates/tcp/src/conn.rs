@@ -838,11 +838,6 @@ impl TcpConn {
         self.window_to_advertise()
     }
 
-    /// Expose the peer's usable window (for instrumentation).
-    pub fn peer_window(&self) -> u64 {
-        self.peer_window_remaining()
-    }
-
     // ------------------------------------------------------------------
     // invariants (runtime sanitizer hook)
     // ------------------------------------------------------------------

@@ -22,11 +22,8 @@ fn bytes_are_conserved_end_to_end() {
     };
     let (mut lab, mut eng) = b2b_lab(cfg, app, 42);
     run_to_completion(&mut lab, &mut eng);
-    let App::Nttcp { rx, .. } = &lab.flows[0].app else {
-        unreachable!()
-    };
     assert_eq!(
-        rx.received,
+        lab.flows[0].app.received(),
         payload * COUNT,
         "every byte written must arrive"
     );

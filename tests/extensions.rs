@@ -6,6 +6,8 @@ use tengig::config::{LadderRung, TuningStep};
 use tengig::experiments::osbypass;
 use tengig::experiments::throughput::nttcp_point;
 use tengig::experiments::wan::{record_run, wan_host};
+use tengig::experiments::{pair, run_window};
+use tengig::lab::App;
 use tengig_ethernet::Mtu;
 use tengig_net::WanSpec;
 use tengig_sim::Nanos;
@@ -72,37 +74,17 @@ fn wan_without_window_scaling_collapses() {
     let wan = WanSpec::record_run();
     let mut cfg = wan_host(&wan, None);
     cfg.sysctls.window_scaling = false;
-    // Build the lab manually with the modified endpoint config.
-    let mut lab = tengig::lab::Lab::new();
-    let a = lab.add_host(cfg);
-    let b = lab.add_host(cfg);
-    let mut rng = tengig_sim::SimRng::seeded(11);
-    let fwd = lab.add_link(&wan.forward_path(), rng.fork("f"));
-    let rev = lab.add_link(&wan.reverse_path(), rng.fork("r"));
     let payload = cfg.sysctls.mss();
-    lab.add_flow(
-        a,
-        b,
-        vec![fwd],
-        vec![rev],
-        tengig::lab::App::Nttcp {
-            tx: tengig_tools::NttcpSender::new(payload, 1_000_000),
-            rx: tengig_tools::NttcpReceiver::new(payload * 1_000_000),
-        },
-    );
-    let mut eng = tengig_sim::Engine::new();
-    eng.event_limit = 100_000_000;
-    tengig::lab::kick(&mut lab, &mut eng);
-    eng.run_until(&mut lab, Nanos::from_secs(2));
-    let received = match &lab.flows[0].app {
-        tengig::lab::App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
+    let app = App::Nttcp {
+        tx: tengig_tools::NttcpSender::new(payload, 1_000_000),
+        rx: tengig_tools::NttcpReceiver::new(payload * 1_000_000),
     };
-    eng.run_until(&mut lab, Nanos::from_secs(4));
-    let received2 = match &lab.flows[0].app {
-        tengig::lab::App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
+    let (fwd, rev) = (wan.forward_path(), wan.reverse_path());
+    let (mut lab, mut eng) = pair(cfg, cfg, &fwd, &rev, app, 11);
+    let two = Nanos::from_secs(2);
+    let (received, received2) = run_window(&mut lab, &mut eng, two, two, |lab, _| {
+        lab.flows[0].app.received()
+    });
     let gbps = (received2 - received) as f64 * 8.0 / 2e9;
     assert!(
         gbps < 0.01,

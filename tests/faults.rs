@@ -3,7 +3,7 @@
 //! seed-reproduction contract.
 
 use tengig::experiments::faults::{
-    burst_sweep_report, chaos_campaign, chaos_run, faults_lab, flap_recovery_run_tuned,
+    burst_sweep_report, chaos_campaign, chaos_run, faults_lab_tuned, flap_recovery_run_tuned,
     flap_recovery_sweep_report, scaled_wan, BURST_LENGTHS, FLAP_RTTS,
 };
 use tengig::sweep::SweepRunner;
@@ -150,16 +150,13 @@ fn total_corruption_starves_the_receiver_without_tripping_the_sanitizer() {
     // can never arrive.
     let mut wan = scaled_wan(Nanos::from_millis(20), 64 << 20);
     wan.impair = Impairments::none().with_corrupt(1.0);
-    let (mut lab, mut eng) = faults_lab(&wan, Some(256 << 10), 4242);
+    let (mut lab, mut eng) = faults_lab_tuned(&wan, Some(256 << 10), 4242, &|s| s);
     // Arm explicitly: this test is about the invariants, so they must be
     // on in release builds too (the lab default is debug-only).
     eng.install_sanitizer(Sanitizer::new(4242));
     tengig::lab::kick(&mut lab, &mut eng);
     eng.run_until(&mut lab, Nanos::from_secs(2));
-    let received = match &lab.flows[0].app {
-        tengig::lab::App::Nttcp { rx, .. } => rx.received,
-        _ => unreachable!(),
-    };
+    let received = lab.flows[0].app.received();
     assert_eq!(received, 0, "no corrupted frame may reach the application");
     assert!(
         lab.hosts[1].rx_crc_drops > 0,

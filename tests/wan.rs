@@ -2,7 +2,7 @@
 //! simulation validation of Table 1's recovery-time model.
 
 use tengig::analytic::recovery_time;
-use tengig::experiments::wan::{record_run, wan_lab};
+use tengig::experiments::wan::{record_run, wan_lab_seeded};
 use tengig::lab;
 use tengig_net::WanSpec;
 use tengig_sim::{Bandwidth, Nanos};
@@ -77,12 +77,9 @@ fn shallow_router_buffers_plus_big_windows_lose_packets() {
 fn slow_start_then_steady_state_timeline() {
     // The flow must still be ramping early and saturated late.
     let wan = WanSpec::record_run();
-    let (mut lab, mut eng) = wan_lab(&wan, None);
+    let (mut lab, mut eng) = wan_lab_seeded(&wan, None, 2003);
     lab::kick(&mut lab, &mut eng);
-    let received = |lab: &tengig::lab::Lab| match &lab.flows[0].app {
-        tengig::lab::App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
+    let received = |lab: &tengig::lab::Lab| lab.flows[0].app.received();
     eng.run_until(&mut lab, Nanos::from_millis(900));
     let early = received(&lab); // ~5 RTTs of slow start
     eng.run_until(&mut lab, Nanos::from_secs(4));
