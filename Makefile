@@ -13,7 +13,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy doc benchmark-test lint lint-selftest golden-check
+.PHONY: ci build test fmt clippy doc benchmark-test lint lint-selftest golden-check bench-compare
 
 ci: build test fmt clippy doc benchmark-test lint golden-check
 
@@ -75,3 +75,43 @@ lint-selftest:
 # deliberately by appending `--write-golden`.
 golden-check:
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- all
+
+# Before/after timing of one benchmark workload; not part of `ci`.
+# Builds BASE's benchmark from a git worktree under target/ (removed
+# again once built: the goldens it checks against are compiled in) and
+# the working tree's benchmark, runs PAIRS pairs of `run` at the
+# benchmark's own run length, alternating which side goes first so a
+# drifting host cannot favour one side, and judges the two sets with
+# `compare`. Exits 1 on a regression or if any run failed.
+#   make bench-compare WORKLOAD=serve_openloop [BASE=HEAD~1] [PAIRS=10] [SEED=2003]
+BASE ?= HEAD~1
+PAIRS ?= 10
+WORKLOAD ?= serve_openloop
+SEED ?= 2003
+BC := target/bench-compare
+BC_RUN = run --workload $(WORKLOAD) --seed $(SEED)
+
+bench-compare:
+	git worktree remove --force $(BC)/base 2>/dev/null || true
+	git worktree prune
+	rm -f $(BC)/base.jsonl $(BC)/change.jsonl $(BC)/runs.log
+	git worktree add --detach $(BC)/base $(BASE)
+	CARGO_TARGET_DIR=$(CURDIR)/$(BC)/base-target $(CARGO) build --release --offline -q \
+		--manifest-path $(BC)/base/benchmark/Cargo.toml
+	git worktree remove --force $(BC)/base
+	$(CARGO) build --release --offline -q --manifest-path benchmark/Cargo.toml
+	@failed=0; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+		echo "pair $$i/$(PAIRS): $$order"; \
+		for side in $$order; do \
+			if [ $$side = base ]; then bin=$(BC)/base-target/release/tengig-benchmark; \
+			else bin=benchmark/target/release/tengig-benchmark; fi; \
+			if ! $$bin $(BC_RUN) --out $(BC)/$$side.jsonl >> $(BC)/runs.log 2>&1; then \
+				echo "  $$side run failed (see $(BC)/runs.log)"; failed=$$((failed + 1)); \
+			fi; \
+		done; \
+	done; \
+	benchmark/target/release/tengig-benchmark compare $(BC)/base.jsonl $(BC)/change.jsonl \
+		|| exit 1; \
+	if [ $$failed -gt 0 ]; then echo "bench-compare: $$failed run(s) failed"; exit 1; fi

@@ -18,13 +18,15 @@
 //!   fixed constant).
 //!
 //! Everything here honors the house determinism rules: values are integer
-//! (`u64` / [`Nanos`]), containers are `BTreeMap`-ordered, there is no
-//! wall-clock anywhere, and serialization is byte-deterministic — the same
-//! run on 1 and N sweep threads emits identical timeline JSONL.
+//! (`u64` / [`Nanos`]), there is no wall-clock anywhere, and serialization
+//! is byte-deterministic — the same run on 1 and N sweep threads emits
+//! identical timeline JSONL. [`Timelines`] stores its series densely, in
+//! one `Vec` sorted by `(scope, metric)`, so a sample is a key compare
+//! and a step push, and iteration, merge, equality and serialization
+//! read the deterministic key order straight from storage.
 
 use crate::time::Nanos;
 use crate::trace::TraceEvent;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -262,14 +264,34 @@ impl StepSeries {
 }
 
 /// The full set of step-series recorded by one run, keyed by
-/// `(scope, metric)` in `BTreeMap` order so serialization is
-/// byte-deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `(scope, metric)`.
+///
+/// Series are stored densely in one `Vec` sorted by key, each next to
+/// its key, so a [`Timelines::record`] that hits the slot after the one
+/// it hit last costs a key compare plus a step push: the lab's sampler
+/// walks the same scopes in the same order on every sample, so after
+/// the first sample most records hit. A miss binary-searches the
+/// `Vec`, inserting the key if it is new. Every reader — iteration,
+/// `get`, merge, serialization — sees the deterministic
+/// `(scope, metric)` order because that is the storage order.
+#[derive(Debug, Clone)]
 pub struct Timelines {
     /// The sampling cadence the series were recorded on.
     pub interval: Nanos,
-    series: BTreeMap<(Scope, MetricKind), StepSeries>,
+    series: Vec<((Scope, MetricKind), StepSeries)>,
+    /// The slot the last record landed in.
+    cursor: usize,
 }
+
+impl PartialEq for Timelines {
+    /// Equal when the cadences and every series match; the cursor is a
+    /// lookup hint, not content.
+    fn eq(&self, other: &Self) -> bool {
+        self.interval == other.interval && self.series == other.series
+    }
+}
+
+impl Eq for Timelines {}
 
 impl Timelines {
     /// An empty timeline set for the given sampling cadence. A zero
@@ -283,7 +305,19 @@ impl Timelines {
         );
         Timelines {
             interval: interval.max(Nanos::from_nanos(1)),
-            series: BTreeMap::new(),
+            series: Vec::new(),
+            cursor: 0,
+        }
+    }
+
+    /// The slot of `key`, registering an empty series for it if new.
+    fn slot(&mut self, key: (Scope, MetricKind)) -> usize {
+        match self.series.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => i,
+            Err(i) => {
+                self.series.insert(i, (key, StepSeries::new()));
+                i
+            }
         }
     }
 
@@ -297,36 +331,57 @@ impl Timelines {
             self.interval, other.interval,
             "merging timelines with mismatched cadences"
         );
+        // New keys go after the sorted prefix and one sort (two sorted
+        // runs, so linear) restores key order; inserting each in place
+        // would shift the tail once per key.
+        let n = self.series.len();
         for (key, s) in &other.series {
-            let dst = self.series.entry(*key).or_default();
-            if dst.points.is_empty() {
-                dst.points = s.points.clone();
-            } else {
-                let mut all: Vec<(Nanos, u64)> =
-                    dst.points.iter().chain(s.points.iter()).copied().collect();
-                all.sort_by_key(|&(t, _)| t);
-                let mut merged = StepSeries::new();
-                for (t, v) in all {
-                    merged.push(t, v);
-                }
-                *dst = merged;
+            let Ok(i) = self.series[..n].binary_search_by_key(key, |&(k, _)| k) else {
+                self.series.push((*key, s.clone()));
+                continue;
+            };
+            let dst = &mut self.series[i].1;
+            let mut all: Vec<(Nanos, u64)> =
+                dst.points.iter().chain(s.points.iter()).copied().collect();
+            all.sort_by_key(|&(t, _)| t);
+            let mut merged = StepSeries::new();
+            for (t, v) in all {
+                merged.push(t, v);
             }
+            *dst = merged;
         }
+        self.series.sort_by_key(|&(k, _)| k);
     }
 
-    /// Record one sample.
+    /// Record one sample. The slot after the last one recorded is tried
+    /// first; on a miss a binary search finds the key's slot, inserting
+    /// the key if it is new.
     pub fn record(&mut self, scope: Scope, metric: MetricKind, t: Nanos, v: u64) {
-        self.series.entry((scope, metric)).or_default().push(t, v);
+        let key = (scope, metric);
+        let next = if self.cursor + 1 < self.series.len() {
+            self.cursor + 1
+        } else {
+            0
+        };
+        let i = match self.series.get(next) {
+            Some((k, _)) if *k == key => next,
+            _ => self.slot(key),
+        };
+        self.cursor = i;
+        self.series[i].1.push(t, v);
     }
 
     /// The series for one `(scope, metric)` pair, if recorded.
     pub fn get(&self, scope: Scope, metric: MetricKind) -> Option<&StepSeries> {
-        self.series.get(&(scope, metric))
+        self.series
+            .binary_search_by_key(&(scope, metric), |&(k, _)| k)
+            .ok()
+            .map(|i| &self.series[i].1)
     }
 
     /// All series in deterministic `(scope, metric)` order.
     pub fn iter(&self) -> impl Iterator<Item = (&(Scope, MetricKind), &StepSeries)> {
-        self.series.iter()
+        self.series.iter().map(|(key, s)| (key, s))
     }
 
     /// Number of recorded series.
@@ -348,9 +403,9 @@ impl Timelines {
             out,
             "{{\"obs\":\"timelines\",\"interval_ns\":{},\"series\":{}}}",
             self.interval.as_nanos(),
-            self.series.len()
+            self.len()
         );
-        for ((scope, metric), s) in &self.series {
+        for ((scope, metric), s) in self.iter() {
             match scope {
                 Scope::Flow { flow, ep } => {
                     let _ = write!(out, "{{\"scope\":\"flow\",\"flow\":{flow},\"ep\":{ep}");
@@ -376,7 +431,9 @@ impl Timelines {
 
     /// Parse a document produced by [`Timelines::to_jsonl`]. The parser
     /// accepts exactly that shape (this is a round-trip format, not a
-    /// general JSON reader).
+    /// general JSON reader) and rejects what `to_jsonl` never writes: a
+    /// zero interval, an index beyond `u32`, a repeated series, or a
+    /// series count that disagrees with the header (a truncated file).
     pub fn from_jsonl(text: &str) -> Result<Timelines, String> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines
@@ -387,6 +444,11 @@ impl Timelines {
         }
         let interval = field_u64(header, "interval_ns")
             .ok_or_else(|| format!("header missing interval_ns: {header}"))?;
+        if interval == 0 {
+            return Err(format!("header interval_ns must be positive: {header}"));
+        }
+        let declared = field_u64(header, "series")
+            .ok_or_else(|| format!("header missing series: {header}"))?;
         let mut tl = Timelines::new(Nanos::from_nanos(interval));
         for (idx, line) in lines {
             if line.trim().is_empty() {
@@ -395,27 +457,35 @@ impl Timelines {
             let lineno = idx + 1;
             let scope = match field_str(line, "scope") {
                 Some("flow") => Scope::Flow {
-                    flow: field_u64(line, "flow").ok_or_else(|| err_at(lineno, "flow"))? as u32,
-                    ep: field_u64(line, "ep").ok_or_else(|| err_at(lineno, "ep"))? as u32,
+                    flow: field_u32(line, "flow", lineno)?,
+                    ep: field_u32(line, "ep", lineno)?,
                 },
                 Some("host") => Scope::Host {
-                    host: field_u64(line, "host").ok_or_else(|| err_at(lineno, "host"))? as u32,
+                    host: field_u32(line, "host", lineno)?,
                 },
                 Some("link") => Scope::Link {
-                    link: field_u64(line, "link").ok_or_else(|| err_at(lineno, "link"))? as u32,
+                    link: field_u32(line, "link", lineno)?,
                 },
                 other => return Err(format!("line {lineno}: unknown scope {other:?}")),
             };
             let metric_name = field_str(line, "metric").ok_or_else(|| err_at(lineno, "metric"))?;
             let metric = MetricKind::parse(metric_name)
                 .ok_or_else(|| format!("line {lineno}: unknown metric `{metric_name}`"))?;
-            for (t, v) in parse_points(line).map_err(|e| format!("line {lineno}: {e}"))? {
-                tl.record(scope, metric, Nanos::from_nanos(t), v);
+            let points = parse_points(line).map_err(|e| format!("line {lineno}: {e}"))?;
+            if tl.get(scope, metric).is_some() {
+                return Err(format!("line {lineno}: repeated series {scope} {metric}"));
             }
-            // A constant series must survive the round trip even though
-            // push() collapses repeats: to_jsonl only emits change points,
-            // so nothing is lost here.
-            tl.series.entry((scope, metric)).or_default();
+            // Registering first keeps a series whose line lists no points.
+            let i = tl.slot((scope, metric));
+            for (t, v) in points {
+                tl.series[i].1.push(Nanos::from_nanos(t), v);
+            }
+        }
+        if declared != tl.len() as u64 {
+            return Err(format!(
+                "header declares {declared} series, document has {}",
+                tl.len()
+            ));
         }
         Ok(tl)
     }
@@ -424,10 +494,10 @@ impl Timelines {
     pub fn summary(&self) -> String {
         let mut out = format!(
             "timelines: {} series, {} sampling interval\n",
-            self.series.len(),
+            self.len(),
             self.interval
         );
-        for ((scope, metric), s) in &self.series {
+        for ((scope, metric), s) in self.iter() {
             let _ = writeln!(
                 out,
                 "  {:<10} {:<18} steps={:<6} min={:<12} max={:<12} last={}",
@@ -453,8 +523,8 @@ impl Timelines {
                 self.interval, other.interval
             ));
         }
-        for (key @ (scope, metric), a) in &self.series {
-            match other.series.get(key) {
+        for ((scope, metric), a) in self.iter() {
+            match other.get(*scope, *metric) {
                 None => out.push(format!("{scope} {metric}: only in left")),
                 Some(b) => {
                     if let Some(i) =
@@ -495,8 +565,8 @@ impl Timelines {
                 }
             }
         }
-        for (scope, metric) in other.series.keys() {
-            if !self.series.contains_key(&(*scope, *metric)) {
+        for ((scope, metric), _) in other.iter() {
+            if self.get(*scope, *metric).is_none() {
                 out.push(format!("{scope} {metric}: only in right"));
             }
         }
@@ -550,6 +620,12 @@ fn parse_points(line: &str) -> Result<Vec<(u64, u64)>, String> {
         out.push((t, v));
     }
     Ok(out)
+}
+
+/// A scope index field: present, and within `u32`.
+fn field_u32(line: &str, key: &str, lineno: usize) -> Result<u32, String> {
+    let v = field_u64(line, key).ok_or_else(|| err_at(lineno, key))?;
+    u32::try_from(v).map_err(|_| format!("line {lineno}: `{key}` {v} exceeds u32"))
 }
 
 fn err_at(lineno: usize, key: &str) -> String {
@@ -695,8 +771,9 @@ mod tests {
             for (scope, metric, v) in order {
                 tl.record(*scope, *metric, Nanos(1000), *v);
             }
-            tl.to_jsonl()
+            tl
         };
+        assert_eq!(build(false).to_jsonl(), build(true).to_jsonl());
         assert_eq!(build(false), build(true));
     }
 
@@ -778,6 +855,38 @@ mod tests {
         assert!(e.contains("line 2"), "{e}");
         let e = err(&with("{\"scope\":\"host\",\"host\":0,\"metric\":\"cwnd\"}"));
         assert!(e.contains("missing points"), "{e}");
+        // A zero cadence is rejected, not clamped (nor a debug panic).
+        let e = err("{\"obs\":\"timelines\",\"interval_ns\":0,\"series\":0}");
+        assert!(e.contains("interval_ns must be positive"), "{e}");
+        // Indices beyond u32 are rejected rather than truncated: flow 2^32
+        // must not alias flow 0.
+        for (key, fields) in [
+            ("flow", "\"scope\":\"flow\",\"flow\":4294967296,\"ep\":0"),
+            ("ep", "\"scope\":\"flow\",\"flow\":0,\"ep\":4294967296"),
+            ("host", "\"scope\":\"host\",\"host\":4294967296"),
+            ("link", "\"scope\":\"link\",\"link\":4294967296"),
+        ] {
+            let e = err(&with(&format!(
+                "{{{fields},\"metric\":\"cwnd\",\"points\":[]}}"
+            )));
+            assert!(
+                e.contains(&format!("`{key}` 4294967296 exceeds u32")),
+                "{e}"
+            );
+        }
+        // The header's series count must match the series lines: a
+        // truncated sidecar is not a smaller valid document.
+        let one = "{\"scope\":\"host\",\"host\":0,\"metric\":\"cwnd\",\"points\":[[1,2]]}";
+        let e = err(&format!(
+            "{{\"obs\":\"timelines\",\"interval_ns\":1000,\"series\":2}}\n{one}\n"
+        ));
+        assert!(e.contains("declares 2 series, document has 1"), "{e}");
+        let e = err(hdr);
+        assert!(e.contains("declares 1 series, document has 0"), "{e}");
+        assert!(err("{\"obs\":\"timelines\",\"interval_ns\":1}").contains("missing series"));
+        let e = err(&format!("{hdr}{one}\n{one}\n"));
+        assert!(e.contains("line 3: repeated series host 0 cwnd"), "{e}");
+        assert!(Timelines::from_jsonl(&with(one)).is_ok());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests for the simulation kernel.
 
 use proptest::prelude::*;
-use tengig_sim::{Bandwidth, Engine, EventFire, FifoServer, Nanos};
+use std::collections::BTreeMap;
+use tengig_sim::{
+    Bandwidth, Engine, EventFire, FifoServer, MetricKind, Nanos, Scope, StepSeries, Timelines,
+};
 
 /// World for the engine properties: a log of `(fire time, index)` pairs
 /// and a stack of delays still to chain.
@@ -106,5 +109,111 @@ proptest! {
         eng.schedule_event_at(Nanos::ZERO, Ev::Tick);
         eng.run(&mut w);
         prop_assert_eq!(eng.now(), Nanos(total));
+    }
+}
+
+/// The metrics the lab samples per flow endpoint, per host (grid mode)
+/// and per link, in its order.
+const FLOW: &[MetricKind] = &[
+    MetricKind::Cwnd,
+    MetricKind::Ssthresh,
+    MetricKind::SrttNanos,
+    MetricKind::RttvarNanos,
+    MetricKind::BytesInFlight,
+    MetricKind::Retransmits,
+];
+const HOST: &[MetricKind] = &[
+    MetricKind::CpuBusyNanos,
+    MetricKind::RxRingFrames,
+    MetricKind::CoalescePending,
+    MetricKind::CoalesceDelayNanos,
+    MetricKind::RxCrcDrops,
+];
+const LINK: &[MetricKind] = &[MetricKind::QueueDrops, MetricKind::ImpairDrops];
+
+/// The keys one sample records, in the sampler's shape: three flows'
+/// endpoints, two hosts, two links. `kind` 1 skips one scope, `kind` 2
+/// inserts a scope the other sweeps lack mid-sweep; anything else is
+/// the full sweep in its usual order.
+fn sweep(kind: u8, a: usize, b: usize) -> Vec<(Scope, MetricKind)> {
+    let mut scopes: Vec<(Scope, &[MetricKind])> = Vec::new();
+    for flow in 0..3 {
+        for ep in 0..2 {
+            scopes.push((Scope::Flow { flow, ep }, FLOW));
+        }
+    }
+    for host in 0..2 {
+        scopes.push((Scope::Host { host }, HOST));
+    }
+    for link in 0..2 {
+        scopes.push((Scope::Link { link }, LINK));
+    }
+    match kind {
+        1 => {
+            scopes.remove(a % scopes.len());
+        }
+        2 => {
+            let extra = Scope::Flow {
+                flow: 1,
+                ep: 2 + u32::from(a % 2 == 1),
+            };
+            scopes.insert(b % (scopes.len() + 1), (extra, FLOW));
+        }
+        _ => {}
+    }
+    scopes
+        .into_iter()
+        .flat_map(|(scope, metrics)| metrics.iter().map(move |&m| (scope, m)))
+        .collect()
+}
+
+proptest! {
+    /// Dense timelines read exactly like a `BTreeMap` of step-series fed
+    /// the same records — recorded whole, or as two time halves merged
+    /// — whatever order the series were first registered in.
+    #[test]
+    fn dense_timelines_match_a_btreemap_reference(
+        samples in proptest::collection::vec((0u8..4, 0usize..64, 0usize..64), 1..16),
+        values in proptest::collection::vec(0u64..3, 1..8),
+        split in 0usize..16,
+    ) {
+        let interval = Nanos(1000);
+        let mut whole = Timelines::new(interval);
+        let mut front = Timelines::new(interval);
+        let mut back = Timelines::new(interval);
+        let mut reference: BTreeMap<(Scope, MetricKind), StepSeries> = BTreeMap::new();
+        let mut n = 0;
+        for (i, &(kind, a, b)) in samples.iter().enumerate() {
+            let t = Nanos(1000 * (i as u64 + 1));
+            let half = if i < split { &mut front } else { &mut back };
+            for (scope, metric) in sweep(kind, a, b) {
+                let v = values[n % values.len()];
+                n += 1;
+                whole.record(scope, metric, t, v);
+                half.record(scope, metric, t, v);
+                reference.entry((scope, metric)).or_default().push(t, v);
+            }
+        }
+        front.merge(&back);
+        // Recorded in key order, so every record appends or hits: the
+        // serialization oracle.
+        let mut sorted = Timelines::new(interval);
+        for (&(scope, metric), s) in &reference {
+            for &(t, v) in s.points() {
+                sorted.record(scope, metric, t, v);
+            }
+        }
+        let expect: Vec<_> = reference.iter().collect();
+        for tl in [&whole, &front, &sorted] {
+            prop_assert_eq!(tl.iter().collect::<Vec<_>>(), expect.clone());
+            prop_assert_eq!(tl.len(), reference.len());
+            for (&(scope, metric), s) in &reference {
+                prop_assert_eq!(tl.get(scope, metric), Some(s));
+            }
+            prop_assert_eq!(tl.get(Scope::Link { link: 9 }, MetricKind::Cwnd), None);
+            prop_assert_eq!(tl.to_jsonl(), sorted.to_jsonl());
+            prop_assert_eq!(tl, &sorted);
+            prop_assert_eq!(&Timelines::from_jsonl(&tl.to_jsonl()).expect("round trip"), tl);
+        }
     }
 }
