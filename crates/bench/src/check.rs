@@ -148,7 +148,7 @@ pub static REGISTRY: &[Family] = &[
     // count compares against the same file.
     Family {
         name: "grid",
-        shards: &[1, 4],
+        shards: &[1, 2, 4],
         compute: grid,
         outputs: &[Output {
             doc: "grid",
@@ -159,7 +159,7 @@ pub static REGISTRY: &[Family] = &[
     // profiled run's report must equal the plain grid golden.
     Family {
         name: "prof",
-        shards: &[1, 4],
+        shards: &[1, 2, 4],
         compute: prof,
         outputs: &[
             Output {
@@ -176,7 +176,7 @@ pub static REGISTRY: &[Family] = &[
     // one gated document.
     Family {
         name: "serve",
-        shards: &[1, 4],
+        shards: &[1, 2, 4],
         compute: serve,
         outputs: &[Output {
             doc: "serve",

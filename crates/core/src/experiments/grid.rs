@@ -205,8 +205,7 @@ pub struct GridResult {
     pub flows: u64,
     /// Total events executed, summed over shards and net of observability
     /// samples. Exactly equal at any shard count, with or without obs:
-    /// every other event runs on exactly one shard, and ingress drains
-    /// are per (host, instant) at any shard count.
+    /// every other event runs on exactly one shard.
     pub events: u64,
     /// Payload bytes delivered to all receivers.
     pub payload_bytes: u64,
@@ -266,8 +265,9 @@ pub fn read(grid: &mut Grid) -> (GridResult, Option<Timelines>) {
 ///
 /// Only [`GridProfile::sim`] is golden-gated: it carries exclusively
 /// shard-count- and thread-invariant merges (per-kind fired counts,
-/// executed totals, engine verb counters, the rx-interrupt and
-/// ingress-drain batch histograms). The `local` section is deterministic
+/// executed totals, engine verb counters, the rx-interrupt batch
+/// histogram, and the retired, always-empty ingress-drain batch
+/// histogram). The `local` section is deterministic
 /// for a fixed shard count but partition-dependent; the `wall` section is
 /// host-domain time and never reproducible.
 #[derive(Debug, Clone)]
@@ -292,7 +292,6 @@ pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridP
     let mut fired = [0u64; Ev::KINDS];
     let mut engine = EngineCounters::default();
     let mut rx_batch = Hist::new();
-    let mut drain_batch = Hist::new();
     let mut executed = 0u64;
     for s in replicas {
         let p = s.lab.prof();
@@ -302,8 +301,6 @@ pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridP
         engine.merge(&s.eng.prof_counters());
         rx_batch.merge(&p.rx_batch);
         executed += s.eng.executed();
-        let g = s.lab.grid().expect("grid shard without grid");
-        drain_batch.merge(&g.drain_batch);
     }
     let fired_obj = Json::Object(
         Ev::NAMES
@@ -319,13 +316,15 @@ pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridP
         ("cancels".to_string(), Json::U64(engine.cancels)),
         ("cancel_hits".to_string(), Json::U64(engine.cancel_hits)),
     ]);
+    // `drain_batch` is retired with the ingress channel and always empty
+    // (see `GridRt::drain_batch`); it keeps the line's field set.
     let mut sim = String::new();
     let _ = writeln!(
         sim,
         "{{\"prof\":\"sim\",\"preset\":\"{label}\",\"seed\":{seed},\"executed\":{executed},\
          \"fired\":{fired_obj},\"engine\":{engine_obj},\"rx_batch\":{},\"drain_batch\":{}}}",
         rx_batch.render(),
-        drain_batch.render(),
+        Hist::new().render(),
     );
     // Per-shard "local" section.
     let mut local = String::new();

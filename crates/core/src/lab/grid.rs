@@ -8,18 +8,17 @@
 //! merges per-flow results by reading each value from the shard that
 //! owns the host that produced it.
 //!
-//! Determinism is anchored in the **canonically ordered ingress
-//! channel**: in grid mode *every* wire arrival — local or cross-shard —
-//! is inserted into a per-destination-host `BTreeMap` keyed by
-//! `(arrival time, canonical key)` and applied by a front-class
-//! [`Ev::IngressDrain`] event. The canonical key is minted from a
-//! per-(flow, endpoint) emission counter on the transmitting shard, so
-//! it is a pure function of the simulation's own history, never of
-//! thread interleaving; the `BTreeMap` makes insertion order irrelevant.
-//! Front-class draining ([`tengig_sim::Calendar::schedule_front`])
-//! guarantees a merged batch is applied before any normal event of the
-//! same instant, whichever shard count produced it — so sweep JSONL is
-//! byte-identical at 1, 2, and N shards.
+//! Determinism is anchored in the calendar's **keyed front class**
+//! ([`tengig_sim::Calendar::schedule_front`]): in grid mode *every* wire
+//! arrival — local or cross-shard — is one [`Ev::FrameArrival`]
+//! scheduled in the front class under a canonical key minted from a
+//! per-(flow, endpoint) emission counter on the transmitting shard. The
+//! key is a pure function of the simulation's own history, never of
+//! thread interleaving, and it replaces the insertion counter as the
+//! event's sequence number. An instant's arrivals therefore pop in key
+//! order, before any normal event of that instant, whichever shard
+//! count produced them and in whatever order the shard runner delivered
+//! them — so sweep JSONL is byte-identical at 1, 2, and N shards.
 //!
 //! Partition-safety rule: a link may only be shared by flows whose
 //! *transmitting* hosts live on the same shard (the grid experiment
@@ -33,15 +32,14 @@
 //! back through owner-side accessors ([`Grid::tx`], [`Grid::rx`],
 //! [`Grid::host`]) so no experiment does owner arithmetic by hand.
 
-use super::{frame_arrival, Ev, FlowRt, HostRt, Lab, LabEngine};
-use std::collections::BTreeMap;
+use super::{Ev, FlowRt, HostRt, Lab, LabEngine};
 use tengig_net::Delivery;
 use tengig_sim::{
     run_sharded_wall, Engine, Hist, Nanos, ObsConfig, ShardWorld, Timelines, WallStats,
 };
 use tengig_tcp::Segment;
 
-/// One wire arrival traveling through the ingress channel.
+/// One wire arrival: the fields of the [`Ev::FrameArrival`] that applies it.
 #[derive(Debug, Clone, Copy)]
 pub struct Arrival {
     /// Flow index.
@@ -54,19 +52,29 @@ pub struct Arrival {
     pub corrupted: bool,
 }
 
+impl Arrival {
+    /// The arrival as the event that applies it.
+    fn event(self) -> Ev {
+        Ev::FrameArrival {
+            f: self.f,
+            ep: self.ep,
+            seg: self.seg,
+            corrupted: self.corrupted,
+        }
+    }
+}
+
 /// A cross-shard message: an arrival bound for a host another shard owns.
 #[derive(Debug, Clone, Copy)]
 pub struct GridMsg {
-    /// Destination host (owned by the receiving shard).
-    pub h: usize,
-    /// Canonical channel key (see `GridRt::next_key`).
+    /// Canonical front-class key (see `GridRt::next_key`).
     pub key: u64,
     /// The arrival itself.
     pub arr: Arrival,
 }
 
 /// Per-shard grid runtime: the ownership map, the canonical key mint,
-/// the ordered ingress channel, and the cross-shard outbox.
+/// and the cross-shard outbox.
 #[derive(Debug)]
 pub struct GridRt {
     /// Total shard count.
@@ -83,18 +91,17 @@ pub struct GridRt {
     /// counter advances only on the shard owning the transmitting host,
     /// in virtual-time order — identical at any shard count.
     emit: Vec<[u64; 2]>,
-    /// Ordered ingress channel, one map per owned host (remote hosts'
-    /// maps stay empty): `(arrival time, canonical key) -> arrival`.
-    inbox: Vec<BTreeMap<(Nanos, u64), Arrival>>,
     /// Messages bound for other shards, drained by [`ShardWorld::flush`].
     outbox: Vec<(usize, Nanos, GridMsg)>,
     /// Cross-shard messages this shard emitted (deterministic, but a
     /// function of the partition — zero at one shard — so it lives in the
     /// per-shard "local" profiling section, never the gated one).
     pub msgs_sent: u64,
-    /// Arrivals applied per [`Ev::IngressDrain`] batch, log-bucketed.
-    /// Batches are per (host, instant) with shard-count-invariant
-    /// contents, so the shard-merged histogram is gate-safe.
+    /// Retired and always empty. It counted arrivals per ingress-drain
+    /// batch when grid mode applied arrivals through a per-host drain
+    /// event; each arrival is now its own front-class
+    /// [`Ev::FrameArrival`]. Kept so the profiling sidecar's field set
+    /// and the benchmark's reads keep their shape.
     pub drain_batch: Hist,
     /// Conservative synchronization windows this shard executed
     /// (per-shard deterministic; varies with shard count and lookahead).
@@ -108,19 +115,22 @@ impl GridRt {
         assert!(shards > 0, "a grid needs at least one shard");
         assert!(shard < shards, "shard id out of range");
         assert!(owner.iter().all(|&o| o < shards), "host owner out of range");
-        let hosts = owner.len();
         GridRt {
             shards,
             shard,
             owner,
             link_tx: Vec::new(),
             emit: vec![[0; 2]; flows],
-            inbox: (0..hosts).map(|_| BTreeMap::new()).collect(),
             outbox: Vec::new(),
             msgs_sent: 0,
             drain_batch: Hist::new(),
             windows: 0,
         }
+    }
+
+    /// Flows the key mint covers.
+    pub(super) fn flows(&self) -> usize {
+        self.emit.len()
     }
 
     /// Whether this shard owns host `h`.
@@ -152,8 +162,8 @@ impl GridRt {
         self.link_tx[l].is_some_and(|h| self.owns(h))
     }
 
-    /// Mint the canonical channel key for the next delivery emitted by
-    /// flow `f`'s endpoint `src_ep`: `(f << 32) | (src_ep << 31) | n`
+    /// Mint the canonical front-class key for the next delivery emitted
+    /// by flow `f`'s endpoint `src_ep`: `(f << 32) | (src_ep << 31) | n`
     /// with `n` the per-(flow, endpoint) emission ordinal. Keys are
     /// unique by construction (each (f, ep) mints its own ordinals) and
     /// shard-count-invariant (the mint happens on the one shard that
@@ -164,39 +174,14 @@ impl GridRt {
         debug_assert!(n < 1 << 31, "emission ordinal overflow");
         ((f as u64) << 32) | ((src_ep as u64) << 31) | n
     }
-
-    /// Insert an arrival into host `h`'s channel. Returns `true` when it
-    /// is the first pending arrival at that instant — the caller must
-    /// then schedule the (single) front-class drain for `(h, at)`.
-    fn insert(&mut self, h: usize, at: Nanos, key: u64, arr: Arrival) -> bool {
-        debug_assert!(self.owns(h), "arrival inserted on a non-owning shard");
-        let fresh = self.inbox[h]
-            .range((at, 0)..=(at, u64::MAX))
-            .next()
-            .is_none();
-        let prev = self.inbox[h].insert((at, key), arr);
-        debug_assert!(prev.is_none(), "canonical channel key collided");
-        fresh
-    }
-
-    /// Remove and return every arrival pending for host `h` at `now`, in
-    /// canonical key order.
-    fn take_instant(&mut self, h: usize, now: Nanos) -> Vec<Arrival> {
-        let mut batch = Vec::new();
-        while let Some((&k, _)) = self.inbox[h].range((now, 0)..=(now, u64::MAX)).next() {
-            let arr = self.inbox[h].remove(&k).expect("key just observed");
-            batch.push(arr);
-        }
-        batch
-    }
 }
 
-/// Route one wire delivery through the ingress channel: an arrival for
-/// an owned host goes straight into the local channel (and schedules its
-/// instant's front-class drain); an arrival for a remote host retires
-/// its bytes from this shard's conservation ledger and rides the outbox
-/// to the owning shard. Called from `tx_wire` in place of scheduling
-/// `Ev::FrameArrival` directly.
+/// Route one wire delivery: an arrival for an owned host becomes a
+/// front-class [`Ev::FrameArrival`] under its canonical key; an arrival
+/// for a remote host retires its bytes from this shard's conservation
+/// ledger and rides the outbox to the owning shard, which schedules it
+/// the same way in [`GridShard::accept`]. Called from `tx_wire` in place
+/// of the classic normal-class `Ev::FrameArrival`.
 pub(super) fn route_arrival(
     lab: &mut Lab,
     eng: &mut LabEngine,
@@ -218,41 +203,17 @@ pub(super) fn route_arrival(
     };
     debug_assert!(d.at > now, "wire delivery cannot be instantaneous");
     if grid.owns(dst_host) {
-        if grid.insert(dst_host, d.at, key, arr) {
-            eng.schedule_front_at(d.at, Ev::IngressDrain { h: dst_host });
-        }
+        eng.schedule_front_at(d.at, key, arr.event());
     } else {
         let dst_shard = grid.owner[dst_host];
         grid.msgs_sent += 1;
-        grid.outbox.push((
-            dst_shard,
-            d.at,
-            GridMsg {
-                h: dst_host,
-                key,
-                arr,
-            },
-        ));
+        grid.outbox.push((dst_shard, d.at, GridMsg { key, arr }));
         // Byte-conservation handoff: the frame leaves this shard's
         // ledger here and re-enters the owning shard's at accept time.
         let wire = tengig_ethernet::Mtu::wire_bytes_for(seg.ip_bytes());
         if let Some(s) = eng.sanitizer_mut() {
             s.deliver(now, wire);
         }
-    }
-}
-
-/// Fire the front-class drain for host `h` at the current instant: apply
-/// every pending arrival in canonical key order, before any normal event
-/// of this instant runs.
-pub(super) fn ingress_drain(lab: &mut Lab, eng: &mut LabEngine, h: usize) {
-    let now = eng.now();
-    let grid = lab.grid.as_mut().expect("ingress drain outside grid mode");
-    let batch = grid.take_instant(h, now);
-    debug_assert!(!batch.is_empty(), "drain fired with nothing pending");
-    grid.drain_batch.record(batch.len() as u64);
-    for a in batch {
-        frame_arrival(lab, eng, a.f, a.ep, a.seg, a.corrupted);
     }
 }
 
@@ -291,11 +252,12 @@ impl ShardWorld for GridShard {
         if let Some(s) = self.eng.sanitizer_mut() {
             s.inject(wire);
         }
-        let grid = self.lab.grid.as_mut().expect("grid shard without grid");
-        if grid.insert(msg.h, at, msg.key, msg.arr) {
-            self.eng
-                .schedule_front_at(at, Ev::IngressDrain { h: msg.h });
-        }
+        debug_assert!(
+            self.lab
+                .runs_host(self.lab.flows[msg.arr.f].host[msg.arr.ep]),
+            "arrival routed to a non-owning shard"
+        );
+        self.eng.schedule_front_at(at, msg.key, msg.arr.event());
         // A message landing on a drained shard restarts its dormant
         // observability sampling chain (no-op when obs is off or armed).
         super::obs_revive(&mut self.lab, &mut self.eng, at);

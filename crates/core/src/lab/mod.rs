@@ -139,23 +139,22 @@ pub enum Ev {
     /// Sample the observability timelines (scheduled on a fixed sim-clock
     /// cadence while [`Lab::enable_obs`] is active).
     ObsSample,
-    /// Apply every arrival pending in the grid ingress channel for host
-    /// `h` at the current instant, in canonical key order. Front-class:
-    /// scheduled via [`LabEngine::schedule_front_at`], so the batch lands
-    /// before any normal event of the same instant regardless of which
-    /// shard produced it (see [`grid`]).
-    IngressDrain {
-        /// Host index.
-        h: usize,
-    },
 }
 
 impl Ev {
-    /// Number of event kinds — the width of [`LabProf::fired`].
+    /// Width of [`LabProf::fired`]: the twelve event kinds plus the
+    /// retired `IngressDrain` slot (see [`Ev::NAMES`]).
     pub const KINDS: usize = 13;
 
     /// Event-kind names, indexed by [`Ev::prof_idx`]. Used by the
     /// profiling sidecar so fired-count reports are self-describing.
+    ///
+    /// The last slot, `IngressDrain`, is retired: grid mode once applied
+    /// arrivals through a per-host drain event, and now schedules each
+    /// [`Ev::FrameArrival`] in the calendar's keyed front class instead
+    /// (see [`grid`]). No event maps to it, so its count is always 0; it
+    /// stays so the sidecar's field set and the benchmark's per-kind
+    /// rows keep their shape.
     pub const NAMES: [&'static str; Ev::KINDS] = [
         "StartFlow",
         "TxDma",
@@ -187,7 +186,6 @@ impl Ev {
             Ev::ReadDone { .. } => 9,
             Ev::PktgenTick { .. } => 10,
             Ev::ObsSample => 11,
-            Ev::IngressDrain { .. } => 12,
         }
     }
 }
@@ -270,7 +268,6 @@ impl EventFire<Lab> for Ev {
             Ev::ReadDone { f, ep, bytes } => read_done(lab, eng, f, ep, bytes),
             Ev::PktgenTick { f } => pktgen_tick(lab, eng, f),
             Ev::ObsSample => obs_sample(lab, eng),
-            Ev::IngressDrain { h } => grid::ingress_drain(lab, eng, h),
         }
     }
 }
@@ -474,9 +471,9 @@ pub struct Lab {
     /// disabled path schedules zero events and records zero samples).
     obs: Option<ObsRt>,
     /// Grid (sharded-execution) runtime. `None` = classic whole-world
-    /// execution; `Some` reroutes every wire arrival through the
-    /// canonically ordered ingress channel and restricts [`kick`] to the
-    /// hosts this shard owns (see [`grid`]).
+    /// execution; `Some` schedules every wire arrival in the calendar's
+    /// canonically keyed front class (or ships it to the owning shard)
+    /// and restricts [`kick`] to the hosts this shard owns (see [`grid`]).
     grid: Option<GridRt>,
     /// Deterministic self-profiling counters (always on: pure integer
     /// increments on paths that already touch the counted state).
@@ -498,14 +495,19 @@ impl Lab {
     }
 
     /// Switch this replica into grid (sharded) execution. Call after the
-    /// topology is fully assembled (the runtime sizes its channel and key
-    /// mint from the current host/flow counts, and names each link's
+    /// topology is fully assembled (the runtime's owner map and key mint
+    /// must match the current host/flow counts, and it names each link's
     /// transmitting host from the current routes) and before [`kick`].
     pub fn enable_grid(&mut self, mut g: GridRt) {
         assert_eq!(
             g.owner.len(),
             self.hosts.len(),
             "owner map must cover every host"
+        );
+        assert_eq!(
+            g.flows(),
+            self.flows.len(),
+            "grid key mint must cover every flow"
         );
         g.map_links(&self.flows, self.links.len());
         self.grid = Some(g);
@@ -1232,9 +1234,9 @@ fn tx_wire(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Seg
             host.probe(now, Stage::ImpairReorder, seg.seq, wire, Nanos::ZERO);
         }
         if lab.grid.is_some() {
-            // Grid mode: every arrival — local or cross-shard — rides the
-            // canonically ordered ingress channel instead of a direct
-            // FrameArrival, so application order is shard-count-invariant.
+            // Grid mode: every arrival — local or cross-shard — is a
+            // canonically keyed front-class FrameArrival, so application
+            // order is shard-count-invariant.
             grid::route_arrival(lab, eng, f, dst_ep, seg, d);
         } else {
             eng.schedule_event_at(

@@ -8,7 +8,7 @@
 
 use tengig::experiments::grid::{grid_sweep_report, run_grid, standard_presets, GridPreset};
 use tengig::experiments::XOVER_PROP;
-use tengig::lab::Grid;
+use tengig::lab::{Grid, GridRt};
 use tengig::sweep::SweepRunner;
 use tengig::{App, Lab, LadderRung};
 use tengig_ethernet::Mtu;
@@ -125,4 +125,28 @@ fn each_link_is_sampled_by_the_shard_owning_its_transmitter() {
             }
         }
     }
+}
+
+/// A grid runtime whose key mint covers fewer flows than the lab holds
+/// is rejected when grid mode is switched on, not at the first emission
+/// deep inside the event loop.
+#[test]
+#[should_panic(expected = "grid key mint must cover every flow")]
+fn enable_grid_rejects_a_flow_count_mismatch() {
+    let path = Path {
+        hops: vec![Hop::wire("xover", Bandwidth::from_gbps(10), XOVER_PROP)],
+    };
+    let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    let mut lab = Lab::new();
+    let mut rng = SimRng::seeded(SEED);
+    let a = lab.add_host(cfg);
+    let b = lab.add_host(cfg);
+    let fwd = lab.add_link(&path, rng.fork("fwd"));
+    let rev = lab.add_link(&path, rng.fork("rev"));
+    let app = App::Nttcp {
+        tx: NttcpSender::new(8948, 20),
+        rx: NttcpReceiver::new(8948 * 20),
+    };
+    lab.add_flow(a, b, vec![fwd], vec![rev], app);
+    lab.enable_grid(GridRt::new(1, 0, vec![0, 0], 0));
 }

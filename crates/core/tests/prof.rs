@@ -120,15 +120,37 @@ fn wall_plane_reports_barrier_stalls_outside_every_gated_byte() {
 fn sim_section_counts_the_grid_event_anatomy() {
     let preset = GridPreset::fat_tree(2, 2, 1);
     let (r, prof) = profiled(&preset, 1);
-    // In grid mode every arrival rides the ingress channel, so the
-    // FrameArrival event kind never fires while drains do.
-    assert!(prof.sim.contains("\"FrameArrival\":0"), "{}", prof.sim);
-    assert!(!prof.sim.contains("\"IngressDrain\":0"), "{}", prof.sim);
+    // In grid mode every arrival is its own front-class FrameArrival;
+    // the retired IngressDrain slot and drain_batch histogram stay empty.
+    let count = |name: &str| -> u64 {
+        let tag = format!("\"{name}\":");
+        let at = prof.sim.find(&tag).unwrap_or_else(|| panic!("{name}")) + tag.len();
+        let digits = prof.sim[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .unwrap_or_default();
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}: {}", prof.sim))
+    };
+    assert!(count("FrameArrival") > 0, "{}", prof.sim);
+    assert_eq!(
+        count("FrameArrival"),
+        count("sched_front"),
+        "one front-class event per arrival: {}",
+        prof.sim
+    );
+    assert_eq!(count("IngressDrain"), 0, "{}", prof.sim);
+    assert!(
+        prof.sim.contains("\"drain_batch\":{\"count\":0,"),
+        "{}",
+        prof.sim
+    );
     // The executed total in the section matches the merged result.
     assert!(prof.sim.contains(&format!("\"executed\":{}", r.events)));
-    // Both histograms saw batches.
+    // The coalescer's histogram saw batches.
+    assert!(!prof.sim.contains("\"rx_batch\":{\"count\":0,"));
     assert!(prof.sim.contains("\"rx_batch\":{\"count\":"));
-    assert!(prof.sim.contains("\"drain_batch\":{\"count\":"));
     // The local section exists and is per-shard.
     assert!(prof.local.contains("\"prof\":\"local\""));
     assert!(prof.local.contains("\"pool_hits\":"));

@@ -32,6 +32,7 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     // Calendar queue, including the timing wheel behind it.
     "Calendar::schedule",
     "Calendar::schedule_timer",
+    "Calendar::schedule_front",
     "Calendar::cancel",
     "Calendar::peek_time",
     "Calendar::pop",
@@ -53,13 +54,13 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     // Sweep workers.
     "SweepRunner::run",
     "SweepRunner::run_split",
-    // Sharded-execution merge loop and the cross-shard ingress channel
-    // (window computation, barrier rounds, message drain): nondeterminism
-    // here would break the grid byte-identity contract across shard
-    // counts, not just across runs.
+    // Sharded-execution merge loop and the keyed arrival path (window
+    // computation, barrier rounds, canonical-key minting for local and
+    // cross-shard arrivals): nondeterminism here would break the grid
+    // byte-identity contract across shard counts, not just across runs.
     "run_sharded",
     "GridShard::accept",
-    "ingress_drain",
+    "route_arrival",
     // The wall-time profiling variant of the merge loop: it may touch
     // the host clock only through the single `lint:trusted(profiling
     // boundary)` read (`wall_now_ns`), so the root must still prove

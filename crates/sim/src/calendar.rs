@@ -1,12 +1,15 @@
 //! The slab-backed event calendar underneath [`crate::Engine`].
 //!
-//! Three structural choices keep the hot path allocation- and
+//! Five structural choices keep the hot path allocation- and
 //! comparison-light, replacing the original `BinaryHeap<Box<event>>`:
 //!
 //! * **Slab storage.** Payloads live in a slab (`Vec` of slots) and are
 //!   referenced by `u32` handles; freed slots go on an intrusive freelist
 //!   and are reused, so steady-state scheduling performs no allocation
 //!   and the heap itself only moves 24-byte copyable keys around.
+//! * **A 4-ary key heap.** Half the depth of a binary heap; sifts move a
+//!   hole instead of swapping, and a key comparison is one `u128`
+//!   compare of `(time, seq)`.
 //! * **Cancellation tombstones.** [`Calendar::cancel`] frees the payload
 //!   immediately and bumps the slot generation; the key already sitting
 //!   in the heap is left behind as a tombstone and discarded lazily when
@@ -30,7 +33,10 @@
 //!   observable order is unchanged.
 //!
 //! The observable order is **exactly** the strict `(time, seq)` order of
-//! the original queue. The lane is sound because a key only enters it
+//! the original queue, with one addition: a **front class**
+//! ([`Calendar::schedule_front`]) whose keys carry a caller-chosen
+//! canonical key in place of the insertion counter and sort before every
+//! normal key of their instant. The lane is sound because a key only enters it
 //! while the clock already sits at its timestamp, so every heap key with
 //! the same timestamp was scheduled earlier and holds a smaller `seq`:
 //! draining heap keys at `now` before lane keys reproduces the global
@@ -68,9 +74,16 @@ struct Key {
 }
 
 impl Key {
+    /// The `(time, seq)` order as one integer, so a comparison is one
+    /// `u128` compare instead of a lexicographic pair.
+    #[inline]
+    fn rank(&self) -> u128 {
+        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
+    }
+
     #[inline]
     fn before(&self, other: &Key) -> bool {
-        (self.at, self.seq) < (other.at, other.seq)
+        self.rank() < other.rank()
     }
 }
 
@@ -86,11 +99,18 @@ enum Slot<T> {
 const NIL: u32 = u32::MAX;
 
 /// Class bit composed into every key's sequence number. Normal events
-/// carry it set; front-class events ([`Calendar::schedule_front`]) carry
-/// it clear, so under the strict `(time, seq)` order every front-class
-/// key at an instant precedes every normal key at that instant, while
-/// keys within a class keep FIFO scheduling order among themselves.
+/// carry it set over their FIFO insertion counter; front-class events
+/// ([`Calendar::schedule_front`]) carry it clear over the caller's
+/// canonical key. Under the strict `(time, seq)` order every front-class
+/// key at an instant therefore precedes every normal key at that
+/// instant; front keys pop in canonical-key order among themselves and
+/// normal keys in FIFO scheduling order.
 const SEQ_NORMAL: u64 = 1 << 63;
+
+/// Children per key-heap node. A 4-ary heap is half as deep as a binary
+/// one, and a node's four children share one 96-byte run of the key
+/// array, so a sift-down touches fewer cache lines per level.
+const ARITY: usize = 4;
 
 // ---- timing-wheel geometry ----
 //
@@ -136,7 +156,7 @@ fn level_shift(level: usize) -> u32 {
     WHEEL_LEVEL_BITS * u32::try_from(level).expect("wheel level exceeds u32")
 }
 
-/// A deterministic event calendar: a slab of payloads indexed by a binary
+/// A deterministic event calendar: a slab of payloads indexed by a 4-ary
 /// min-heap of `(time, seq)` keys, with a FIFO fast lane for events at the
 /// current instant and O(1) tombstone cancellation.
 #[derive(Debug)]
@@ -281,22 +301,37 @@ impl<T> Calendar<T> {
     }
 
     /// Schedule `payload` at strictly-future time `at` in the **front
-    /// class**: at equal timestamps a front-class event fires before
-    /// every normal event (whatever their scheduling order), while
-    /// front-class events keep FIFO order among themselves. The sharded
-    /// lab's ingress drain rides this so a merged arrival batch is
-    /// applied before any normal event of the same instant, making the
-    /// pop order independent of which shard scheduled what first.
+    /// class**, ordered by the caller's canonical `key`: at equal
+    /// timestamps a front-class event fires before every normal event
+    /// (whatever their scheduling order), and front-class events fire in
+    /// ascending `key` order among themselves (whatever *their*
+    /// scheduling order). The sharded lab schedules every wire arrival
+    /// here, keyed by a shard-count-invariant emission ordinal, so the
+    /// pop order of an instant's arrivals is a function of the arrival
+    /// set alone, never of which shard delivered what first.
+    ///
+    /// The key replaces the insertion counter as the sequence number, so
+    /// front events do not advance it and the relative order of normal
+    /// events is the same with or without them. Keys must be unique per
+    /// instant (two equal `(at, key)` pairs pop in unspecified order) and
+    /// below `2^63`, the normal-class bit.
     ///
     /// Strictly-future is load-bearing: a front key never has to enter
     /// the same-instant FIFO lane (where it would pop *after* older lane
     /// keys and break the class order), so it always goes to the heap.
-    pub fn schedule_front(&mut self, at: Nanos, payload: T) -> EventId {
+    pub fn schedule_front(&mut self, at: Nanos, key: u64, payload: T) -> EventId {
         assert!(at > self.now, "front-class events must be strictly future");
-        let seq = self.seq;
-        self.seq += 1;
+        assert!(
+            key < SEQ_NORMAL,
+            "front-class key collides with the class bit"
+        );
         let (slot, gen) = self.insert(payload);
-        self.heap_push(Key { at, seq, slot, gen });
+        self.heap_push(Key {
+            at,
+            seq: key,
+            slot,
+            gen,
+        });
         self.live += 1;
         EventId { slot, gen }
     }
@@ -600,49 +635,54 @@ impl<T> Calendar<T> {
         payload
     }
 
-    // ---- the key heap: a plain binary min-heap over `Key` ----
+    // ---- the key heap: a 4-ary min-heap over `Key` ----
+    //
+    // Both sifts move a hole instead of swapping: the travelling key is
+    // held aside, each displaced key is written once, and the travelling
+    // key lands once at the end.
 
     fn heap_push(&mut self, key: Key) {
+        let mut i = self.heap.len();
         self.heap.push(key);
-        let mut i = self.heap.len() - 1;
         while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].before(&self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
+            let parent = (i - 1) / ARITY;
+            let up = self.heap[parent];
+            if !key.before(&up) {
                 break;
             }
+            self.heap[i] = up;
+            i = parent;
         }
+        self.heap[i] = key;
     }
 
     fn heap_pop(&mut self) -> Option<Key> {
         let last = self.heap.pop()?;
-        if self.heap.is_empty() {
+        let Some(&top) = self.heap.first() else {
             return Some(last);
-        }
-        let top = std::mem::replace(&mut self.heap[0], last);
-        // Sift the relocated tail down to its place.
-        let len = self.heap.len();
+        };
+        // Sift the relocated tail down from the root to its place.
+        let heap = &mut self.heap[..];
+        let len = heap.len();
         let mut i = 0;
         loop {
-            let l = 2 * i + 1;
-            if l >= len {
+            let first = ARITY * i + 1;
+            if first >= len {
                 break;
             }
-            let r = l + 1;
-            let child = if r < len && self.heap[r].before(&self.heap[l]) {
-                r
-            } else {
-                l
-            };
-            if self.heap[child].before(&self.heap[i]) {
-                self.heap.swap(i, child);
-                i = child;
-            } else {
+            let mut child = first;
+            for c in first + 1..len.min(first + ARITY) {
+                if heap[c].before(&heap[child]) {
+                    child = c;
+                }
+            }
+            if !heap[child].before(&last) {
                 break;
             }
+            heap[i] = heap[child];
+            i = child;
         }
+        heap[i] = last;
         Some(top)
     }
 }
@@ -795,13 +835,14 @@ mod tests {
     #[test]
     fn front_class_precedes_normals_at_the_same_instant() {
         let mut c: Calendar<u32> = Calendar::new();
-        // Normals scheduled first, front key last — it still pops first
-        // at its instant, and FIFO holds within each class.
+        // Normals scheduled first, front keys last and out of key order:
+        // the front keys still pop first at their instant, in key order,
+        // and FIFO holds among the normals.
         c.schedule(Nanos(10), 1);
         c.schedule(Nanos(10), 2);
         c.schedule_timer(Nanos(10), 3);
-        c.schedule_front(Nanos(10), 100);
-        c.schedule_front(Nanos(10), 101);
+        c.schedule_front(Nanos(10), 9, 101);
+        c.schedule_front(Nanos(10), 4, 100);
         c.schedule(Nanos(5), 0);
         let got: Vec<u32> = std::iter::from_fn(|| c.pop().map(|(_, p)| p)).collect();
         assert_eq!(got, vec![0, 100, 101, 1, 2, 3]);
@@ -809,9 +850,18 @@ mod tests {
     }
 
     #[test]
+    fn front_class_keys_do_not_advance_the_insertion_counter() {
+        let mut c: Calendar<u32> = Calendar::new();
+        c.schedule(Nanos(10), 1);
+        c.schedule_front(Nanos(20), 0, 7);
+        c.schedule(Nanos(10), 2);
+        assert_eq!(c.seq, 2, "only normal events consume sequence numbers");
+    }
+
+    #[test]
     fn front_class_keys_can_be_cancelled() {
         let mut c: Calendar<u32> = Calendar::new();
-        let f = c.schedule_front(Nanos(10), 7);
+        let f = c.schedule_front(Nanos(10), 0, 7);
         c.schedule(Nanos(10), 8);
         assert_eq!(c.cancel(f), Some(7));
         assert_eq!(c.pop(), Some((Nanos(10), 8)));
@@ -824,7 +874,30 @@ mod tests {
         let mut c: Calendar<u32> = Calendar::new();
         c.schedule(Nanos(5), 1);
         c.pop();
-        c.schedule_front(Nanos(5), 2);
+        c.schedule_front(Nanos(5), 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "class bit")]
+    fn front_class_rejects_a_key_with_the_class_bit() {
+        let mut c: Calendar<u32> = Calendar::new();
+        c.schedule_front(Nanos(5), SEQ_NORMAL, 1);
+    }
+
+    #[test]
+    fn deep_heap_pops_in_rank_order() {
+        // Enough keys for the 4-ary sifts to run several levels deep,
+        // scheduled in a scrambled time order with heavy ties.
+        let mut c: Calendar<u64> = Calendar::new();
+        let mut expect = Vec::new();
+        for i in 0..5_000u64 {
+            let at = Nanos(1 + (i * 7919) % 613);
+            c.schedule(at, i);
+            expect.push((at, i));
+        }
+        expect.sort_by_key(|&(at, i)| (at, i));
+        let got: Vec<(Nanos, u64)> = std::iter::from_fn(|| c.pop()).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

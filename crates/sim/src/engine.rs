@@ -175,18 +175,20 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     }
 
     /// Schedule `ev` at strictly-future time `at` in the calendar's
-    /// **front class** ([`crate::Calendar::schedule_front`]): at equal
-    /// timestamps it fires before every normal event, whatever the
-    /// scheduling order. The sharded lab's ingress drain uses this so a
-    /// merged arrival batch is applied before any normal event of the
-    /// same instant on any shard count.
+    /// **front class** under the canonical `key`
+    /// ([`crate::Calendar::schedule_front`]): at equal timestamps it
+    /// fires before every normal event, and front events fire in `key`
+    /// order, whatever the scheduling order. The sharded lab schedules
+    /// every wire arrival this way, so an instant's arrivals apply in the
+    /// same order on any shard count.
     ///
     /// Panics when `at <= now` — front-class events may not target the
     /// current instant (the same-instant FIFO lane would break the class
-    /// order), so callers must schedule them strictly ahead.
-    pub fn schedule_front_at(&mut self, at: Nanos, ev: E) -> EventId {
+    /// order), so callers must schedule them strictly ahead — or when
+    /// `key >= 2^63`.
+    pub fn schedule_front_at(&mut self, at: Nanos, key: u64, ev: E) -> EventId {
         self.prof.sched_front += 1;
-        self.calendar.schedule_front(at, ev)
+        self.calendar.schedule_front(at, key, ev)
     }
 
     /// Timestamp of the earliest pending event, if any, without popping
@@ -439,14 +441,17 @@ mod tests {
 
     #[test]
     fn front_class_events_run_before_normals_of_the_same_instant() {
-        const FRONT: u64 = 0;
-        const NORMAL: u64 = 1;
+        const FRONT_LOW: u64 = 0;
+        const FRONT_HIGH: u64 = 1;
+        const NORMAL: u64 = 2;
         let mut eng = engine();
         let mut log = Vec::new();
         eng.schedule_event_at(Nanos(10), Ev::Push(NORMAL));
-        eng.schedule_front_at(Nanos(10), Ev::Push(FRONT));
+        // Scheduled out of key order: they still fire in key order.
+        eng.schedule_front_at(Nanos(10), 7, Ev::Push(FRONT_HIGH));
+        eng.schedule_front_at(Nanos(10), 3, Ev::Push(FRONT_LOW));
         eng.run(&mut log);
-        assert_eq!(log, vec![FRONT, NORMAL]);
+        assert_eq!(log, vec![FRONT_LOW, FRONT_HIGH, NORMAL]);
     }
 
     #[test]

@@ -11,15 +11,27 @@
 //! conservative synchronization argument (CMB windows); the lookahead
 //! bound comes for free from the physical topology.
 //!
+//! A round costs **one barrier**. Next-time slots and inboxes come in
+//! two parity buffers; in a round of parity `p` each shard reads the
+//! global minimum of `slots[p]`, drains `inbox[p][me]`, runs its window,
+//! pushes what it flushed into `inbox[1-p][dst]`, publishes
+//! `min(own next event, earliest arrival it just sent)` to
+//! `slots[1-p][me]`, and waits once. The sender counts every in-flight
+//! arrival, so a receiver that has not accepted it yet may publish
+//! "drained" without the minimum (and so the window sequence) changing;
+//! and no slot or inbox is written in a round that reads it, so one
+//! barrier per round orders every write before the read that needs it.
+//!
 //! Determinism contract: [`run_sharded`] delivers each round's messages
 //! to a destination shard in an **unspecified order** (senders race for
 //! the inbox lock). Implementors of [`ShardWorld::accept`] must therefore
-//! be order-insensitive — the lab layer funnels every arrival through a
-//! canonically keyed ordered channel, so the executed schedule is a pure
-//! function of the message *set*, never of thread interleaving. Under
-//! that contract the runner itself is deterministic at any shard count:
-//! window boundaries are computed from published next-event times with
-//! integer arithmetic only, identically on every shard.
+//! be order-insensitive — the lab layer schedules every arrival in the
+//! calendar's canonically keyed front class
+//! ([`crate::Calendar::schedule_front`]), so the executed schedule is a
+//! pure function of the message *set*, never of thread interleaving.
+//! Under that contract the runner itself is deterministic at any shard
+//! count: window boundaries are computed from published next-event times
+//! with integer arithmetic only, identically on every shard.
 //!
 //! The `shards = 1` case runs inline on the caller's thread with no
 //! synchronization primitives at all — the degenerate case costs nothing
@@ -110,8 +122,8 @@ impl RoundBarrier {
     }
 }
 
-/// A shard's mailbox of timestamped cross-shard messages: locked for the
-/// barrier exchange, drained whole at the top of each round.
+/// A shard's mailbox of timestamped cross-shard messages: filled in one
+/// round, drained whole at the top of the next.
 type Inbox<M> = Mutex<Vec<(Nanos, M)>>;
 
 /// Poisons the barrier when dropped during a panic unwind.
@@ -132,20 +144,6 @@ fn global_min(slots: &[AtomicU64]) -> u64 {
         min = min.min(s.load(Ordering::SeqCst));
     }
     min
-}
-
-/// One shard's round: drain the inbox, publish the next event time,
-/// then (outside, after the barrier) run the window and flush.
-fn drain_and_publish<S: ShardWorld>(world: &mut S, inbox: &Inbox<S::Msg>, slot: &AtomicU64) {
-    let batch = {
-        let mut guard = inbox.lock().expect("shard inbox lock poisoned");
-        std::mem::take(&mut *guard)
-    };
-    for (at, msg) in batch {
-        world.accept(at, msg);
-    }
-    let next = world.next_time().map_or(DRAINED, |t| t.as_nanos());
-    slot.store(next, Ordering::SeqCst);
 }
 
 /// Run `shards` to completion under conservative lookahead windows.
@@ -215,8 +213,17 @@ pub fn run_sharded_wall<S: ShardWorld + Send>(
         Some(ws) => ws.iter_mut().map(Some).collect(),
         None => (0..n).map(|_| None).collect(),
     };
-    let slots: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let inboxes: Vec<Inbox<S::Msg>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
+    // Parity-buffered next-time slots and inboxes (see the module docs).
+    // Round 0 reads parity 0, seeded here before any worker starts.
+    let slots: [Vec<AtomicU64>; 2] = [
+        shards
+            .iter_mut()
+            .map(|w| AtomicU64::new(w.next_time().map_or(DRAINED, |t| t.as_nanos())))
+            .collect(),
+        (0..n).map(|_| AtomicU64::new(DRAINED)).collect(),
+    ];
+    let inboxes: [Vec<Inbox<S::Msg>>; 2] =
+        [0, 1].map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect());
     let barrier = RoundBarrier::new(n);
     std::thread::scope(|scope| {
         for (i, (world, mut wslot)) in shards.iter_mut().zip(wall_slots).enumerate() {
@@ -225,46 +232,51 @@ pub fn run_sharded_wall<S: ShardWorld + Send>(
             let barrier = &barrier;
             scope.spawn(move || {
                 let poison = PoisonOnPanic(barrier);
+                // Clock reads sit on the barrier's two edges, so a round
+                // takes two: execute is everything from one barrier exit
+                // to the next arrival (window negotiation, inbox drain,
+                // the window, outbox delivery), barrier is the wait.
+                let mut t_exit = wslot.as_ref().map(|_| wall_now_ns());
+                let mut p = 0;
                 loop {
-                    drain_and_publish(world, &inboxes[i], &slots[i]);
-                    // Every shard has drained its inbox and published;
-                    // now everyone computes the same window. Clock reads
-                    // sit on phase *boundaries* so adjacent phases share
-                    // one read: four reads per round, not six. The
-                    // execute bucket therefore includes the (trivial)
-                    // window negotiation and outbox delivery — the
-                    // round's non-barrier work.
-                    let t0 = wslot.as_ref().map(|_| wall_now_ns());
-                    barrier.wait();
-                    let t1 = wslot.as_ref().map(|_| wall_now_ns());
-                    if let (Some(w), Some(t0), Some(t1)) = (wslot.as_deref_mut(), t0, t1) {
-                        w.barrier_wait_ns += t1.saturating_sub(t0);
-                    }
-                    let t_min = global_min(slots);
+                    let t_min = global_min(&slots[p]);
                     if t_min == DRAINED {
                         break;
                     }
+                    let batch = {
+                        let mut guard = inboxes[p][i].lock().expect("shard inbox lock poisoned");
+                        std::mem::take(&mut *guard)
+                    };
+                    for (at, msg) in batch {
+                        world.accept(at, msg);
+                    }
                     let end = Nanos(t_min).saturating_add(lookahead);
                     world.run_window(end);
+                    let mut next = world.next_time().map_or(DRAINED, |t| t.as_nanos());
                     for (dst, at, msg) in world.flush() {
                         debug_assert!(
                             at >= end,
                             "lookahead violated: arrival at {at} inside window ending {end}"
                         );
-                        let mut guard = inboxes[dst].lock().expect("shard inbox lock poisoned");
+                        next = next.min(at.as_nanos());
+                        let mut guard = inboxes[1 - p][dst]
+                            .lock()
+                            .expect("shard inbox lock poisoned");
                         guard.push((at, msg));
                     }
-                    // All outboxes delivered before anyone re-drains.
-                    let t2 = wslot.as_ref().map(|_| wall_now_ns());
-                    if let (Some(w), Some(t1), Some(t2)) = (wslot.as_deref_mut(), t1, t2) {
-                        w.windows += 1;
-                        w.execute_ns += t2.saturating_sub(t1);
-                    }
+                    slots[1 - p][i].store(next, Ordering::SeqCst);
+                    let t_arrive = wslot.as_ref().map(|_| wall_now_ns());
                     barrier.wait();
-                    let t3 = wslot.as_ref().map(|_| wall_now_ns());
-                    if let (Some(w), Some(t2), Some(t3)) = (wslot.as_deref_mut(), t2, t3) {
-                        w.barrier_wait_ns += t3.saturating_sub(t2);
+                    let t_leave = wslot.as_ref().map(|_| wall_now_ns());
+                    if let (Some(w), Some(t0), Some(t1), Some(t2)) =
+                        (wslot.as_deref_mut(), t_exit, t_arrive, t_leave)
+                    {
+                        w.windows += 1;
+                        w.execute_ns += t1.saturating_sub(t0);
+                        w.barrier_wait_ns += t2.saturating_sub(t1);
                     }
+                    t_exit = t_leave;
+                    p = 1 - p;
                 }
                 drop(poison);
             });
@@ -402,6 +414,79 @@ mod tests {
             all
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// A relay shard: every event `(t, v)` with `v > 0` forwards `v - 1`
+    /// to the next shard of the ring, arriving between one and four
+    /// lookaheads later, so messages hop 0→1→2→0 until `v` runs out.
+    struct Relay {
+        id: usize,
+        peers: usize,
+        pending: Vec<(Nanos, u64)>,
+        emitted: Vec<(usize, Nanos, u64)>,
+        log: Vec<(Nanos, u64)>,
+    }
+
+    impl ShardWorld for Relay {
+        type Msg = u64;
+
+        fn next_time(&mut self) -> Option<Nanos> {
+            self.pending.iter().map(|&(t, _)| t).min()
+        }
+
+        fn run_window(&mut self, end: Nanos) {
+            self.pending.sort_unstable();
+            let cut = self.pending.partition_point(|&(t, _)| t < end);
+            for (t, v) in self.pending.drain(..cut).collect::<Vec<_>>() {
+                self.log.push((t, v));
+                if v > 0 {
+                    let hop = Nanos(LOOK.as_nanos() * (1 + v % 4));
+                    let dst = (self.id + 1) % self.peers;
+                    self.emitted.push((dst, t.saturating_add(hop), v - 1));
+                }
+            }
+        }
+
+        fn flush(&mut self) -> Vec<(usize, Nanos, u64)> {
+            std::mem::take(&mut self.emitted)
+        }
+
+        fn accept(&mut self, at: Nanos, msg: u64) {
+            self.pending.push((at, msg));
+        }
+    }
+
+    #[test]
+    fn three_shard_relay_matches_the_single_shard_log() {
+        // Only shard 0 starts with events; for most rounds the other two
+        // hold nothing but an arrival still in flight toward them, so
+        // they publish "drained" and the sender's slot alone keeps the
+        // run alive. Dropping that in-flight term would end the run early.
+        let initial = vec![(Nanos(3), 40), (Nanos(250), 31), (Nanos(251), 7)];
+        let run = |ways: usize| -> (Vec<(Nanos, u64)>, Vec<WallStats>) {
+            let mut shards: Vec<Relay> = (0..ways)
+                .map(|id| Relay {
+                    id,
+                    peers: ways,
+                    pending: if id == 0 { initial.clone() } else { Vec::new() },
+                    emitted: Vec::new(),
+                    log: Vec::new(),
+                })
+                .collect();
+            let mut wall = vec![WallStats::default(); ways];
+            run_sharded_wall(&mut shards, LOOK, Some(&mut wall));
+            let mut all: Vec<(Nanos, u64)> = shards.iter().flat_map(|s| s.log.clone()).collect();
+            all.sort_unstable();
+            (all, wall)
+        };
+        let (one, one_wall) = run(1);
+        assert_eq!(one.len(), 41 + 32 + 8, "every hop executed once");
+        let (three, three_wall) = run(3);
+        assert_eq!(one, three);
+        // Both runs step through the same window sequence.
+        for w in &three_wall {
+            assert_eq!(w.windows, one_wall[0].windows, "{three_wall:?}");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The original engine queue was a `BinaryHeap` of `(time, seq)`-ordered
 //! entries owning boxed payloads: strict `(time, seq)` pop order, ties
 //! FIFO by insertion. The slab calendar replaces it with handle-indexed
-//! storage, a same-instant FIFO lane, and tombstone cancellation — none
-//! of which may change the observable order. This test drives random
+//! storage, a 4-ary key heap, a same-instant FIFO lane, a timing wheel,
+//! and tombstone cancellation — none of which may change the observable
+//! order — and adds a keyed front class. This test drives random
 //! schedule/cancel/pop traces through both queues and asserts identical
 //! pop sequences, identical cancellation outcomes, and identical live
 //! counts at every step.
@@ -14,14 +15,22 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tengig_sim::{Calendar, EventId, Nanos};
 
-/// The pre-overhaul queue, reduced to its ordering semantics: a binary
-/// max-heap on inverted `(time, seq)` keys, payloads owned by the
-/// entries. Cancellation (which the old engine lacked) is modeled the
+/// Reference class rank of a front-class event: below every normal one.
+const FRONT: u8 = 0;
+/// Reference class rank of a normal (or timer) event.
+const NORMAL: u8 = 1;
+
+/// The pre-overhaul queue, reduced to its ordering semantics and
+/// extended by the front class: a binary max-heap on inverted
+/// `(time, class, key-or-seq)` keys, payloads owned by the entries.
+/// Normal events rank by their insertion counter, front events by the
+/// caller's key, and at one instant every front event precedes every
+/// normal one. Cancellation (which the old engine lacked) is modeled the
 /// straightforward way — an eager sweep of the backing store — so the
 /// property checks the tombstone scheme against remove-semantics, not
 /// against another lazy implementation of itself.
 struct ReferenceQueue {
-    heap: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
+    heap: BinaryHeap<Reverse<(Nanos, u8, u64, u32)>>,
     cancelled: Vec<bool>,
     seq: u64,
     now: Nanos,
@@ -39,14 +48,25 @@ impl ReferenceQueue {
         }
     }
 
-    /// Schedule a payload (its tag is its position in `cancelled`).
-    fn schedule(&mut self, at: Nanos) -> u32 {
+    /// Push a payload (its tag is its position in `cancelled`).
+    fn push(&mut self, at: Nanos, class: u8, rank: u64) -> u32 {
         let tag = self.cancelled.len() as u32;
         self.cancelled.push(false);
-        self.heap.push(Reverse((at.max(self.now), self.seq, tag)));
-        self.seq += 1;
+        self.heap
+            .push(Reverse((at.max(self.now), class, rank, tag)));
         self.live += 1;
         tag
+    }
+
+    /// Schedule a normal payload, ranked by insertion order.
+    fn schedule(&mut self, at: Nanos) -> u32 {
+        self.seq += 1;
+        self.push(at, NORMAL, self.seq)
+    }
+
+    /// Schedule a front-class payload, ranked by `key`.
+    fn schedule_front(&mut self, at: Nanos, key: u64) -> u32 {
+        self.push(at, FRONT, key)
     }
 
     fn cancel(&mut self, tag: u32) -> bool {
@@ -54,7 +74,7 @@ impl ReferenceQueue {
             return false;
         }
         // "already popped" shows as absent from the heap.
-        if !self.heap.iter().any(|Reverse((_, _, t))| *t == tag) {
+        if !self.heap.iter().any(|Reverse((_, _, _, t))| *t == tag) {
             return false;
         }
         self.cancelled[tag as usize] = true;
@@ -63,7 +83,7 @@ impl ReferenceQueue {
     }
 
     fn pop(&mut self) -> Option<(Nanos, u32)> {
-        while let Some(Reverse((at, _, tag))) = self.heap.pop() {
+        while let Some(Reverse((at, _, _, tag))) = self.heap.pop() {
             if self.cancelled[tag as usize] {
                 continue;
             }
@@ -87,12 +107,15 @@ impl ReferenceQueue {
 /// tiny offset (the near-tick fallback path, colliding with slab events
 /// on the same instant), kind 5 cancels the `pick`-th id issued so far
 /// (live, popped, or already cancelled — all three outcomes must agree
-/// across queues), and kinds 6-9 pop the earliest live event from both
-/// queues.
+/// across queues), kinds 6-7 schedule a front-class event at
+/// `now + 1 + offset` (strictly future, on the same few instants the
+/// normal events crowd), and kinds 8-10 pop the earliest live event
+/// from both queues.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Schedule { offset: u64 },
     ScheduleTimer { offset: u64 },
+    ScheduleFront { offset: u64 },
     Cancel { pick: usize },
     Pop,
 }
@@ -108,71 +131,132 @@ fn decode(kind: u8, offset: u64, pick: usize, timer_offset: u64) -> Op {
         },
         4 => Op::ScheduleTimer { offset },
         5 => Op::Cancel { pick },
+        6..=7 => Op::ScheduleFront { offset },
         _ => Op::Pop,
+    }
+}
+
+/// The calendar and the reference queue driven in lockstep.
+struct Lockstep {
+    cal: Calendar<u32>,
+    reference: ReferenceQueue,
+    ids: Vec<(EventId, u32)>,
+    /// Front-class keys issued so far; each key is a bijective scramble
+    /// of this count, so keys are unique but arrive out of order.
+    fronts: u64,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            cal: Calendar::new(),
+            reference: ReferenceQueue::new(),
+            ids: Vec::new(),
+            fronts: 0,
+        }
+    }
+
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Schedule { offset } => {
+                let at = self.cal.now() + Nanos(offset);
+                let tag = self.reference.schedule(at);
+                let id = self.cal.schedule(at, tag);
+                self.ids.push((id, tag));
+            }
+            Op::ScheduleTimer { offset } => {
+                let at = self.cal.now() + Nanos(offset);
+                let tag = self.reference.schedule(at);
+                let id = self.cal.schedule_timer(at, tag);
+                self.ids.push((id, tag));
+            }
+            Op::ScheduleFront { offset } => {
+                let at = self.cal.now() + Nanos(1 + offset);
+                // Odd multiplier mod 2^32: a bijection, so no repeats.
+                let key = self.fronts.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF;
+                self.fronts += 1;
+                let tag = self.reference.schedule_front(at, key);
+                let id = self.cal.schedule_front(at, key, tag);
+                self.ids.push((id, tag));
+            }
+            Op::Cancel { pick } if !self.ids.is_empty() => {
+                let (id, tag) = self.ids[pick % self.ids.len()];
+                let got = self.cal.cancel(id);
+                let want = self.reference.cancel(tag);
+                assert_eq!(got.is_some(), want, "cancel diverged for tag {tag}");
+                if let Some(p) = got {
+                    assert_eq!(p, tag, "cancel returned the wrong payload");
+                }
+            }
+            Op::Cancel { .. } => {}
+            Op::Pop => {
+                assert_eq!(self.cal.pop(), self.reference.pop(), "pop order diverged");
+            }
+        }
+        assert_eq!(self.cal.len(), self.reference.live, "live counts diverged");
+        assert_eq!(self.cal.now(), self.reference.now, "clocks diverged");
+    }
+
+    /// Drain both queues completely: the tails must match too.
+    fn drain(&mut self) {
+        loop {
+            let (a, b) = (self.cal.pop(), self.reference.pop());
+            assert_eq!(a, b, "drain order diverged");
+            if a.is_none() {
+                break;
+            }
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Identical pop order (FIFO-stable at equal timestamps), identical
-    /// cancellation results, identical live counts — across arbitrary
-    /// interleavings of schedule, timer-lane schedule, cancel, and pop.
+    /// Identical pop order (FIFO-stable at equal timestamps, front class
+    /// first and in key order), identical cancellation results, identical
+    /// live counts — across arbitrary interleavings of schedule,
+    /// timer-lane schedule, keyed front-class schedule, cancel, and pop.
     /// The reference queue has no wheel: this is the proof that the wheel
     /// lane is observationally identical to plain heap scheduling.
     #[test]
     fn slab_calendar_matches_the_reference_binary_heap(
         ops in proptest::collection::vec(
-            (0u8..10, 0u64..6, 0usize..64, 0u64..(1u64 << 30)),
+            (0u8..11, 0u64..6, 0usize..64, 0u64..(1u64 << 30)),
             1..400,
         )
     ) {
-        let mut cal: Calendar<u32> = Calendar::new();
-        let mut reference = ReferenceQueue::new();
-        let mut ids: Vec<(EventId, u32)> = Vec::new();
+        let mut run = Lockstep::new();
         for (kind, offset, pick, timer_offset) in ops {
-            match decode(kind, offset, pick, timer_offset) {
-                Op::Schedule { offset } => {
-                    let at = cal.now() + Nanos(offset);
-                    let tag = reference.schedule(at);
-                    let id = cal.schedule(at, tag);
-                    ids.push((id, tag));
-                }
-                Op::ScheduleTimer { offset } => {
-                    let at = cal.now() + Nanos(offset);
-                    let tag = reference.schedule(at);
-                    let id = cal.schedule_timer(at, tag);
-                    ids.push((id, tag));
-                }
-                Op::Cancel { pick } if !ids.is_empty() => {
-                    let (id, tag) = ids[pick % ids.len()];
-                    let got = cal.cancel(id);
-                    let want = reference.cancel(tag);
-                    prop_assert_eq!(
-                        got.is_some(),
-                        want,
-                        "cancel diverged for tag {}", tag
-                    );
-                    if let Some(p) = got {
-                        prop_assert_eq!(p, tag, "cancel returned the wrong payload");
-                    }
-                }
-                Op::Cancel { .. } => {}
-                Op::Pop => {
-                    prop_assert_eq!(cal.pop(), reference.pop(), "pop order diverged");
-                }
-            }
-            prop_assert_eq!(cal.len(), reference.live, "live counts diverged");
-            prop_assert_eq!(cal.now(), reference.now, "clocks diverged");
+            run.apply(decode(kind, offset, pick, timer_offset));
         }
-        // Drain both completely: the tails must match too.
-        loop {
-            let (a, b) = (cal.pop(), reference.pop());
-            prop_assert_eq!(a, b, "drain order diverged");
-            if a.is_none() {
-                break;
-            }
+        run.drain();
+    }
+
+    /// The same lockstep from a deep start: 1,500-2,000 events of all
+    /// three classes are pending before the trace begins, so the 4-ary
+    /// heap's sifts run five and more levels deep while front keys,
+    /// normal keys and timers tie on the same few hundred instants.
+    #[test]
+    fn deep_mixed_class_calendar_matches_the_reference(
+        bulk in proptest::collection::vec((0u8..4, 0u64..400), 1_500..2_000),
+        ops in proptest::collection::vec(
+            (0u8..11, 0u64..6, 0usize..4_000, 0u64..(1u64 << 30)),
+            1..400,
+        )
+    ) {
+        let mut run = Lockstep::new();
+        for (kind, at) in bulk {
+            run.apply(match kind {
+                0..=1 => Op::Schedule { offset: at },
+                2 => Op::ScheduleFront { offset: at },
+                _ => Op::ScheduleTimer { offset: at << 16 },
+            });
         }
+        prop_assert!(run.cal.len() >= 1_000, "only {} pending", run.cal.len());
+        for (kind, offset, pick, timer_offset) in ops {
+            run.apply(decode(kind, offset, pick, timer_offset));
+        }
+        run.drain();
     }
 
     /// With no cancellations at all, pop order is exactly the

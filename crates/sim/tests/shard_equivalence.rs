@@ -3,30 +3,25 @@
 //!
 //! The model is a miniature of the laboratory's grid machinery: hosts
 //! partitioned round-robin over shards, per-host accumulator state whose
-//! value depends on *application order*, messages between hosts carried
-//! through a canonically keyed ingress map and applied by a front-class
-//! drain event. The reference is the same machinery on one shard (the
-//! degenerate case `run_sharded` executes inline); the property drives
-//! random schedules through 1, 2, 3, and 4 shards and demands identical
-//! final accumulators and identical per-host event sequences —
-//! order-sensitive state, not just multisets.
+//! value depends on *application order*, and messages between hosts
+//! scheduled in the calendar's front class under a canonical key minted
+//! from a per-source-host emission counter. The reference is the same
+//! machinery on one shard (the degenerate case `run_sharded` executes
+//! inline); the property drives random schedules through 1, 2, 3, and 4
+//! shards and demands identical final accumulators and identical
+//! per-host event sequences — order-sensitive state, not just multisets.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use tengig_sim::{run_sharded, Calendar, Nanos, ShardWorld};
 
 /// Minimum flight time of any cross-host message: the lookahead bound.
 const LOOK: u64 = 64;
 
-/// One calendar entry: `(host, value, canonical key)`; a drain sentinel
-/// uses `host == usize::MAX`.
-type Entry = (usize, u64, u64);
+/// One calendar entry: `(host, value)`.
+type Entry = (usize, u64);
 
 /// Cross-shard message: `(destination host, value, canonical key)`.
 type Msg = (usize, u64, u64);
-
-/// The drain sentinel payload.
-const DRAIN: Entry = (usize::MAX, 0, 0);
 
 struct MiniShard {
     shard: usize,
@@ -40,8 +35,6 @@ struct MiniShard {
     log: Vec<Vec<(u64, u64)>>,
     /// Per-source-host emission ordinals for canonical keys.
     emit: Vec<u64>,
-    /// Ordered ingress: `(arrival time, canonical key) -> (dst, val)`.
-    inbox: BTreeMap<(u64, u64), (usize, u64)>,
     /// Messages bound for other shards.
     out: Vec<(usize, Nanos, Msg)>,
 }
@@ -56,12 +49,11 @@ impl MiniShard {
             acc: vec![0; hosts],
             log: vec![Vec::new(); hosts],
             emit: vec![0; hosts],
-            inbox: BTreeMap::new(),
             out: Vec::new(),
         };
         for &(t, h, v) in initial {
             if s.owns(h) {
-                s.cal.schedule(Nanos(t), (h, v, 0));
+                s.cal.schedule(Nanos(t), (h, v));
             }
         }
         s
@@ -72,8 +64,8 @@ impl MiniShard {
     }
 
     /// Apply one value to a host and, when divisible by 3, emit a
-    /// decreasing follow-up message to a neighbor — through the ingress
-    /// channel whether or not the destination is local.
+    /// decreasing follow-up message to a neighbor — as a keyed
+    /// front-class event whether or not the destination is local.
     fn apply(&mut self, now: u64, h: usize, v: u64) {
         self.acc[h] = self.acc[h].wrapping_mul(31).wrapping_add(v);
         self.log[h].push((now, v));
@@ -84,31 +76,11 @@ impl MiniShard {
             let key = ((h as u64) << 32) | self.emit[h];
             self.emit[h] += 1;
             if self.owns(dst) {
-                self.ingress(at, key, dst, next);
+                self.cal.schedule_front(Nanos(at), key, (dst, next));
             } else {
                 self.out
                     .push((dst % self.shards, Nanos(at), (dst, next, key)));
             }
-        }
-    }
-
-    /// Insert into the ordered ingress map, scheduling the front-class
-    /// drain if this is the instant's first pending message.
-    fn ingress(&mut self, at: u64, key: u64, dst: usize, val: u64) {
-        let fresh = self.inbox.range((at, 0)..=(at, u64::MAX)).next().is_none();
-        let prev = self.inbox.insert((at, key), (dst, val));
-        assert!(prev.is_none(), "canonical key collided");
-        if fresh {
-            self.cal.schedule_front(Nanos(at), DRAIN);
-        }
-    }
-
-    /// Apply every pending ingress message of the current instant in
-    /// canonical key order.
-    fn drain(&mut self, now: u64) {
-        while let Some((&k, _)) = self.inbox.range((now, 0)..=(now, u64::MAX)).next() {
-            let (dst, val) = self.inbox.remove(&k).expect("key just observed");
-            self.apply(now, dst, val);
         }
     }
 }
@@ -125,12 +97,8 @@ impl ShardWorld for MiniShard {
             if t >= end {
                 break;
             }
-            let (at, (h, v, _)) = self.cal.pop().expect("peeked");
-            if h == usize::MAX {
-                self.drain(at.as_nanos());
-            } else {
-                self.apply(at.as_nanos(), h, v);
-            }
+            let (at, (h, v)) = self.cal.pop().expect("peeked");
+            self.apply(at.as_nanos(), h, v);
         }
     }
 
@@ -140,7 +108,7 @@ impl ShardWorld for MiniShard {
 
     fn accept(&mut self, at: Nanos, (dst, val, key): Msg) {
         assert!(self.owns(dst), "message routed to a non-owning shard");
-        self.ingress(at.as_nanos(), key, dst, val);
+        self.cal.schedule_front(at, key, (dst, val));
     }
 }
 
@@ -184,5 +152,25 @@ proptest! {
             prop_assert_eq!(&reference.0, &sharded.0, "accumulators diverged at {} shards", shards);
             prop_assert_eq!(&reference.1, &sharded.1, "per-host logs diverged at {} shards", shards);
         }
+    }
+}
+
+/// Two hosts on two different shards each send host 2 a message that
+/// lands at the same instant, where host 2 also has a local event. The
+/// two arrivals reach host 2's shard from different source shards (in
+/// whatever order the runner delivers them) and must apply in canonical
+/// key order — host 0's before host 1's — ahead of the local event, at
+/// every shard count.
+#[test]
+fn same_instant_arrivals_from_two_source_shards_apply_in_key_order() {
+    let hosts = 5;
+    // Host 0 applies 6 at t=19: emits 2 to host (0+1+6%5)%5 = 2 at
+    // 19+64+6 = 89. Host 1 applies 15 at t=10: emits 5 to host
+    // (1+1+15%5)%5 = 2 at 10+64+15 = 89. Host 2 applies 1 at 89 itself.
+    let initial = [(10, 1, 15), (19, 0, 6), (89, 2, 1)];
+    let want = vec![(89, 2), (89, 5), (89, 1)];
+    for shards in 1usize..=4 {
+        let (_, log) = run(shards, hosts, &initial);
+        assert_eq!(log[2], want, "host 2's order at {shards} shards");
     }
 }
