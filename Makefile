@@ -5,11 +5,13 @@
 # increasing cost — lint (static: runs its own selftests, then lints the
 # live tree and byte-compares the JSON report against
 # goldens/lint_baseline.json) before golden-check (dynamic: full
-# pinned-seed sweeps of every registered family). golden-check itself
-# runs the single-calendar families first and the sharded ones last, so a
+# pinned-seed sweeps of every registered family). Every family runs the
+# same execution semantics; golden-check runs the families that take no
+# shard count first and the ones gated at shards {1, 2, 4} last, so a
 # plain determinism break surfaces in the cheaper gates first and a
-# shard-only failure points straight at the shard layer. A static
-# violation fails in seconds instead of after a minute of simulation.
+# failure that appears only at 2 or 4 shards points straight at the
+# partition. A static violation fails in seconds instead of after a
+# minute of simulation.
 
 CARGO ?= cargo
 

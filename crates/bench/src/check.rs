@@ -78,8 +78,8 @@ pub struct Output {
 pub struct Family {
     /// Command-line name (`tengig-check <name>`).
     pub name: &'static str,
-    /// Shard counts the full gate covers. Single-calendar families
-    /// ignore the shard argument and list `[1]`.
+    /// Shard counts the full gate covers. Families whose worlds take no
+    /// shard count ignore the argument and list `[1]`.
     pub shards: &'static [usize],
     /// The pinned computation at `(shards, sweep threads)`: one document
     /// per entry of `outputs`, in order.
@@ -88,9 +88,9 @@ pub struct Family {
     pub outputs: &'static [Output],
 }
 
-/// Every gated family, in increasing cost: the single-calendar gates
-/// first, the sharded ones last, so a plain determinism break surfaces
-/// before a shard-only one.
+/// Every gated family, in increasing cost: the families that take no
+/// shard count first, the ones gated at several shard counts last, so a
+/// plain determinism break surfaces before one that needs a partition.
 pub static REGISTRY: &[Family] = &[
     // Metrics sidecar thread-identical; the obs-disabled and obs-enabled
     // reports both equal the golden, so the side channel never touches
@@ -133,8 +133,8 @@ pub static REGISTRY: &[Family] = &[
             },
         ],
     },
-    // Exact event and sim-byte counts of seven pinned single-calendar
-    // workloads, one line each; the seven run as one parallel sweep.
+    // Exact event and sim-byte counts of seven pinned workloads, one
+    // line each; the seven run as one parallel sweep.
     Family {
         name: "counts",
         shards: &[1],

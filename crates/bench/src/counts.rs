@@ -163,8 +163,8 @@ fn grid_fabric() -> (u64, u64) {
 
 /// Run every workload as one sweep on `threads` workers and render the
 /// counts document. Each workload keeps its own pinned seed, so the
-/// scenario seeds go unused. Single-calendar: the shard argument is
-/// ignored.
+/// scenario seeds go unused. The shard argument is ignored: the fabric
+/// workload pins one shard.
 pub fn counts(_shards: usize, threads: usize) -> Vec<String> {
     let grid = scenarios(SEED, WORKLOADS, |(name, _)| name.to_string());
     let results = SweepRunner::new(threads)

@@ -20,7 +20,7 @@ pub mod wan;
 use crate::config::HostConfig;
 use crate::lab::{App, Lab, LabEngine};
 use tengig_net::{Hop, Path};
-use tengig_sim::{Bandwidth, Engine, Nanos, SimRng};
+use tengig_sim::{Bandwidth, Nanos, SimRng};
 
 /// Crossover-cable one-way propagation (a few meters of fiber).
 pub const XOVER_PROP: Nanos = Nanos::from_nanos(50);
@@ -41,9 +41,8 @@ pub fn b2b_lab(cfg: HostConfig, app: App, seed: u64) -> (Lab, LabEngine) {
 /// Build the two-host world every point-to-point experiment runs in:
 /// host 0 (`cfg_a`) sends `app`'s data to host 1 (`cfg_b`) over `fwd`,
 /// and ACKs return over `rev`. The links draw from `seed`'s RNG forked
-/// `"fwd"` and `"rev"`; the engine carries a 2·10⁹ event limit and the
-/// default sanitizer. Run it with [`run_to_completion`] or
-/// [`run_window`].
+/// `"fwd"` and `"rev"`; the engine is [`crate::lab::engine`]'s. Run it
+/// with [`run_to_completion`] or [`run_window`].
 pub fn pair(
     cfg_a: HostConfig,
     cfg_b: HostConfig,
@@ -62,9 +61,7 @@ pub fn pair(
     let l_fwd = lab.add_link(fwd, rng.fork("fwd"));
     let l_rev = lab.add_link(rev, rng.fork("rev"));
     lab.add_flow(a, b, vec![l_fwd], vec![l_rev], app);
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    crate::lab::install_default_sanitizer(&mut lab, &mut eng, seed);
+    let eng = crate::lab::engine(&mut lab, seed);
     (lab, eng)
 }
 

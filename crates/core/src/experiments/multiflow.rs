@@ -9,7 +9,7 @@ use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_net::{Hop, Path};
 use tengig_nic::NicSpec;
-use tengig_sim::{rate_of, Bandwidth, Engine, Nanos, SimRng};
+use tengig_sim::{rate_of, Bandwidth, Nanos, SimRng};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -145,9 +145,7 @@ pub fn aggregate_seeded(
         }
     }
 
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
+    let mut eng = lab::engine(&mut lab, seed);
     let read = |lab: &Lab, at| {
         let bytes: u64 = lab.flows.iter().map(|f| f.app.received()).sum();
         (bytes, lab.hosts[big].hottest_cpu_busy(at))

@@ -8,17 +8,19 @@
 //! merges per-flow results by reading each value from the shard that
 //! owns the host that produced it.
 //!
-//! Determinism is anchored in the calendar's **keyed front class**
-//! ([`tengig_sim::Calendar::schedule_front`]): in grid mode *every* wire
-//! arrival — local or cross-shard — is one [`Ev::FrameArrival`]
-//! scheduled in the front class under a canonical key minted from a
-//! per-(flow, endpoint) emission counter on the transmitting shard. The
-//! key is a pure function of the simulation's own history, never of
-//! thread interleaving, and it replaces the insertion counter as the
-//! event's sequence number. An instant's arrivals therefore pop in key
-//! order, before any normal event of that instant, whichever shard
-//! count produced them and in whatever order the shard runner delivered
-//! them — so sweep JSONL is byte-identical at 1, 2, and N shards.
+//! Every lab, partitioned or not, runs one event semantics, anchored in
+//! the calendar's **keyed front class**
+//! ([`tengig_sim::Calendar::schedule_front`]): *every* wire arrival —
+//! local or cross-shard — is one [`Ev::FrameArrival`] scheduled in the
+//! front class under a canonical key minted from its flow's
+//! per-endpoint emission counter ([`FlowRt`]) on the transmitting
+//! shard. The key is a pure function of the simulation's own history,
+//! never of thread interleaving, and it replaces the insertion counter
+//! as the event's sequence number. An instant's arrivals therefore pop
+//! in key order, before any normal event of that instant, whichever
+//! shard count produced them and in whatever order the shard runner
+//! delivered them — so sweep JSONL is byte-identical unpartitioned and
+//! at 1, 2, and N shards.
 //!
 //! Partition-safety rule: a link may only be shared by flows whose
 //! *transmitting* hosts live on the same shard (the grid experiment
@@ -27,16 +29,15 @@
 //! disjoint state, so the cross-host seq-order differences between shard
 //! counts cannot be observed.
 //!
-//! The partition itself lives here and nowhere else: [`Grid::build`]
-//! assigns hosts to shards round-robin by index, and the finished world is read
-//! back through owner-side accessors ([`Grid::tx`], [`Grid::rx`],
+//! The partition itself lives here and nowhere else: [`GridRt`] is only
+//! the ownership map and the outbox, [`Grid::build`] assigns hosts to
+//! shards round-robin by index, and the finished world is read back
+//! through owner-side accessors ([`Grid::tx`], [`Grid::rx`],
 //! [`Grid::host`]) so no experiment does owner arithmetic by hand.
 
 use super::{Ev, FlowRt, HostRt, Lab, LabEngine};
 use tengig_net::Delivery;
-use tengig_sim::{
-    run_sharded_wall, Engine, Hist, Nanos, ObsConfig, ShardWorld, Timelines, WallStats,
-};
+use tengig_sim::{run_sharded_wall, Hist, Nanos, ObsConfig, ShardWorld, Timelines, WallStats};
 use tengig_tcp::Segment;
 
 /// One wire arrival: the fields of the [`Ev::FrameArrival`] that applies it.
@@ -67,14 +68,15 @@ impl Arrival {
 /// A cross-shard message: an arrival bound for a host another shard owns.
 #[derive(Debug, Clone, Copy)]
 pub struct GridMsg {
-    /// Canonical front-class key (see `GridRt::next_key`).
+    /// Canonical front-class key, minted by the transmitting flow
+    /// endpoint (see the module docs).
     pub key: u64,
     /// The arrival itself.
     pub arr: Arrival,
 }
 
-/// Per-shard grid runtime: the ownership map, the canonical key mint,
-/// and the cross-shard outbox.
+/// Per-shard grid runtime: the ownership map and the cross-shard outbox.
+/// A lab without one owns every host and link.
 #[derive(Debug)]
 pub struct GridRt {
     /// Total shard count.
@@ -87,10 +89,9 @@ pub struct GridRt {
     /// the link (`None` for a link no flow routes). Filled by
     /// [`Lab::enable_grid`].
     link_tx: Vec<Option<usize>>,
-    /// Per-(flow, endpoint) emission counters for canonical keys. The
-    /// counter advances only on the shard owning the transmitting host,
-    /// in virtual-time order — identical at any shard count.
-    emit: Vec<[u64; 2]>,
+    /// Flow count of the lab this runtime partitions (checked by
+    /// [`Lab::enable_grid`]).
+    flows: usize,
     /// Messages bound for other shards, drained by [`ShardWorld::flush`].
     outbox: Vec<(usize, Nanos, GridMsg)>,
     /// Cross-shard messages this shard emitted (deterministic, but a
@@ -120,7 +121,7 @@ impl GridRt {
             shard,
             owner,
             link_tx: Vec::new(),
-            emit: vec![[0; 2]; flows],
+            flows,
             outbox: Vec::new(),
             msgs_sent: 0,
             drain_batch: Hist::new(),
@@ -128,9 +129,9 @@ impl GridRt {
         }
     }
 
-    /// Flows the key mint covers.
+    /// Flow count the runtime was built for.
     pub(super) fn flows(&self) -> usize {
-        self.emit.len()
+        self.flows
     }
 
     /// Whether this shard owns host `h`.
@@ -161,27 +162,13 @@ impl GridRt {
     pub(super) fn owns_link(&self, l: usize) -> bool {
         self.link_tx[l].is_some_and(|h| self.owns(h))
     }
-
-    /// Mint the canonical front-class key for the next delivery emitted
-    /// by flow `f`'s endpoint `src_ep`: `(f << 32) | (src_ep << 31) | n`
-    /// with `n` the per-(flow, endpoint) emission ordinal. Keys are
-    /// unique by construction (each (f, ep) mints its own ordinals) and
-    /// shard-count-invariant (the mint happens on the one shard that
-    /// executes the emission, in virtual-time order).
-    fn next_key(&mut self, f: usize, src_ep: usize) -> u64 {
-        let n = self.emit[f][src_ep];
-        self.emit[f][src_ep] += 1;
-        debug_assert!(n < 1 << 31, "emission ordinal overflow");
-        ((f as u64) << 32) | ((src_ep as u64) << 31) | n
-    }
 }
 
-/// Route one wire delivery: an arrival for an owned host becomes a
-/// front-class [`Ev::FrameArrival`] under its canonical key; an arrival
-/// for a remote host retires its bytes from this shard's conservation
-/// ledger and rides the outbox to the owning shard, which schedules it
-/// the same way in [`GridShard::accept`]. Called from `tx_wire` in place
-/// of the classic normal-class `Ev::FrameArrival`.
+/// Route one wire delivery: an arrival for a host this replica runs
+/// becomes a front-class [`Ev::FrameArrival`] under its canonical key;
+/// an arrival for a host another shard owns retires its bytes from this
+/// shard's conservation ledger and rides the outbox to the owning shard,
+/// which schedules it the same way in [`GridShard::accept`].
 pub(super) fn route_arrival(
     lab: &mut Lab,
     eng: &mut LabEngine,
@@ -192,9 +179,7 @@ pub(super) fn route_arrival(
 ) {
     let now = eng.now();
     let dst_host = lab.flows[f].host[dst_ep];
-    let src_ep = 1 - dst_ep;
-    let grid = lab.grid.as_mut().expect("route_arrival outside grid mode");
-    let key = grid.next_key(f, src_ep);
+    let key = lab.flows[f].next_key(f, 1 - dst_ep);
     let arr = Arrival {
         f,
         ep: dst_ep,
@@ -202,17 +187,20 @@ pub(super) fn route_arrival(
         corrupted: d.corrupted,
     };
     debug_assert!(d.at > now, "wire delivery cannot be instantaneous");
-    if grid.owns(dst_host) {
-        eng.schedule_front_at(d.at, key, arr.event());
-    } else {
-        let dst_shard = grid.owner[dst_host];
-        grid.msgs_sent += 1;
-        grid.outbox.push((dst_shard, d.at, GridMsg { key, arr }));
-        // Byte-conservation handoff: the frame leaves this shard's
-        // ledger here and re-enters the owning shard's at accept time.
-        let wire = tengig_ethernet::Mtu::wire_bytes_for(seg.ip_bytes());
-        if let Some(s) = eng.sanitizer_mut() {
-            s.deliver(now, wire);
+    match &mut lab.grid {
+        Some(grid) if !grid.owns(dst_host) => {
+            let dst_shard = grid.owner[dst_host];
+            grid.msgs_sent += 1;
+            grid.outbox.push((dst_shard, d.at, GridMsg { key, arr }));
+            // Byte-conservation handoff: the frame leaves this shard's
+            // ledger here and re-enters the owning shard's at accept time.
+            let wire = tengig_ethernet::Mtu::wire_bytes_for(seg.ip_bytes());
+            if let Some(s) = eng.sanitizer_mut() {
+                s.deliver(now, wire);
+            }
+        }
+        _ => {
+            eng.schedule_front_at(d.at, key, arr.event());
         }
     }
 }
@@ -275,10 +263,10 @@ pub struct Grid {
 
 impl Grid {
     /// Build `shards` replicas of the world `world` assembles. Each
-    /// replica gets the host-round-robin owner map, grid mode, the
-    /// observability layer when `obs` is set, an engine, the default
-    /// sanitizer, and its flow starts: the arrival instants `arrivals`
-    /// ([`super::kick_at`]) or, without them, the staggered [`super::kick`].
+    /// replica gets the host-round-robin owner map, the observability
+    /// layer when `obs` is set, an [`super::engine`], and its flow
+    /// starts: the arrival instants `arrivals` ([`super::kick_at`]) or,
+    /// without them, the staggered [`super::kick`].
     /// `world` must build the identical lab every call (same seed, same
     /// RNG fork labels, same index order).
     pub fn build(
@@ -299,9 +287,7 @@ impl Grid {
                 if let Some(cfg) = obs {
                     lab.enable_obs(cfg, seed);
                 }
-                let mut eng = Engine::new();
-                eng.event_limit = 2_000_000_000;
-                super::install_default_sanitizer(&mut lab, &mut eng, seed);
+                let mut eng = super::engine(&mut lab, seed);
                 match arrivals {
                     Some(at) => super::kick_at(&mut lab, &mut eng, at),
                     None => super::kick(&mut lab, &mut eng),

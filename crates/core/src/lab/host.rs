@@ -217,7 +217,7 @@ impl HostRt {
     /// [`HostRt::hottest_cpu_busy`] this is purely event-driven — it only
     /// changes when work is admitted, never as wall-of-sim time elapses —
     /// so a dormant grid shard's value is exactly frozen, which is what
-    /// makes it safe to sample from grid-mode observability (see
+    /// makes it safe to sample from a shard's observability (see
     /// [`crate::lab::grid`] on merge invariance).
     pub fn hottest_cpu_busy_total(&self) -> Nanos {
         (0..self.cpu.len())

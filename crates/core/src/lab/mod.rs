@@ -196,9 +196,9 @@ impl Ev {
 /// domain (pure functions of the event history), so they are bitwise
 /// reproducible for a fixed configuration. Fired counts and the batch
 /// histogram are additionally **shard-count-invariant when summed over
-/// shards** in grid mode — every event fires on exactly one shard —
-/// while the pool split is per-shard only (each replica grows its own
-/// pool). See `DESIGN.md` §16 for the full invariance argument.
+/// shards** in a partitioned world — every event fires on exactly one
+/// shard — while the pool split is per-shard only (each replica grows
+/// its own pool). See `DESIGN.md` §16 for the full invariance argument.
 #[derive(Debug, Clone, Default)]
 pub struct LabProf {
     /// Events fired, by [`Ev::prof_idx`] kind.
@@ -433,6 +433,26 @@ pub struct FlowRt {
     /// the one-time work (CPU baselines, connection-open stamps) is
     /// gated here.
     started: bool,
+    /// Wire deliveries emitted so far, per transmitting endpoint: the
+    /// ordinals of the canonical arrival keys ([`FlowRt::next_key`]).
+    emit: [u64; 2],
+}
+
+impl FlowRt {
+    /// Mint the canonical front-class key for the next delivery this
+    /// flow (index `f`) emits from endpoint `src_ep`: `(f << 32) |
+    /// (src_ep << 31) | n` with `n` the per-endpoint emission ordinal.
+    /// Keys are unique by construction (each (flow, endpoint) mints its
+    /// own ordinals) and shard-count-invariant (the mint happens where
+    /// the emission executes, in virtual-time order). An ordinal past
+    /// 2³¹ would spill into the endpoint bit and collide with the peer's
+    /// keys, so it panics in release builds too.
+    fn next_key(&mut self, f: usize, src_ep: usize) -> u64 {
+        let n = self.emit[src_ep];
+        assert!(n < 1 << 31, "emission ordinal overflow");
+        self.emit[src_ep] = n + 1;
+        ((f as u64) << 32) | ((src_ep as u64) << 31) | n
+    }
 }
 
 /// Live state of the observability layer while a lab run has metrics
@@ -443,14 +463,9 @@ struct ObsRt {
     interval: Nanos,
     /// The step-series being accumulated.
     timelines: Timelines,
-    /// Previous hottest-CPU busy snapshot per host, for per-interval
-    /// utilization deltas (classic mode only; grid mode samples the
-    /// cumulative [`MetricKind::CpuBusyNanos`] instead).
-    cpu_prev: Vec<Nanos>,
-    /// Whether an [`Ev::ObsSample`] is scheduled. In grid mode the chain
-    /// stops when the shard's calendar drains and is revived by the next
-    /// cross-shard message (see [`obs_revive`]); in classic mode it stays
-    /// armed until every workload completes.
+    /// Whether an [`Ev::ObsSample`] is scheduled. The chain stops when
+    /// the calendar drains; on a shard it is revived by the next
+    /// cross-shard message (see [`obs_revive`]).
     armed: bool,
 }
 
@@ -470,10 +485,11 @@ pub struct Lab {
     /// Metrics-timeline sampling state (None = observability disabled; the
     /// disabled path schedules zero events and records zero samples).
     obs: Option<ObsRt>,
-    /// Grid (sharded-execution) runtime. `None` = classic whole-world
-    /// execution; `Some` schedules every wire arrival in the calendar's
-    /// canonically keyed front class (or ships it to the owning shard)
-    /// and restricts [`kick`] to the hosts this shard owns (see [`grid`]).
+    /// The partition: which hosts and links this replica owns. `None`
+    /// means it owns every host and link. Execution semantics do not
+    /// depend on it; it only decides which flows [`kick`] starts, which
+    /// scopes obs samples, and whether an arrival is scheduled here or
+    /// shipped to its owning shard (see [`grid`]).
     grid: Option<GridRt>,
     /// Deterministic self-profiling counters (always on: pure integer
     /// increments on paths that already touch the counted state).
@@ -494,10 +510,11 @@ impl Lab {
         }
     }
 
-    /// Switch this replica into grid (sharded) execution. Call after the
-    /// topology is fully assembled (the runtime's owner map and key mint
-    /// must match the current host/flow counts, and it names each link's
-    /// transmitting host from the current routes) and before [`kick`].
+    /// Make this replica one shard of a partitioned world. Call after the
+    /// topology is fully assembled (the runtime's owner map and flow
+    /// count must match the current host/flow counts, and it names each
+    /// link's transmitting host from the current routes) and before
+    /// [`kick`].
     pub fn enable_grid(&mut self, mut g: GridRt) {
         assert_eq!(
             g.owner.len(),
@@ -513,13 +530,13 @@ impl Lab {
         self.grid = Some(g);
     }
 
-    /// The grid runtime, if this lab executes as one shard of a grid.
+    /// The partition, if this lab executes as one shard of a grid.
     pub fn grid(&self) -> Option<&GridRt> {
         self.grid.as_ref()
     }
 
     /// Whether this replica executes host `h`'s events: the shard owning
-    /// it in grid mode, always otherwise.
+    /// it in a partitioned world, always otherwise.
     fn runs_host(&self, h: usize) -> bool {
         self.grid.as_ref().map_or(true, |g| g.owns(h))
     }
@@ -587,6 +604,7 @@ impl Lab {
             read_scheduled: [false, false],
             timer_ids: [[None; 2]; 2],
             started: false,
+            emit: [0, 0],
         });
         self.flows.len() - 1
     }
@@ -625,7 +643,6 @@ impl Lab {
         self.obs = Some(ObsRt {
             interval,
             timelines: Timelines::new(interval),
-            cpu_prev: vec![Nanos::ZERO; self.hosts.len()],
             armed: true,
         });
     }
@@ -682,6 +699,16 @@ pub fn install_default_sanitizer(lab: &mut Lab, eng: &mut LabEngine, seed: u64) 
         eng.install_sanitizer(Sanitizer::new(seed));
         lab.arm_flight_recorder(FLIGHT_RING);
     }
+}
+
+/// A fresh engine for `lab`: a 2·10⁹ event limit (a livelock guard far
+/// above any pinned workload) and the default sanitizer recording `seed`
+/// ([`install_default_sanitizer`]). Every experiment world runs on one.
+pub fn engine(lab: &mut Lab, seed: u64) -> LabEngine {
+    let mut eng = Engine::new();
+    eng.event_limit = 2_000_000_000;
+    install_default_sanitizer(lab, &mut eng, seed);
+    eng
 }
 
 /// Collect the flight-recorder dump: every host's ring of recent trace
@@ -749,9 +776,9 @@ pub fn kick(lab: &mut Lab, eng: &mut LabEngine) {
 /// Start flows at explicit arrival instants — the open-loop workload
 /// plane. `arrivals[f]` is flow `f`'s absolute start time, typically a
 /// pre-built [`tengig_sim::build_schedule`] draw, so the generator costs
-/// zero RNG draws and zero events inside the run itself. In grid mode only
-/// the flows whose transmitting host this shard owns are started — each
-/// flow's driver runs on exactly one shard. With observability on, the
+/// zero RNG draws and zero events inside the run itself. On a shard only
+/// the flows whose transmitting host it owns are started — each flow's
+/// driver runs on exactly one shard. With observability on, the
 /// first sample is armed one interval in.
 pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
     assert_eq!(
@@ -770,32 +797,29 @@ pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
 }
 
 /// One observability sample: read every flow's TCP state, every host's
-/// NIC/CPU state, and every link's queue state into the step-series, then
-/// re-arm the sampling timer (until all workloads complete, so a finished
-/// run's calendar drains).
+/// NIC/CPU state, and every link's drop counters into the step-series,
+/// then re-arm the sampling timer while the calendar holds any event (so
+/// every active phase is sampled on the global k·interval grid and a
+/// finished run's calendar drains).
 ///
 /// Strictly read-only with respect to the simulation: no resource is
 /// admitted, no randomness drawn, no connection touched — so enabling
 /// observability never changes what a run measures.
 ///
-/// In grid mode each shard samples **only the scopes it owns** — flow
-/// endpoints on owned hosts, owned hosts, links whose transmitting host
-/// it owns ([`GridRt::owns_link`]) — so the per-shard timelines
-/// partition the scope space and [`Timelines::merge`] reassembles a
-/// shard-count-invariant whole. Two
-/// metrics change shape to keep that invariant: per-interval
-/// [`MetricKind::CpuPermille`] deltas become the cumulative
-/// [`MetricKind::CpuBusyNanos`] (a dormant shard's value is exactly
-/// frozen, so skipped samples collapse away), and the time-decaying
-/// [`MetricKind::QueueBytes`] is skipped (its value depends on *when* the
-/// owning shard happens to sample).
+/// A shard samples **only the scopes it owns** — flow endpoints on owned
+/// hosts, owned hosts, links whose transmitting host it owns
+/// ([`GridRt::owns_link`]) — so the per-shard timelines partition the
+/// scope space and [`Timelines::merge`] reassembles the same whole an
+/// unpartitioned run records. Every metric keeps that invariant: host
+/// CPU is the cumulative [`MetricKind::CpuBusyNanos`] (a dormant shard's
+/// value is exactly frozen, so skipped samples collapse away), and no
+/// metric decays with *when* the owning shard happens to sample.
 fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
     let now = eng.now();
     let Some(mut obs) = lab.obs.take() else {
         return;
     };
     let tl = &mut obs.timelines;
-    let grid_mode = lab.grid.is_some();
     for (f, flow) in lab.flows.iter().enumerate() {
         for ep in 0..2 {
             if !lab.runs_host(flow.host[ep]) {
@@ -824,24 +848,12 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
             continue;
         }
         let scope = Scope::Host { host: h as u32 };
-        if grid_mode {
-            tl.record(
-                scope,
-                MetricKind::CpuBusyNanos,
-                now,
-                host.hottest_cpu_busy_total().as_nanos(),
-            );
-        } else {
-            let busy = host.hottest_cpu_busy(now);
-            let delta = busy.saturating_sub(obs.cpu_prev[h]);
-            obs.cpu_prev[h] = busy;
-            let permille = if obs.interval == Nanos::ZERO {
-                0
-            } else {
-                (delta.as_nanos().saturating_mul(1000) / obs.interval.as_nanos()).min(1000)
-            };
-            tl.record(scope, MetricKind::CpuPermille, now, permille);
-        }
+        tl.record(
+            scope,
+            MetricKind::CpuBusyNanos,
+            now,
+            host.hottest_cpu_busy_total().as_nanos(),
+        );
         tl.record(
             scope,
             MetricKind::RxRingFrames,
@@ -867,31 +879,19 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
             continue;
         }
         let scope = Scope::Link { link: l as u32 };
-        if !grid_mode {
-            let backlog: u64 = link.hops.iter().map(|hop| hop.backlog_bytes(now)).sum();
-            tl.record(scope, MetricKind::QueueBytes, now, backlog);
-        }
         tl.record(scope, MetricKind::QueueDrops, now, link.total_drops());
         tl.record(scope, MetricKind::ImpairDrops, now, link.impair_drops());
     }
-    let interval = obs.interval;
-    // Classic mode stops sampling once every workload completes; grid
-    // mode re-arms while this shard's calendar holds any event (so every
-    // active phase is sampled on the global k·interval grid) and goes
-    // dormant when it drains — revived by the next cross-shard message.
-    let rearm = if grid_mode {
-        eng.pending() > 0
-    } else {
-        !lab.all_done()
-    };
-    obs.armed = rearm;
-    lab.obs = Some(obs);
-    if rearm {
-        eng.schedule_event_at(now + interval, Ev::ObsSample);
+    // A shard whose calendar drained goes dormant here and is revived by
+    // the next cross-shard message.
+    obs.armed = eng.pending() > 0;
+    if obs.armed {
+        eng.schedule_event_at(now + obs.interval, Ev::ObsSample);
     }
+    lab.obs = Some(obs);
 }
 
-/// Grid-mode revival of a dormant sampling chain: when a cross-shard
+/// Revival of a shard's dormant sampling chain: when a cross-shard
 /// message lands on a shard whose [`Ev::ObsSample`] chain stopped (its
 /// calendar had drained), restart it at the next multiple of the sampling
 /// interval at or after the message's arrival instant — exactly the grid
@@ -1233,22 +1233,7 @@ fn tx_wire(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Seg
         if d.reordered {
             host.probe(now, Stage::ImpairReorder, seg.seq, wire, Nanos::ZERO);
         }
-        if lab.grid.is_some() {
-            // Grid mode: every arrival — local or cross-shard — is a
-            // canonically keyed front-class FrameArrival, so application
-            // order is shard-count-invariant.
-            grid::route_arrival(lab, eng, f, dst_ep, seg, d);
-        } else {
-            eng.schedule_event_at(
-                d.at,
-                Ev::FrameArrival {
-                    f,
-                    ep: dst_ep,
-                    seg,
-                    corrupted: d.corrupted,
-                },
-            );
-        }
+        grid::route_arrival(lab, eng, f, dst_ep, seg, d);
     }
 }
 
@@ -1609,6 +1594,22 @@ mod tests {
             tx: NttcpSender::new(payload, count),
             rx: NttcpReceiver::new(payload * count),
         }
+    }
+
+    /// A key ordinal at 2³¹ would spill into the endpoint bit and alias
+    /// the peer's keys; the mint refuses it in release builds too.
+    #[test]
+    #[should_panic(expected = "emission ordinal overflow")]
+    fn key_mint_rejects_an_ordinal_overflow() {
+        let (mut lab, _) = b2b_lab(
+            LadderRung::Stock.pe2650_config(Mtu::STANDARD),
+            nttcp(1448, 1),
+            1,
+        );
+        let flow = &mut lab.flows[0];
+        flow.emit[0] = (1 << 31) - 1;
+        assert_eq!(flow.next_key(0, 0), (1 << 31) - 1);
+        flow.next_key(0, 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! parallelism axes as orthogonal.
 
 use tengig::experiments::grid::{grid_sweep_report, run_grid, standard_presets, GridPreset};
-use tengig::experiments::XOVER_PROP;
-use tengig::lab::{Grid, GridRt};
+use tengig::experiments::{pair, run_to_completion, XOVER_PROP};
+use tengig::lab::{Ev, Grid, GridRt};
 use tengig::sweep::SweepRunner;
 use tengig::{App, Lab, LadderRung};
 use tengig_ethernet::Mtu;
@@ -127,9 +127,59 @@ fn each_link_is_sampled_by_the_shard_owning_its_transmitter() {
     }
 }
 
-/// A grid runtime whose key mint covers fewer flows than the lab holds
-/// is rejected when grid mode is switched on, not at the first emission
-/// deep inside the event loop.
+/// Every lab runs one execution semantics: a back-to-back world run
+/// unpartitioned through `experiments::pair` equals the same world run
+/// through `Grid` at 1 and 2 shards — completion instant, delivered
+/// bytes, events net of obs samples, and the merged timelines byte for
+/// byte.
+#[test]
+fn an_unpartitioned_pair_equals_the_same_world_on_a_grid() {
+    const SEED: u64 = 7;
+    let path = Path {
+        hops: vec![Hop::wire("xover", Bandwidth::from_gbps(10), XOVER_PROP)],
+    };
+    let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    let obs = ObsConfig {
+        sample_interval: Nanos::from_micros(100),
+        ..ObsConfig::default()
+    };
+    let world = || {
+        let app = App::Nttcp {
+            tx: NttcpSender::new(8948, 20_000),
+            rx: NttcpReceiver::new(8948 * 20_000),
+        };
+        pair(cfg, cfg, &path, &path, app, SEED)
+    };
+
+    let (mut lab, mut eng) = world();
+    lab.enable_obs(&obs, SEED);
+    run_to_completion(&mut lab, &mut eng);
+    let events = eng.executed() - lab.prof().fired[Ev::ObsSample.prof_idx()];
+    let flow = &lab.flows[0];
+    let (t_done, received) = (flow.meas.t_done, flow.app.received());
+    assert_eq!(received, 8948 * 20_000);
+    let timelines = lab.take_timelines().expect("obs was on").to_jsonl();
+
+    for shards in [1usize, 2] {
+        let mut grid = Grid::build(shards, path.base_latency(), SEED, Some(&obs), None, || {
+            world().0
+        });
+        grid.run(None);
+        let (grid_events, merged) = grid.finish();
+        let rx = grid.rx(0);
+        assert_eq!(rx.meas.t_done, t_done, "t_done at {shards} shards");
+        assert_eq!(rx.app.received(), received, "bytes at {shards} shards");
+        assert_eq!(grid_events, events, "events at {shards} shards");
+        assert_eq!(
+            merged.expect("obs was on").to_jsonl(),
+            timelines,
+            "timelines at {shards} shards"
+        );
+    }
+}
+
+/// A grid runtime built for fewer flows than the lab holds is rejected
+/// when the partition is installed, not deep inside the event loop.
 #[test]
 #[should_panic(expected = "grid key mint must cover every flow")]
 fn enable_grid_rejects_a_flow_count_mismatch() {

@@ -120,7 +120,7 @@ fn wall_plane_reports_barrier_stalls_outside_every_gated_byte() {
 fn sim_section_counts_the_grid_event_anatomy() {
     let preset = GridPreset::fat_tree(2, 2, 1);
     let (r, prof) = profiled(&preset, 1);
-    // In grid mode every arrival is its own front-class FrameArrival;
+    // Every arrival is its own front-class FrameArrival;
     // the retired IngressDrain slot and drain_batch histogram stay empty.
     let count = |name: &str| -> u64 {
         let tag = format!("\"{name}\":");

@@ -9,7 +9,7 @@
 //!
 //! * [`Timelines`] — compact step-series of per-flow TCP state (cwnd,
 //!   ssthresh, srtt/rttvar, bytes in flight, retransmits), per-host NIC and
-//!   CPU state, and per-link queue depths, sampled on a sim-clock cadence.
+//!   CPU state, and per-link drop counters, sampled on a sim-clock cadence.
 //! * [`FlightDump`] — a rendering of the per-host [`crate::Tracer`] rings
 //!   (the "flight recorder"), produced when the [`crate::Sanitizer`] fires
 //!   so a violation comes with the story, not just a scalar.
@@ -76,9 +76,8 @@ impl Default for ObsConfig {
     }
 }
 
-/// What a step-series measures. Values are integers; sub-unit quantities
-/// are scaled (`CpuPermille` is busy time in 1/1000ths of the sampling
-/// interval; RTT metrics are nanoseconds).
+/// What a step-series measures. Values are integers; times are
+/// nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MetricKind {
     /// Congestion window, segments.
@@ -99,27 +98,22 @@ pub enum MetricKind {
     CoalescePending,
     /// Configured interrupt-coalescing delay, nanoseconds.
     CoalesceDelayNanos,
-    /// Hottest-CPU busy time over the last interval, in permille (0-1000).
-    CpuPermille,
-    /// Bytes backlogged across the link's hop queues.
-    QueueBytes,
     /// Cumulative drops on the link (overflow + loss model).
     QueueDrops,
     /// Cumulative impairment-layer drops on the link (burst loss + flaps).
     ImpairDrops,
     /// Cumulative corrupted frames discarded by this host's NIC (bad FCS).
     RxCrcDrops,
-    /// Cumulative busy nanoseconds of the hottest CPU. The grid-mode
-    /// sibling of [`MetricKind::CpuPermille`]: a cumulative value stays
-    /// constant while a shard idles, so per-shard series collapse to the
-    /// same change points at any shard count and merge invariantly
-    /// (a windowed delta decays to zero and would not).
+    /// Cumulative busy nanoseconds of the hottest CPU. A cumulative value
+    /// stays constant while a shard idles, so per-shard series collapse
+    /// to the same change points at any shard count and merge
+    /// invariantly (a windowed delta decays to zero and would not).
     CpuBusyNanos,
 }
 
 impl MetricKind {
     /// Every kind, in serialization order.
-    pub const ALL: [MetricKind; 15] = [
+    pub const ALL: [MetricKind; 13] = [
         MetricKind::Cwnd,
         MetricKind::Ssthresh,
         MetricKind::SrttNanos,
@@ -129,8 +123,6 @@ impl MetricKind {
         MetricKind::RxRingFrames,
         MetricKind::CoalescePending,
         MetricKind::CoalesceDelayNanos,
-        MetricKind::CpuPermille,
-        MetricKind::QueueBytes,
         MetricKind::QueueDrops,
         MetricKind::ImpairDrops,
         MetricKind::RxCrcDrops,
@@ -158,8 +150,6 @@ impl fmt::Display for MetricKind {
             MetricKind::RxRingFrames => "rx_ring_frames",
             MetricKind::CoalescePending => "coalesce_pending",
             MetricKind::CoalesceDelayNanos => "coalesce_delay_ns",
-            MetricKind::CpuPermille => "cpu_permille",
-            MetricKind::QueueBytes => "queue_bytes",
             MetricKind::QueueDrops => "queue_drops",
             MetricKind::ImpairDrops => "impair_drops",
             MetricKind::RxCrcDrops => "rx_crc_drops",
@@ -321,8 +311,8 @@ impl Timelines {
         }
     }
 
-    /// Fold another timeline set into this one. Grid mode records each
-    /// scope's series on the one shard that owns it, so merging per-shard
+    /// Fold another timeline set into this one. A sharded run records
+    /// each scope's series on the one shard that owns it, so merging per-shard
     /// timelines reassembles the full picture; where both sides somehow
     /// recorded the same `(scope, metric)`, the change points are
     /// interleaved in time order and re-collapsed under step semantics.
@@ -739,13 +729,13 @@ mod tests {
         tl.record(flow0(), MetricKind::Cwnd, Nanos(2_000), 17896);
         tl.record(
             Scope::Host { host: 1 },
-            MetricKind::CpuPermille,
+            MetricKind::CpuBusyNanos,
             Nanos(1_000),
             512,
         );
         tl.record(
             Scope::Link { link: 0 },
-            MetricKind::QueueBytes,
+            MetricKind::QueueDrops,
             Nanos(1_000),
             0,
         );

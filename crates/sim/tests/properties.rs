@@ -112,8 +112,8 @@ proptest! {
     }
 }
 
-/// The metrics the lab samples per flow endpoint, per host (grid mode)
-/// and per link, in its order.
+/// The metrics the lab samples per flow endpoint, per host and per link,
+/// in its order.
 const FLOW: &[MetricKind] = &[
     MetricKind::Cwnd,
     MetricKind::Ssthresh,
