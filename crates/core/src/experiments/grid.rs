@@ -313,8 +313,6 @@ pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridP
         ("sched_events".to_string(), Json::U64(engine.sched_events)),
         ("sched_timers".to_string(), Json::U64(engine.sched_timers)),
         ("sched_front".to_string(), Json::U64(engine.sched_front)),
-        ("cancels".to_string(), Json::U64(engine.cancels)),
-        ("cancel_hits".to_string(), Json::U64(engine.cancel_hits)),
     ]);
     // `drain_batch` is retired with the ingress channel and always empty
     // (see `GridRt::drain_batch`); it keeps the line's field set.
@@ -336,9 +334,6 @@ pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridP
             ("sched_slab".to_string(), Json::U64(c.sched_slab)),
             ("sched_lane".to_string(), Json::U64(c.sched_lane)),
             ("lane_hiwater".to_string(), Json::U64(c.lane_hiwater)),
-            ("wheel_parked".to_string(), Json::U64(c.wheel_parked)),
-            ("wheel_fallbacks".to_string(), Json::U64(c.wheel_fallbacks)),
-            ("wheel_cascades".to_string(), Json::U64(c.wheel_cascades)),
             ("cancels".to_string(), Json::U64(c.cancels)),
             ("cancel_hits".to_string(), Json::U64(c.cancel_hits)),
         ]);

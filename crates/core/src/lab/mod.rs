@@ -248,9 +248,6 @@ impl EventFire<Lab> for Ev {
                 lab.recycle_actions(acts);
             }
             Ev::ConnTimer { f, ep, kind, gen } => {
-                // This event is the one the slot tracks; clear it so a
-                // re-arm from the handler stores its own id.
-                lab.flows[f].timer_ids[ep][timer_slot(kind)] = None;
                 let now = eng.now();
                 let h = lab.flows[f].host[ep];
                 let stage = match kind {
@@ -424,9 +421,9 @@ pub struct FlowRt {
     /// Whether a read event is already scheduled, per endpoint.
     pub read_scheduled: [bool; 2],
     /// Pending connection-timer event per endpoint and [`TimerKind`]
-    /// (indexed by [`timer_slot`]). When the connection re-arms a timer,
-    /// the superseded event — a generation-guarded no-op — is cancelled
-    /// in O(1) instead of lingering in the calendar until it expires.
+    /// (indexed by [`timer_slot`]), handed back to [`Engine::rearm_at`]
+    /// on the next arm so the superseded event — a generation-guarded
+    /// no-op — never fires. A fired handle is inert there.
     timer_ids: [[Option<EventId>; 2]; 2],
     /// Whether the first [`Ev::StartFlow`] has fired. Disk relays reuse
     /// that event as their pump wakeup, so `start_flow` is re-entrant;
@@ -1047,20 +1044,12 @@ pub fn process_actions(
         match act {
             Action::Send(seg) => send_segment(lab, eng, f, ep, seg),
             Action::SetTimer { kind, at, gen } => {
-                // A re-armed timer supersedes the pending one: the old
-                // event is a generation-guarded no-op (the connection
+                // A re-armed timer supersedes the pending one, which
+                // would be a generation-guarded no-op (the connection
                 // bumps its generation on every arm), so cancel it
                 // instead of letting it fire into the void.
-                let slot = timer_slot(kind);
-                if let Some(old) = lab.flows[f].timer_ids[ep][slot].take() {
-                    eng.cancel(old);
-                }
-                // RTO/delack timers are armed far out and almost always
-                // cancelled right here on the next arm: the calendar's
-                // timing-wheel lane makes that churn O(1) with identical
-                // pop order.
-                let id = eng.schedule_timer_at(at, Ev::ConnTimer { f, ep, kind, gen });
-                lab.flows[f].timer_ids[ep][slot] = Some(id);
+                let id = &mut lab.flows[f].timer_ids[ep][timer_slot(kind)];
+                *id = Some(eng.rearm_at(*id, at, Ev::ConnTimer { f, ep, kind, gen }));
             }
             Action::DeliverData { bytes } => schedule_app_read(lab, eng, f, ep, bytes),
             Action::SndBufSpace => {

@@ -19,8 +19,8 @@
 //!   (`crates/sim`, `crates/tcp`) abort without context. Use `expect()`
 //!   with a message that says what invariant broke, or return an error.
 //! * **float-event-loop** — `f32` / `f64` (or a float literal) in the
-//!   engine's event loop (`crates/sim/src/engine.rs`), the calendar and
-//!   its timing wheel (`crates/sim/src/calendar.rs`), or the TCP timer
+//!   engine's event loop (`crates/sim/src/engine.rs`), the calendar
+//!   (`crates/sim/src/calendar.rs`), or the TCP timer
 //!   machinery accumulates rounding error that differs across platforms;
 //!   the event loop and the retransmission clock stay integer-only
 //!   (`Nanos`). The TCP scope is *function extents*, not name matching:

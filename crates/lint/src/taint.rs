@@ -29,9 +29,9 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     "Engine::run_until",
     "Engine::advance_to",
     "Engine::step",
-    // Calendar queue, including the timing wheel behind it.
+    // Calendar queue.
     "Calendar::schedule",
-    "Calendar::schedule_timer",
+    "Calendar::rearm",
     "Calendar::schedule_front",
     "Calendar::cancel",
     "Calendar::peek_time",

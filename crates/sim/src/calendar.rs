@@ -20,17 +20,13 @@
 //!   pattern, plus past-clamped events) bypasses the heap into a FIFO
 //!   lane. Draining the lane costs no comparisons, and the keys never
 //!   pay sift-up/sift-down traffic.
-//! * **A hierarchical timing wheel for far timers.** Protocol timers
-//!   (RTO, delayed ACK) are armed hundreds of milliseconds out and almost
-//!   always cancelled before they fire; parking their keys in the heap
-//!   makes every such tombstone pay an O(log n) sift when it finally
-//!   surfaces. [`Calendar::schedule_timer`] parks the key in a
-//!   power-of-two-span bucket instead — O(1) insert, O(1) cancel, and a
-//!   cancelled key is reaped in bulk when its bucket expires, never
-//!   touching the heap at all. Buckets cascade toward the heap as the
-//!   clock approaches (see `surface`), so by the time an instant is
-//!   popped every timer key for it has been merged into the heap and the
-//!   observable order is unchanged.
+//! * **Re-arm in place.** A TCP timer is re-armed on nearly every ACK
+//!   and almost never fires. [`Calendar::rearm`] is exactly a cancel
+//!   followed by a schedule, but while the new deadline is later than
+//!   the key the timer's slot already has queued it does no heap work:
+//!   the slot keeps its payload place under a bumped generation, and the
+//!   new key waits in a per-slot side entry until the queued, now stale
+//!   key surfaces and hands it to the heap.
 //!
 //! The observable order is **exactly** the strict `(time, seq)` order of
 //! the original queue, with one addition: a **front class**
@@ -40,11 +36,12 @@
 //! while the clock already sits at its timestamp, so every heap key with
 //! the same timestamp was scheduled earlier and holds a smaller `seq`:
 //! draining heap keys at `now` before lane keys reproduces the global
-//! sequence order. The wheel is sound because a bucket is flushed into
-//! the heap no later than its span's start time, and the heap orders
-//! flushed keys by `(time, seq)` regardless of when they arrive. The
-//! equivalence (including cancellation and cascade boundaries) is pinned
-//! by property tests against a reference heap in
+//! sequence order. Re-arm in place is sound because a deferred key is
+//! strictly later than the stale key that forwards it, so it reaches the
+//! heap before the clock can reach it, and the heap orders keys by
+//! `(time, seq)` regardless of when they arrive. The equivalence
+//! (including cancellation and every re-arm case) is pinned by property
+//! tests against a reference heap in
 //! `crates/sim/tests/calendar_equivalence.rs`.
 
 use crate::prof::CalendarCounters;
@@ -52,11 +49,13 @@ use crate::time::Nanos;
 use std::collections::VecDeque;
 
 /// Handle to a scheduled event, returned by the schedule calls and
-/// accepted by [`Calendar::cancel`] (via `Engine::cancel`).
+/// accepted by [`Calendar::cancel`] and [`Calendar::rearm`].
 ///
 /// The generation makes handles ABA-safe: once the event fires or is
 /// cancelled, the slot is recycled under a new generation and the old
-/// handle turns inert (cancelling it is a no-op returning `None`).
+/// handle turns inert (cancelling it is a no-op returning `None`). An
+/// in-place re-arm bumps the generation too, so the handle it replaces
+/// goes inert the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventId {
     slot: u32,
@@ -95,6 +94,17 @@ enum Slot<T> {
     Occupied { payload: T, gen: u32 },
 }
 
+/// What [`Calendar::rearm`] last armed in a slot: the event's key, and
+/// the time of the slot's key that sits in the queue for it. That is
+/// `key.at` once the key is in the heap. While `queued < key.at` the key
+/// is pending: it waits for the stale key queued at `queued` to surface
+/// and hand it over.
+#[derive(Debug, Clone, Copy)]
+struct Armed {
+    key: Key,
+    queued: Nanos,
+}
+
 /// Freelist terminator.
 const NIL: u32 = u32::MAX;
 
@@ -112,48 +122,12 @@ const SEQ_NORMAL: u64 = 1 << 63;
 /// array, so a sift-down touches fewer cache lines per level.
 const ARITY: usize = 4;
 
-// ---- timing-wheel geometry ----
-//
-// Level-0 ticks are `2^WHEEL_SHIFT` ns (≈65.5 µs) and every level packs
-// `WHEEL_SLOTS` slots of the level below into one slot, so slot spans grow
-// by powers of two: level 0 covers 4.2 ms, level 1 covers 268 ms (delayed
-// ACKs), level 2 covers 17 s (RTOs), level 5 covers 52 days. Timers beyond
-// the top level park in the farthest top slot and re-park when it expires.
-
-/// log2 of the level-0 tick length in nanoseconds.
-const WHEEL_SHIFT: u32 = 16;
-/// log2 of the slots per level (64 slots ↔ one `u64` occupancy bitmap).
-const WHEEL_LEVEL_BITS: u32 = 6;
-/// Slots per level.
-const WHEEL_SLOTS: usize = 1 << WHEEL_LEVEL_BITS;
-/// Slots per level in the `u64` domain the tick arithmetic runs in,
-/// derived from the same shift so no cast is involved.
-const WHEEL_SLOTS_U64: u64 = 1 << WHEEL_LEVEL_BITS;
-/// Mask extracting a bucket index from an absolute slot number.
-const WHEEL_SLOT_MASK: u64 = WHEEL_SLOTS_U64 - 1;
-/// Number of levels.
-const WHEEL_LEVELS: usize = 6;
-
-/// Widen a `u32` slab handle (or level count) to an indexing `usize`.
+/// Widen a `u32` slab handle to an indexing `usize`.
 /// Checked so a hypothetical sub-32-bit target fails loudly rather than
 /// silently truncating an index.
 #[inline]
 fn widen(v: u32) -> usize {
     usize::try_from(v).expect("u32 does not fit usize on this target")
-}
-
-/// Narrow an already-masked absolute slot number to a bucket index. The
-/// caller guarantees `v < WHEEL_SLOTS`, so the conversion is exact.
-#[inline]
-fn bucket_index(v: u64) -> usize {
-    debug_assert!(v < WHEEL_SLOTS_U64);
-    usize::try_from(v).expect("masked slot number exceeds usize")
-}
-
-/// The bit shift selecting `level`'s absolute slot number from a tick.
-#[inline]
-fn level_shift(level: usize) -> u32 {
-    WHEEL_LEVEL_BITS * u32::try_from(level).expect("wheel level exceeds u32")
 }
 
 /// A deterministic event calendar: a slab of payloads indexed by a 4-ary
@@ -170,24 +144,11 @@ pub struct Calendar<T> {
     seq: u64,
     /// Scheduled-and-not-cancelled events (tombstones excluded).
     live: usize,
-    /// Timing-wheel buckets, flat-indexed `level * WHEEL_SLOTS + bucket`.
-    /// Empty until the first [`Calendar::schedule_timer`] call, so purely
-    /// frame-clocked workloads never pay for the wheel.
-    wheel: Vec<Vec<Key>>,
-    /// Per-level occupancy bitmaps: bit `b` set ⇔ bucket `b` holds keys.
-    wheel_occupied: [u64; WHEEL_LEVELS],
-    /// Keys currently parked in wheel buckets, tombstones included.
-    wheel_items: usize,
-    /// Level-0 tick up to which wheel slots have been surfaced: no parked
-    /// key's tick is `<=` this, and it only moves forward through expiry
-    /// (or snaps under the clock while the wheel is empty).
-    wheel_horizon: u64,
-    /// Lower bound on the earliest parked key's timestamp (`u64::MAX`
-    /// when the wheel is empty); lets `surface` bail in one compare.
-    wheel_next_start: Nanos,
+    /// Side entries of [`Calendar::rearm`], one per slab slot. An entry
+    /// speaks for its slot only while its key is live.
+    armed: Vec<Option<Armed>>,
     /// Self-profiling routing counters (see [`CalendarCounters`]):
-    /// deterministic, but calendar-private — the slab/lane/wheel split
-    /// depends on this calendar's own horizon history.
+    /// deterministic, but calendar-private.
     prof: CalendarCounters,
 }
 
@@ -208,11 +169,7 @@ impl<T> Calendar<T> {
             now: Nanos::ZERO,
             seq: 0,
             live: 0,
-            wheel: Vec::new(),
-            wheel_occupied: [0; WHEEL_LEVELS],
-            wheel_items: 0,
-            wheel_horizon: 0,
-            wheel_next_start: Nanos(u64::MAX),
+            armed: Vec::new(),
             prof: CalendarCounters::default(),
         }
     }
@@ -245,6 +202,13 @@ impl<T> Calendar<T> {
     /// Schedule `payload` at absolute time `at`, which the caller must
     /// have clamped to `at >= now`. Returns a handle for cancellation.
     pub fn schedule(&mut self, at: Nanos, payload: T) -> EventId {
+        let Key { slot, gen, .. } = self.schedule_key(at, payload);
+        EventId { slot, gen }
+    }
+
+    /// [`Calendar::schedule`], returning the key it queued.
+    #[inline]
+    fn schedule_key(&mut self, at: Nanos, payload: T) -> Key {
         debug_assert!(at >= self.now, "calendar caller must clamp to now");
         let at = at.max(self.now);
         let seq = self.seq | SEQ_NORMAL;
@@ -263,40 +227,57 @@ impl<T> Calendar<T> {
             self.prof.sched_slab += 1;
         }
         self.live += 1;
-        EventId { slot, gen }
+        key
     }
 
-    /// Schedule `payload` at absolute time `at` through the timing-wheel
-    /// lane. Semantically identical to [`Calendar::schedule`] — same
-    /// `(time, seq)` pop order, same handle, same [`Calendar::cancel`] —
-    /// but tuned for far-future timers that are usually cancelled before
-    /// they fire: the key parks in a wheel bucket (O(1)) and a cancelled
-    /// key is reaped when its bucket expires instead of paying heap
-    /// sift traffic. Events at or near the current tick fall back to the
-    /// heap/lane path.
-    pub fn schedule_timer(&mut self, at: Nanos, payload: T) -> EventId {
+    /// Re-arm a timer: exactly [`Calendar::cancel`]`(prev)` followed by
+    /// [`Calendar::schedule`]`(at, payload)`, so the event takes the next
+    /// insertion `seq` and pops in the same `(time, seq)` slot. A `prev`
+    /// that is `None`, already fired or already cancelled cancels nothing.
+    ///
+    /// When `prev` is live, was itself armed here, and `at` is later than
+    /// the key its slot has queued (its deadline, or the stale key a
+    /// pending re-arm waits on), nothing touches the heap: the slot's
+    /// generation is bumped (so `prev` and its queued key go stale), the
+    /// payload is swapped, and the new key waits in the slot's side
+    /// entry. The stale key hands it to the heap when it surfaces, which
+    /// is strictly before `at`. Every other case runs the cancel and the
+    /// schedule.
+    pub fn rearm(&mut self, prev: Option<EventId>, at: Nanos, payload: T) -> EventId {
         debug_assert!(at >= self.now, "calendar caller must clamp to now");
         let at = at.max(self.now);
-        if self.wheel_items == 0 {
-            // No parked key depends on the cursor: snap it under the
-            // clock so level selection sees true distances.
-            self.wheel_horizon = self.now.as_nanos() >> WHEEL_SHIFT;
-        }
-        let tick = at.as_nanos() >> WHEEL_SHIFT;
-        if at == self.now || tick <= self.wheel_horizon {
-            // Same-instant events must take the FIFO lane (a key parked
-            // now would surface into the heap *after* older lane keys and
-            // jump them), and the already-surfaced region may not re-park;
-            // the heap/lane path is exact for both.
-            self.prof.wheel_fallbacks += 1;
-            return self.schedule(at, payload);
-        }
-        let seq = self.seq | SEQ_NORMAL;
-        self.seq += 1;
-        let (slot, gen) = self.insert(payload);
-        self.wheel_park(Key { at, seq, slot, gen });
-        self.live += 1;
-        self.prof.wheel_parked += 1;
+        let later = prev.and_then(|id| {
+            self.armed[widen(id.slot)]
+                .filter(|a| a.key.gen == id.gen && a.queued < at && self.is_live(a.key))
+        });
+        let key = match later {
+            Some(Armed { key: old, .. }) => {
+                self.prof.cancels += 1;
+                self.prof.cancel_hits += 1;
+                let Slot::Occupied { payload: p, gen } = &mut self.slots[widen(old.slot)] else {
+                    unreachable!("checked live above")
+                };
+                *gen = gen.wrapping_add(1);
+                *p = payload;
+                let seq = self.seq | SEQ_NORMAL;
+                self.seq += 1;
+                Key {
+                    at,
+                    seq,
+                    slot: old.slot,
+                    gen: *gen,
+                }
+            }
+            None => {
+                if let Some(id) = prev {
+                    self.cancel(id);
+                }
+                self.schedule_key(at, payload)
+            }
+        };
+        let queued = later.map_or(key.at, |a| a.queued);
+        self.armed[widen(key.slot)] = Some(Armed { key, queued });
+        let Key { slot, gen, .. } = key;
         EventId { slot, gen }
     }
 
@@ -356,13 +337,13 @@ impl<T> Calendar<T> {
     /// Tombstones encountered on the way are discarded.
     pub fn peek_time(&mut self) -> Option<Nanos> {
         loop {
-            self.surface();
             if let Some(&top) = self.heap.first() {
                 if top.at == self.now {
                     if self.is_live(top) {
                         return Some(top.at);
                     }
                     self.heap_pop();
+                    self.forward(top);
                     continue;
                 }
             }
@@ -371,6 +352,7 @@ impl<T> Calendar<T> {
                     return Some(front.at);
                 }
                 self.lane.pop_front();
+                self.forward(front);
                 continue;
             }
             let &top = self.heap.first()?;
@@ -378,6 +360,7 @@ impl<T> Calendar<T> {
                 return Some(top.at);
             }
             self.heap_pop();
+            self.forward(top);
         }
     }
 
@@ -385,9 +368,6 @@ impl<T> Calendar<T> {
     /// advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Nanos, T)> {
         loop {
-            // Wheel keys that could pop next must be in the heap first;
-            // one branch when no timers are parked.
-            self.surface();
             // Heap keys at the current instant precede the lane: they
             // were scheduled before the clock reached `now`, so their
             // seqs are smaller than any lane key's.
@@ -430,152 +410,6 @@ impl<T> Calendar<T> {
         }
     }
 
-    // ---- the timing wheel ----
-
-    /// Park a key in the bucket whose span covers its distance from the
-    /// horizon. Caller guarantees `tick(key.at) > wheel_horizon`.
-    fn wheel_park(&mut self, key: Key) {
-        if self.wheel.is_empty() {
-            self.wheel = (0..WHEEL_LEVELS * WHEEL_SLOTS)
-                .map(|_| Vec::new())
-                .collect();
-        }
-        let tick = key.at.as_nanos() >> WHEEL_SHIFT;
-        debug_assert!(tick > self.wheel_horizon, "parking under the horizon");
-        let dist = tick - self.wheel_horizon;
-        // floor(log2(dist)) / bits picks the level whose spans cover the
-        // distance; beyond the top level, park in the farthest top slot
-        // (the key re-parks strictly closer each time that slot expires).
-        let mut level = widen((63 - dist.leading_zeros()) / WHEEL_LEVEL_BITS);
-        // An unaligned horizon can put the natural level's slot index a
-        // full ring ahead of the cursor, where it would alias the cursor
-        // bucket; one level up the slot distance is exactly 1.
-        if level < WHEEL_LEVELS {
-            let shift = level_shift(level);
-            if (tick >> shift) - (self.wheel_horizon >> shift) >= WHEEL_SLOTS_U64 {
-                level += 1;
-            }
-        }
-        let (level, bucket, start_tick) = if level < WHEEL_LEVELS {
-            let shift = level_shift(level);
-            let slot_abs = tick >> shift;
-            (
-                level,
-                bucket_index(slot_abs & WHEEL_SLOT_MASK),
-                slot_abs << shift,
-            )
-        } else {
-            let top = WHEEL_LEVELS - 1;
-            let shift = level_shift(top);
-            let slot_abs = (self.wheel_horizon >> shift) + WHEEL_SLOT_MASK;
-            (
-                top,
-                bucket_index(slot_abs & WHEEL_SLOT_MASK),
-                slot_abs << shift,
-            )
-        };
-        self.wheel[level * WHEEL_SLOTS + bucket].push(key);
-        self.wheel_occupied[level] |= 1u64 << bucket;
-        self.wheel_items += 1;
-        // Slot starts are lower bounds on their keys' timestamps, so the
-        // cache stays a sound lower bound.
-        let start = Nanos(start_tick << WHEEL_SHIFT);
-        if start < self.wheel_next_start {
-            self.wheel_next_start = start;
-        }
-    }
-
-    /// The occupied slot with the earliest span start, as
-    /// `(level, bucket, start_tick)`. Starts are computed cursor-relative
-    /// per level, which can only *under*estimate a stale slot's true
-    /// start — flushing early is harmless, flushing late never happens.
-    fn earliest_wheel_slot(&self) -> Option<(usize, usize, u64)> {
-        let mut best: Option<(usize, usize, u64)> = None;
-        for level in 0..WHEEL_LEVELS {
-            let bits = self.wheel_occupied[level];
-            if bits == 0 {
-                continue;
-            }
-            let shift = level_shift(level);
-            let cur = self.wheel_horizon >> shift;
-            let rot = u32::try_from(cur & WHEEL_SLOT_MASK).expect("masked slot fits u32");
-            let dist = u64::from(bits.rotate_right(rot).trailing_zeros());
-            let slot_abs = cur + dist;
-            if best.map_or(true, |(_, _, s)| (slot_abs << shift) < s) {
-                best = Some((
-                    level,
-                    bucket_index(slot_abs & WHEEL_SLOT_MASK),
-                    slot_abs << shift,
-                ));
-            }
-        }
-        best
-    }
-
-    /// Merge every wheel key that could precede the next heap/lane pop
-    /// into the heap: expire occupied slots in span-start order until the
-    /// earliest remaining span starts after the heap/lane front. Level-0
-    /// slots flush straight to the heap; higher slots cascade their keys
-    /// down a level (tombstones are reaped on the way, never sifted).
-    #[inline]
-    fn surface(&mut self) {
-        if self.wheel_items > 0 {
-            self.surface_slow();
-        }
-    }
-
-    fn surface_slow(&mut self) {
-        while self.wheel_items > 0 {
-            // Wheel keys are strictly beyond `now`, so a non-empty lane
-            // (keys *at* `now`) already bounds them out; otherwise the
-            // heap top (even a tombstone — the loop in pop/peek clears it
-            // and surfaces again) bounds the next pop time.
-            let bound = if !self.lane.is_empty() {
-                Some(self.now)
-            } else {
-                self.heap.first().map(|k| k.at)
-            };
-            if let Some(b) = bound {
-                if self.wheel_next_start > b {
-                    return;
-                }
-            }
-            let Some((level, bucket, start_tick)) = self.earliest_wheel_slot() else {
-                unreachable!("wheel_items > 0 with all bitmaps empty")
-            };
-            let start = Nanos(start_tick << WHEEL_SHIFT);
-            self.wheel_next_start = start;
-            if let Some(b) = bound {
-                if start > b {
-                    return;
-                }
-            }
-            self.wheel_occupied[level] &= !(1u64 << bucket);
-            let mut keys = std::mem::take(&mut self.wheel[level * WHEEL_SLOTS + bucket]);
-            self.wheel_items -= keys.len();
-            self.prof.wheel_cascades += 1;
-            if start_tick > self.wheel_horizon {
-                self.wheel_horizon = start_tick;
-            }
-            for key in keys.drain(..) {
-                if !self.is_live(key) {
-                    continue; // cancelled while parked: reaped in bulk
-                }
-                if key.at.as_nanos() >> WHEEL_SHIFT <= self.wheel_horizon {
-                    self.heap_push(key);
-                } else {
-                    self.wheel_park(key);
-                }
-            }
-            // Hand the drained vec back so the bucket keeps its capacity
-            // (unless a cascading key re-parked into this very bucket).
-            if self.wheel[level * WHEEL_SLOTS + bucket].is_empty() {
-                self.wheel[level * WHEEL_SLOTS + bucket] = keys;
-            }
-        }
-        self.wheel_next_start = Nanos(u64::MAX);
-    }
-
     #[inline]
     fn is_live(&self, key: Key) -> bool {
         matches!(
@@ -584,15 +418,33 @@ impl<T> Calendar<T> {
         )
     }
 
-    /// Remove the payload behind `key` if the key is live (not a
-    /// tombstone), recycling the slot either way it was occupied.
+    /// Remove the payload behind `key` if the key is live; a stale key
+    /// is discarded through [`Calendar::forward`].
     fn take_live(&mut self, key: Key) -> Option<T> {
         if self.is_live(key) {
             let p = self.remove(key.slot);
             self.live -= 1;
             Some(p)
         } else {
+            self.forward(key);
             None
+        }
+    }
+
+    /// A stale key left the queue. If its slot's live tenant was re-armed
+    /// in place and its key still waits, push that key now: it is
+    /// strictly later than this one, so the heap orders it. Marking it
+    /// queued keeps a second stale key of the same slot (an earlier
+    /// tenant's tombstone) from pushing it again.
+    #[cold]
+    fn forward(&mut self, stale: Key) {
+        let s = widen(stale.slot);
+        if let Some(mut a) = self.armed[s].filter(|a| a.queued < a.key.at && self.is_live(a.key)) {
+            debug_assert!(a.key.at > stale.at, "re-armed key not later");
+            a.queued = a.key.at;
+            self.armed[s] = Some(a);
+            self.heap_push(a.key);
+            self.prof.sched_slab += 1;
         }
     }
 
@@ -613,6 +465,7 @@ impl<T> Calendar<T> {
             );
             let slot = u32::try_from(self.slots.len()).expect("guarded: len < u32::MAX");
             self.slots.push(Slot::Occupied { payload, gen: 0 });
+            self.armed.push(None);
             (slot, 0)
         }
     }
@@ -756,80 +609,81 @@ mod tests {
         assert_eq!(c.pop().map(|(_, p)| p), Some(2));
     }
 
-    /// One level-0 tick in nanoseconds, for boundary arithmetic below.
-    const TICK: u64 = 1 << WHEEL_SHIFT;
-
     #[test]
-    fn wheel_timers_pop_in_global_time_seq_order() {
+    fn rearm_at_the_same_deadline_takes_a_fresh_seq() {
         let mut c: Calendar<u32> = Calendar::new();
-        // Interleave slab events and wheel timers across cascade
-        // boundaries: one tick, a level-0 wrap, a level-1 wrap, and a
-        // same-timestamp collision between the two lanes.
-        c.schedule(Nanos(3 * TICK), 1);
-        c.schedule_timer(Nanos(3 * TICK), 2); // same instant, later seq
-        c.schedule_timer(Nanos(TICK + 5), 3);
-        c.schedule_timer(Nanos(64 * TICK), 4); // level-1 territory
-        c.schedule_timer(Nanos(64 * 64 * TICK + 9), 5); // level-2 territory
-        c.schedule(Nanos(2), 0);
-        let got: Vec<u32> = std::iter::from_fn(|| c.pop().map(|(_, p)| p)).collect();
-        assert_eq!(got, vec![0, 3, 1, 2, 4, 5]);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn cancelled_wheel_timer_rearmed_at_the_same_tick_preserves_fifo() {
-        let mut c: Calendar<u32> = Calendar::new();
-        let at = Nanos(7 * TICK + 3);
-        c.schedule(at, 10); // slab event, seq 0
-        let t = c.schedule_timer(at, 11); // timer, seq 1
-        assert_eq!(c.cancel(t), Some(11));
-        // Re-armed at the same tick: the fresh seq must order it after
-        // the slab event and before anything scheduled later.
-        c.schedule_timer(at, 12); // seq 2
-        c.schedule(at, 13); // slab event, seq 3
+        let at = Nanos(7_000);
+        c.schedule(at, 10); // seq 0
+        let t = c.rearm(None, at, 11); // seq 1
+                                       // An equal deadline is a cancel plus a schedule: the fresh seq
+                                       // orders the timer after the first event and before the last.
+        c.rearm(Some(t), at, 12); // seq 2
+        c.schedule(at, 13); // seq 3
         let got: Vec<u32> = std::iter::from_fn(|| c.pop().map(|(_, p)| p)).collect();
         assert_eq!(got, vec![10, 12, 13]);
     }
 
     #[test]
-    fn cancel_after_cascade_still_returns_the_payload() {
+    fn cancel_after_forward_still_returns_the_payload() {
         let mut c: Calendar<u32> = Calendar::new();
-        // A timer two level-1 slots out, and a slab event between here
-        // and there: popping the slab event forces the wheel to cascade
-        // the timer's level-1 slot down to level 0 / the heap.
-        let t = c.schedule_timer(Nanos(130 * TICK), 1);
-        c.schedule(Nanos(129 * TICK), 2);
-        assert_eq!(c.pop(), Some((Nanos(129 * TICK), 2)));
-        assert_eq!(c.cancel(t), Some(1), "handle must survive the cascade");
+        let t = c.rearm(None, Nanos(100), 1);
+        let t = c.rearm(Some(t), Nanos(300), 2);
+        c.schedule(Nanos(200), 3);
+        // Popping the event at 200 surfaces the stale key at 100 first,
+        // which hands the re-armed key to the heap.
+        assert_eq!(c.pop(), Some((Nanos(200), 3)));
+        assert_eq!(c.heap.len(), 1, "the forwarded key is queued");
+        assert_eq!(c.cancel(t), Some(2), "handle must survive the forward");
         assert_eq!(c.pop(), None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn timers_beyond_the_top_level_span_repark_and_still_fire_exactly() {
-        let mut c: Calendar<u32> = Calendar::new();
-        // ~104 days out: past the 52-day top-level span, so the key parks
-        // in the farthest top slot and re-parks as the clock approaches.
-        let far = Nanos(1 << 53);
-        c.schedule_timer(far, 1);
-        assert_eq!(c.peek_time(), Some(far));
-        assert_eq!(c.pop(), Some((far, 1)));
-        assert_eq!(c.now(), far);
     }
 
     #[test]
     fn cancelled_timers_never_reach_the_heap() {
         let mut c: Calendar<u32> = Calendar::new();
-        // Arm-then-cancel churn, the RTO pattern: the heap must stay
-        // empty the whole time — that is the point of the wheel lane.
-        for i in 0..1000u32 {
-            let id = c.schedule_timer(Nanos(3_000_000 + u64::from(i)), i);
-            assert_eq!(c.cancel(id), Some(i));
+        // The RTO pattern: every ACK moves the deadline, mostly out but
+        // sometimes back in as the RTT estimate falls. Each re-arm later
+        // than the first key cancels its predecessor in place, so the
+        // heap holds that key alone and the event fires once, at the
+        // last deadline.
+        let mut id = c.rearm(None, Nanos(1_000), 0);
+        for i in 1..1000u32 {
+            let at = Nanos(1_500 + u64::from(i) * 7_919 % 499);
+            id = c.rearm(Some(id), at, i);
+            assert_eq!(
+                c.heap.len(),
+                1,
+                "a re-arm past the queued key does no heap work"
+            );
+            assert_eq!(c.len(), 1);
         }
-        assert!(c.heap.is_empty(), "parked tombstones must not hit the heap");
-        assert!(c.is_empty());
+        assert_eq!(c.pop(), Some((Nanos(1_500 + 999 * 7_919 % 499), 999)));
         assert_eq!(c.pop(), None);
-        assert_eq!(c.wheel_items, 0, "drain must reap every tombstone");
+        assert_eq!(c.cancel(id), None, "the fired handle is inert");
+        assert_eq!(
+            c.prof_counters().sched_slab,
+            2,
+            "first key plus one forward"
+        );
+    }
+
+    #[test]
+    fn a_stale_key_forwards_the_current_tenant_at_most_once() {
+        let mut c: Calendar<u32> = Calendar::new();
+        // An earlier tenant's tombstone at 150 shares the slot with the
+        // re-armed tenant, whose own stale key at 50 surfaces first.
+        let a = c.schedule(Nanos(150), 1);
+        c.cancel(a);
+        let t = c.rearm(None, Nanos(50), 2);
+        assert_eq!(t.slot, a.slot, "the freelist hands the slot back");
+        c.rearm(Some(t), Nanos(200), 3);
+        c.schedule(Nanos(100), 4);
+        assert_eq!(c.pop(), Some((Nanos(100), 4)));
+        assert_eq!(c.heap.len(), 2, "the tombstone at 150 and the forward");
+        // The tombstone surfaces next and must not push the key again.
+        assert_eq!(c.pop(), Some((Nanos(200), 3)));
+        assert!(c.heap.is_empty(), "no duplicate key left behind");
+        assert_eq!(c.pop(), None);
     }
 
     #[test]
@@ -840,7 +694,7 @@ mod tests {
         // and FIFO holds among the normals.
         c.schedule(Nanos(10), 1);
         c.schedule(Nanos(10), 2);
-        c.schedule_timer(Nanos(10), 3);
+        c.rearm(None, Nanos(10), 3);
         c.schedule_front(Nanos(10), 9, 101);
         c.schedule_front(Nanos(10), 4, 100);
         c.schedule(Nanos(5), 0);

@@ -62,7 +62,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
 
     /// Scheduling-verb totals accumulated so far (deterministic plane).
     /// Summed across shards these are shard-count-invariant: every
-    /// schedule/cancel call site executes on exactly one shard at the
+    /// scheduling call site executes on exactly one shard at the
     /// same virtual instant whatever the shard count.
     #[inline]
     pub fn prof_counters(&self) -> EngineCounters {
@@ -95,11 +95,6 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         self.sanitizer.as_mut()
     }
 
-    /// Remove and return the installed sanitizer for end-of-run inspection.
-    pub fn take_sanitizer(&mut self) -> Option<Sanitizer> {
-        self.sanitizer.take()
-    }
-
     /// Current virtual time. Monotonically non-decreasing across callbacks.
     #[inline]
     pub fn now(&self) -> Nanos {
@@ -118,15 +113,10 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         self.calendar.len()
     }
 
-    /// Schedule `ev` to fire at absolute time `at`, returning a handle
-    /// that [`Engine::cancel`] accepts until the event fires.
-    ///
-    /// Scheduling in the past is a model bug and is rejected, never
-    /// silently reordered: with a [`Sanitizer`] installed the engine
-    /// records a causality violation (so tests can observe it); without
-    /// one it panics in debug builds. Either way the event is clamped to
-    /// `now` so release runs keep a monotonic clock.
-    pub fn schedule_event_at(&mut self, at: Nanos, ev: E) -> EventId {
+    /// `at` clamped to the clock, with the past-time policing that
+    /// [`Engine::schedule_event_at`] describes.
+    #[inline]
+    fn not_before_now(&mut self, at: Nanos) -> Nanos {
         let now = self.calendar.now();
         if at < now {
             if let Some(s) = self.sanitizer.as_mut() {
@@ -139,8 +129,21 @@ impl<W, E: EventFire<W>> Engine<W, E> {
                 debug_assert!(at >= now, "event scheduled in the past: {} < {}", at, now);
             }
         }
+        at.max(now)
+    }
+
+    /// Schedule `ev` to fire at absolute time `at`, returning a handle
+    /// that [`Engine::rearm_at`] accepts.
+    ///
+    /// Scheduling in the past is a model bug and is rejected, never
+    /// silently reordered: with a [`Sanitizer`] installed the engine
+    /// records a causality violation (so tests can observe it); without
+    /// one it panics in debug builds. Either way the event is clamped to
+    /// `now` so release runs keep a monotonic clock.
+    pub fn schedule_event_at(&mut self, at: Nanos, ev: E) -> EventId {
+        let at = self.not_before_now(at);
         self.prof.sched_events += 1;
-        self.calendar.schedule(at.max(now), ev)
+        self.calendar.schedule(at, ev)
     }
 
     /// Schedule `ev` to fire `delay` after the current time.
@@ -149,23 +152,15 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         self.schedule_event_at(at, ev)
     }
 
-    /// Schedule `ev` at absolute time `at` through the calendar's
-    /// timing-wheel lane ([`crate::Calendar::schedule_timer`]): identical
-    /// semantics to [`Engine::schedule_event_at`] — same pop order, same
-    /// handle, same past-scheduling policing — but O(1) arm/cancel for
-    /// far-future, usually-cancelled protocol timers (RTO, delayed ACK).
-    pub fn schedule_timer_at(&mut self, at: Nanos, ev: E) -> EventId {
-        let now = self.calendar.now();
-        if at < now {
-            if let Some(s) = self.sanitizer.as_mut() {
-                let detail = format!("handler armed a timer at {} with the clock at {}", at, now);
-                s.record(ViolationKind::Causality, now, detail);
-            } else {
-                debug_assert!(at >= now, "timer armed in the past: {} < {}", at, now);
-            }
-        }
+    /// Re-arm a timer ([`crate::Calendar::rearm`]): cancel `prev` (a
+    /// no-op when it is `None`, already fired or already cancelled) and
+    /// schedule `ev` at `at` with [`Engine::schedule_event_at`]'s pop
+    /// order and past-time policing. Moving a live timer's deadline, as
+    /// ACKs do to the RTO, usually costs no heap work.
+    pub fn rearm_at(&mut self, prev: Option<EventId>, at: Nanos, ev: E) -> EventId {
+        let at = self.not_before_now(at);
         self.prof.sched_timers += 1;
-        self.calendar.schedule_timer(at.max(now), ev)
+        self.calendar.rearm(prev, at, ev)
     }
 
     /// Schedule `ev` to fire "immediately" (at the current time, after all
@@ -196,19 +191,6 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// time when computing the global synchronization window.
     pub fn peek_time(&mut self) -> Option<Nanos> {
         self.calendar.peek_time()
-    }
-
-    /// Cancel a scheduled event. Returns `true` when the handle was still
-    /// live (the payload is dropped immediately); `false` when the event
-    /// already fired or was already cancelled. O(1): the calendar leaves a
-    /// tombstone behind instead of restructuring the heap.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.prof.cancels += 1;
-        let hit = self.calendar.cancel(id).is_some();
-        if hit {
-            self.prof.cancel_hits += 1;
-        }
-        hit
     }
 
     /// Run a single event if one is pending. Returns `false` when the
@@ -317,8 +299,8 @@ mod tests {
         ScheduleAt(Nanos),
         /// Schedule `PushNow` after a delay.
         ScheduleIn(Nanos),
-        /// Log `label`, cancel `stale` (which must be live), and arm
-        /// `Push(label + 1)` at `at` — the timer-reschedule pattern.
+        /// Log `label` and re-arm `stale` as `Push(label + 1)` at `at` —
+        /// the timer-reschedule pattern.
         Reschedule {
             stale: EventId,
             at: Nanos,
@@ -347,8 +329,7 @@ mod tests {
                 }
                 Ev::Reschedule { stale, at, label } => {
                     log.push(label);
-                    assert!(e.cancel(stale));
-                    e.schedule_event_at(at, Ev::Push(label + 1));
+                    e.rearm_at(Some(stale), at, Ev::Push(label + 1));
                 }
             }
         }
@@ -481,13 +462,39 @@ mod tests {
         eng.run(&mut log);
         // The offending event still ran, clamped to the current time.
         assert_eq!(log, vec![100]);
-        let s = eng.take_sanitizer().expect("sanitizer was installed");
+        let s = eng.sanitizer().expect("sanitizer was installed");
         assert_eq!(s.violations().len(), 1);
         let v = &s.violations()[0];
         assert_eq!(v.kind, ViolationKind::Causality);
         assert_eq!(v.at, Nanos(100));
         assert!(v.detail.contains("50ns"), "{}", v.detail);
         assert!(s.report().contains("seed=0xd06"), "{}", s.report());
+    }
+
+    #[test]
+    fn past_rearm_is_recorded_by_the_sanitizer() {
+        let mut eng = engine();
+        eng.install_sanitizer(Sanitizer::new(0xD06));
+        let mut log = Vec::new();
+        let stale = eng.schedule_event_at(Nanos(300), Ev::Push(0));
+        eng.schedule_event_at(
+            Nanos(100),
+            Ev::Reschedule {
+                stale,
+                at: Nanos(50),
+                label: 1,
+            },
+        );
+        eng.run(&mut log);
+        // The re-arm still replaced the pending event, clamped to now.
+        assert_eq!(log, vec![1, 2]);
+        assert_eq!(eng.now(), Nanos(100));
+        let s = eng.sanitizer().expect("sanitizer was installed");
+        assert_eq!(s.violations().len(), 1);
+        let v = &s.violations()[0];
+        assert_eq!(v.kind, ViolationKind::Causality);
+        assert_eq!(v.at, Nanos(100));
+        assert!(v.detail.contains("50ns"), "{}", v.detail);
     }
 
     #[test]
@@ -507,13 +514,18 @@ mod tests {
         let a = eng.schedule_event_at(Nanos(10), Ev::Push(1));
         eng.schedule_event_at(Nanos(20), Ev::Push(2));
         assert_eq!(eng.pending(), 2);
-        assert!(eng.cancel(a), "live event cancels");
-        assert_eq!(eng.pending(), 1);
-        assert!(!eng.cancel(a), "second cancel is inert");
+        // Each re-arm cancels its predecessor: earlier, later, and from
+        // an already-superseded handle (which cancels nothing).
+        let b = eng.rearm_at(Some(a), Nanos(5), Ev::Push(3));
+        let c = eng.rearm_at(Some(b), Nanos(30), Ev::Push(4));
+        assert_eq!(eng.pending(), 2);
+        eng.rearm_at(Some(b), Nanos(40), Ev::Push(5));
+        assert_eq!(eng.pending(), 3, "a superseded handle is inert");
         eng.run(&mut log);
-        assert_eq!(log, vec![2]);
-        assert_eq!(eng.executed(), 1, "cancelled events are not executed");
-        assert!(!eng.cancel(a), "cancel after run is inert");
+        assert_eq!(log, vec![2, 4, 5]);
+        assert_eq!(eng.executed(), 3, "cancelled events are not executed");
+        eng.rearm_at(Some(c), Nanos(50), Ev::Push(6));
+        assert_eq!(eng.pending(), 1, "a fired handle is inert");
     }
 
     #[test]

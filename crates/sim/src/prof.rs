@@ -251,27 +251,28 @@ impl Hist {
     }
 }
 
-/// Calendar-internal routing counters: where schedules landed (binary
-/// heap slab, same-instant FIFO lane, timing wheel) and how the wheel
-/// behaved. **Deterministic but not shard-count-invariant** — the
-/// slab/wheel split depends on each calendar's private horizon state, so
-/// these belong in the per-shard "local" profiling section, never in the
+/// Calendar-internal routing counters: where keys landed (the 4-ary
+/// heap or the same-instant FIFO lane) and how often a cancel, or the
+/// cancel half of a re-arm, found its event. **Deterministic but
+/// calendar-private** — they describe one calendar's own queue, so they
+/// belong in the per-shard "local" profiling section, never in the
 /// merged golden-gated one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalendarCounters {
-    /// Schedules routed to the binary-heap slab.
+    /// Keys pushed into the heap, a re-armed key when it is forwarded.
     pub sched_slab: u64,
     /// Same-instant schedules routed to the FIFO lane.
     pub sched_lane: u64,
     /// High-water mark of the same-instant FIFO lane depth.
     pub lane_hiwater: u64,
-    /// Timer schedules parked directly in the timing wheel.
+    /// Always 0: the timing wheel is gone. This field and the next two
+    /// remain only because `benchmark/` still reads them.
     pub wheel_parked: u64,
-    /// Timer schedules that fell back to the slab (outside the horizon).
+    /// Always 0; kept for `benchmark/`, like `wheel_parked`.
     pub wheel_fallbacks: u64,
-    /// Expired wheel buckets cascaded back into the slab.
+    /// Always 0; kept for `benchmark/`, like `wheel_parked`.
     pub wheel_cascades: u64,
-    /// Cancel attempts.
+    /// Cancel attempts, counting each re-arm of a handle.
     pub cancels: u64,
     /// Cancels that found a live event.
     pub cancel_hits: u64,
@@ -286,14 +287,10 @@ pub struct CalendarCounters {
 pub struct EngineCounters {
     /// `schedule_event_*` calls (normal-class events).
     pub sched_events: u64,
-    /// `schedule_timer_*` calls (wheel-eligible timers).
+    /// `rearm_at` calls (TCP timer arms).
     pub sched_timers: u64,
     /// `schedule_front_*` calls (front-class events).
     pub sched_front: u64,
-    /// Cancel attempts.
-    pub cancels: u64,
-    /// Cancels that found a live event.
-    pub cancel_hits: u64,
 }
 
 impl EngineCounters {
@@ -302,8 +299,6 @@ impl EngineCounters {
         self.sched_events += other.sched_events;
         self.sched_timers += other.sched_timers;
         self.sched_front += other.sched_front;
-        self.cancels += other.cancels;
-        self.cancel_hits += other.cancel_hits;
     }
 }
 
@@ -507,13 +502,11 @@ mod tests {
             sched_events: 1,
             sched_timers: 2,
             sched_front: 3,
-            cancels: 4,
-            cancel_hits: 5,
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.sched_events, 2);
-        assert_eq!(a.cancel_hits, 10);
+        assert_eq!(a.sched_front, 6);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! The original engine queue was a `BinaryHeap` of `(time, seq)`-ordered
 //! entries owning boxed payloads: strict `(time, seq)` pop order, ties
 //! FIFO by insertion. The slab calendar replaces it with handle-indexed
-//! storage, a 4-ary key heap, a same-instant FIFO lane, a timing wheel,
-//! and tombstone cancellation — none of which may change the observable
-//! order — and adds a keyed front class. This test drives random
-//! schedule/cancel/pop traces through both queues and asserts identical
-//! pop sequences, identical cancellation outcomes, and identical live
-//! counts at every step.
+//! storage, a 4-ary key heap, a same-instant FIFO lane, tombstone
+//! cancellation and in-place timer re-arming — none of which may change
+//! the observable order — and adds a keyed front class. This test drives
+//! random schedule/re-arm/cancel/pop traces through both queues and
+//! asserts identical pop sequences, identical cancellation outcomes, and
+//! identical live counts at every step.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -17,7 +17,7 @@ use tengig_sim::{Calendar, EventId, Nanos};
 
 /// Reference class rank of a front-class event: below every normal one.
 const FRONT: u8 = 0;
-/// Reference class rank of a normal (or timer) event.
+/// Reference class rank of a normal (or re-armed) event.
 const NORMAL: u8 = 1;
 
 /// The pre-overhaul queue, reduced to its ordering semantics and
@@ -32,6 +32,8 @@ const NORMAL: u8 = 1;
 struct ReferenceQueue {
     heap: BinaryHeap<Reverse<(Nanos, u8, u64, u32)>>,
     cancelled: Vec<bool>,
+    /// Each payload's deadline, by tag.
+    times: Vec<Nanos>,
     seq: u64,
     now: Nanos,
     live: usize,
@@ -42,6 +44,7 @@ impl ReferenceQueue {
         ReferenceQueue {
             heap: BinaryHeap::new(),
             cancelled: Vec::new(),
+            times: Vec::new(),
             seq: 0,
             now: Nanos::ZERO,
             live: 0,
@@ -51,9 +54,10 @@ impl ReferenceQueue {
     /// Push a payload (its tag is its position in `cancelled`).
     fn push(&mut self, at: Nanos, class: u8, rank: u64) -> u32 {
         let tag = self.cancelled.len() as u32;
+        let at = at.max(self.now);
         self.cancelled.push(false);
-        self.heap
-            .push(Reverse((at.max(self.now), class, rank, tag)));
+        self.times.push(at);
+        self.heap.push(Reverse((at, class, rank, tag)));
         self.live += 1;
         tag
     }
@@ -69,17 +73,27 @@ impl ReferenceQueue {
         self.push(at, FRONT, key)
     }
 
+    /// Whether `tag` is scheduled, not cancelled and not yet popped
+    /// ("already popped" shows as absent from the heap).
+    fn is_pending(&self, tag: u32) -> bool {
+        !self.cancelled[tag as usize] && self.heap.iter().any(|Reverse((_, _, _, t))| *t == tag)
+    }
+
     fn cancel(&mut self, tag: u32) -> bool {
-        if self.cancelled[tag as usize] {
-            return false;
-        }
-        // "already popped" shows as absent from the heap.
-        if !self.heap.iter().any(|Reverse((_, _, _, t))| *t == tag) {
+        if !self.is_pending(tag) {
             return false;
         }
         self.cancelled[tag as usize] = true;
         self.live -= 1;
         true
+    }
+
+    /// A re-arm is defined as a cancel followed by a schedule.
+    fn rearm(&mut self, prev: Option<u32>, at: Nanos) -> u32 {
+        if let Some(tag) = prev {
+            self.cancel(tag);
+        }
+        self.schedule(at)
     }
 
     fn pop(&mut self) -> Option<(Nanos, u32)> {
@@ -98,27 +112,35 @@ impl ReferenceQueue {
 /// One step of a random trace, decoded from a `(kind, offset, pick,
 /// timer_offset)` tuple: kinds 0-1 schedule at `now + offset` (tiny
 /// offsets force heavy timestamp collisions; offset 0 exercises the
-/// same-instant FIFO lane), kind 2 schedules at a medium offset (the
-/// clock jumps whole wheel slots ahead of parked timers, so the wheel's
-/// horizon goes stale and same-instant/near-tick fallbacks get hit),
-/// kind 3 arms a wheel timer at `now + timer_offset` (offsets up to
-/// 2^30 ns span several wheel levels, so cascade boundaries and
-/// cancel-after-cascade get exercised), kind 4 arms a wheel timer at the
-/// tiny offset (the near-tick fallback path, colliding with slab events
-/// on the same instant), kind 5 cancels the `pick`-th id issued so far
+/// same-instant FIFO lane), kind 2 schedules at a medium offset (up to
+/// 2^26 ns, so deadlines spread far past the crowded instants), kind 3
+/// re-arms a handle at its own deadline `- 2 ..= +3` ns (earlier, equal
+/// and later deadlines; clamped to the clock, so a fired or cancelled
+/// handle re-arms onto the current instant and into the lane), kind 4
+/// re-arms a handle up to 2^20 ns later (the RTO pattern, chaining
+/// in-place re-arms), kind 5 cancels the `pick`-th id issued so far
 /// (live, popped, or already cancelled — all three outcomes must agree
 /// across queues), kinds 6-7 schedule a front-class event at
 /// `now + 1 + offset` (strictly future, on the same few instants the
 /// normal events crowd), and kinds 8-10 pop the earliest live event
 /// from both queues.
+///
+/// A re-arm's `pick` chooses its handle: an even pick re-arms one of
+/// [`TIMERS`] timer slots, as the lab re-arms a connection's timer;
+/// an odd pick re-arms any id issued so far — a live, fired or
+/// cancelled one, a front-class one, or one whose key sits in the
+/// lane. Either way the new handle replaces the slot's.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Schedule { offset: u64 },
-    ScheduleTimer { offset: u64 },
+    Rearm { pick: usize, offset: i64 },
     ScheduleFront { offset: u64 },
     Cancel { pick: usize },
     Pop,
 }
+
+/// Timer slots the re-arm ops chain through.
+const TIMERS: usize = 8;
 
 fn decode(kind: u8, offset: u64, pick: usize, timer_offset: u64) -> Op {
     match kind {
@@ -126,10 +148,14 @@ fn decode(kind: u8, offset: u64, pick: usize, timer_offset: u64) -> Op {
         2 => Op::Schedule {
             offset: timer_offset >> 4,
         },
-        3 => Op::ScheduleTimer {
-            offset: timer_offset,
+        3 => Op::Rearm {
+            pick,
+            offset: offset as i64 - 2,
         },
-        4 => Op::ScheduleTimer { offset },
+        4 => Op::Rearm {
+            pick,
+            offset: (timer_offset >> 10) as i64,
+        },
         5 => Op::Cancel { pick },
         6..=7 => Op::ScheduleFront { offset },
         _ => Op::Pop,
@@ -141,6 +167,10 @@ struct Lockstep {
     cal: Calendar<u32>,
     reference: ReferenceQueue,
     ids: Vec<(EventId, u32)>,
+    /// The latest handle re-armed into each timer slot.
+    timers: [Option<(EventId, u32)>; TIMERS],
+    /// Normal-class events issued so far, schedules and re-arms.
+    normals: u64,
     /// Front-class keys issued so far; each key is a bijective scramble
     /// of this count, so keys are unique but arrive out of order.
     fronts: u64,
@@ -152,6 +182,8 @@ impl Lockstep {
             cal: Calendar::new(),
             reference: ReferenceQueue::new(),
             ids: Vec::new(),
+            timers: [None; TIMERS],
+            normals: 0,
             fronts: 0,
         }
     }
@@ -163,12 +195,31 @@ impl Lockstep {
                 let tag = self.reference.schedule(at);
                 let id = self.cal.schedule(at, tag);
                 self.ids.push((id, tag));
+                self.normals += 1;
             }
-            Op::ScheduleTimer { offset } => {
-                let at = self.cal.now() + Nanos(offset);
-                let tag = self.reference.schedule(at);
-                let id = self.cal.schedule_timer(at, tag);
+            Op::Rearm { pick, offset } => {
+                let slot = (pick / 2) % TIMERS;
+                let prev = if pick % 2 == 0 || self.ids.is_empty() {
+                    self.timers[slot]
+                } else {
+                    Some(self.ids[(pick / 2) % self.ids.len()])
+                };
+                let now = self.cal.now();
+                let base = match prev {
+                    Some((_, tag)) if self.reference.is_pending(tag) => {
+                        self.reference.times[tag as usize]
+                    }
+                    _ => now,
+                };
+                let at = Nanos(base.as_nanos().saturating_add_signed(offset)).max(now);
+                let tag = self.reference.rearm(prev.map(|(_, t)| t), at);
+                let id = self.cal.rearm(prev.map(|(id, _)| id), at, tag);
+                if let Some((old, _)) = prev {
+                    assert_eq!(self.cal.cancel(old), None, "a re-armed handle is inert");
+                }
+                self.timers[slot] = Some((id, tag));
                 self.ids.push((id, tag));
+                self.normals += 1;
             }
             Op::ScheduleFront { offset } => {
                 let at = self.cal.now() + Nanos(1 + offset);
@@ -195,6 +246,15 @@ impl Lockstep {
         }
         assert_eq!(self.cal.len(), self.reference.live, "live counts diverged");
         assert_eq!(self.cal.now(), self.reference.now, "clocks diverged");
+        // Every normal event enters the heap or the lane at most once: a
+        // re-armed key is forwarded by one stale key, never by two.
+        let c = self.cal.prof_counters();
+        assert!(
+            c.sched_slab + c.sched_lane <= self.normals,
+            "{} keys queued for {} normal events",
+            c.sched_slab + c.sched_lane,
+            self.normals
+        );
     }
 
     /// Drain both queues completely: the tails must match too.
@@ -214,10 +274,10 @@ proptest! {
 
     /// Identical pop order (FIFO-stable at equal timestamps, front class
     /// first and in key order), identical cancellation results, identical
-    /// live counts — across arbitrary interleavings of schedule,
-    /// timer-lane schedule, keyed front-class schedule, cancel, and pop.
-    /// The reference queue has no wheel: this is the proof that the wheel
-    /// lane is observationally identical to plain heap scheduling.
+    /// live counts — across arbitrary interleavings of schedule, re-arm,
+    /// keyed front-class schedule, cancel, and pop. The reference re-arm
+    /// is a plain cancel plus schedule: this is the proof that re-arming
+    /// in place is observationally identical to it.
     #[test]
     fn slab_calendar_matches_the_reference_binary_heap(
         ops in proptest::collection::vec(
@@ -233,9 +293,10 @@ proptest! {
     }
 
     /// The same lockstep from a deep start: 1,500-2,000 events of all
-    /// three classes are pending before the trace begins, so the 4-ary
+    /// three kinds are scheduled before the trace begins, so the 4-ary
     /// heap's sifts run five and more levels deep while front keys,
-    /// normal keys and timers tie on the same few hundred instants.
+    /// normal keys and re-armed timers tie on the same few hundred
+    /// instants.
     #[test]
     fn deep_mixed_class_calendar_matches_the_reference(
         bulk in proptest::collection::vec((0u8..4, 0u64..400), 1_500..2_000),
@@ -249,7 +310,7 @@ proptest! {
             run.apply(match kind {
                 0..=1 => Op::Schedule { offset: at },
                 2 => Op::ScheduleFront { offset: at },
-                _ => Op::ScheduleTimer { offset: at << 16 },
+                _ => Op::Rearm { pick: 2 * at as usize, offset: at as i64 - 200 },
             });
         }
         prop_assert!(run.cal.len() >= 1_000, "only {} pending", run.cal.len());

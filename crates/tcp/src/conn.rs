@@ -44,8 +44,8 @@ use tengig_sim::Nanos;
 /// while keeping `1 << backoff` far from overflow.
 const MAX_RTO_BACKOFF: u32 = 16;
 
-/// Timers a connection can arm. The engine cannot cancel events, so each
-/// timer carries a generation; stale generations are ignored on expiry.
+/// Timers a connection can arm. Each arm carries a generation; stale
+/// generations are ignored on expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerKind {
     /// Retransmission timeout.
