@@ -26,7 +26,7 @@ use tengig_net::{Delivery, Path, PathState};
 use tengig_nic::CoalesceAction;
 use tengig_sim::{
     Engine, EventFire, EventId, FlightDump, Hist, MetricKind, Nanos, ObsConfig, Sanitizer, Scope,
-    SimConfig, SimRng, Stage, Timelines, Tracer, ViolationKind,
+    SimConfig, SimRng, Stage, StepSeries, Timelines, Tracer, ViolationKind,
 };
 use tengig_tcp::{Action, Segment, Sysctls, TcpConn, TimerKind};
 use tengig_tools::{Iperf, NetPipe, NttcpReceiver, NttcpSender, PingPongSide, Pktgen};
@@ -210,6 +210,11 @@ pub struct LabProf {
     pub pool_hits: u64,
     /// Action-buffer pool misses (a fresh allocation was needed).
     pub pool_misses: u64,
+    /// [`Timelines::record`] calls the obs sampler made: one per metric
+    /// of every scope it read. It reads every host on every sample, and a
+    /// flow endpoint or link only on the first sample and after something
+    /// changed its sampled state.
+    pub obs_records: u64,
 }
 
 impl EventFire<Lab> for Ev {
@@ -241,6 +246,7 @@ impl EventFire<Lab> for Ev {
                 let now = eng.now();
                 let mut acts = lab.take_actions();
                 lab.flows[f].conns[ep].on_segment_into(now, &seg, &mut acts);
+                obs_touch(lab, f, ep);
                 // Every ACK/data arrival revalidates the connection's
                 // sequence-space invariants under the sanitizer.
                 check_tcp_invariants(lab, eng, f, ep);
@@ -257,6 +263,7 @@ impl EventFire<Lab> for Ev {
                 lab.hosts[h].probe(now, stage, f as u64, 0, Nanos::ZERO);
                 let mut acts = lab.take_actions();
                 lab.flows[f].conns[ep].on_timer_into(now, kind, gen, &mut acts);
+                obs_touch(lab, f, ep);
                 check_tcp_invariants(lab, eng, f, ep);
                 process_actions(lab, eng, f, ep, &mut acts);
                 lab.recycle_actions(acts);
@@ -454,6 +461,16 @@ impl FlowRt {
 
 /// Live state of the observability layer while a lab run has metrics
 /// sampling enabled (see [`Lab::enable_obs`]).
+///
+/// Two dirty maps tell [`obs_sample`] which flow endpoints and links to
+/// read. An endpoint's bit (`2f + ep`) is set by [`obs_touch`] right
+/// after each of the six `TcpConn` mutators the lab calls; a link's bit
+/// is set by [`obs_touch_route`] whenever a route walk drops a frame.
+/// Every sampled metric of those scopes is a pure getter over state only
+/// those calls change, and re-recording an unchanged value is a no-op
+/// under step semantics, so skipping a clear bit leaves every timeline
+/// byte as it was. Both maps start full, so the first sample still
+/// creates every series.
 #[derive(Debug)]
 struct ObsRt {
     /// Sampling cadence.
@@ -464,6 +481,46 @@ struct ObsRt {
     /// the calendar drains; on a shard it is revived by the next
     /// cross-shard message (see [`obs_revive`]).
     armed: bool,
+    /// Flow endpoints touched since the last sample, bit `2f + ep`.
+    dirty_eps: DirtyMap,
+    /// Links whose drop counters may have moved since the last sample.
+    dirty_links: DirtyMap,
+}
+
+/// One bit per scope: set when the scope's sampled state may have
+/// changed since the sampler last read it.
+#[derive(Debug)]
+struct DirtyMap {
+    words: Vec<u64>,
+}
+
+impl DirtyMap {
+    /// A map of `n` bits, all set.
+    fn full(n: usize) -> Self {
+        let mut map = DirtyMap {
+            words: vec![0; n.div_ceil(64)],
+        };
+        (0..n).for_each(|i| map.set(i));
+        map
+    }
+
+    /// Set bit `i`.
+    #[inline]
+    fn set(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Clear every bit, visiting the ones that were set in ascending
+    /// order.
+    fn drain(&mut self, mut visit: impl FnMut(usize)) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                visit(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// The world the engine runs.
@@ -641,6 +698,8 @@ impl Lab {
             interval,
             timelines: Timelines::new(interval),
             armed: true,
+            dirty_eps: DirtyMap::full(2 * self.flows.len()),
+            dirty_links: DirtyMap::full(self.links.len()),
         });
     }
 
@@ -793,11 +852,97 @@ pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
     }
 }
 
-/// One observability sample: read every flow's TCP state, every host's
-/// NIC/CPU state, and every link's drop counters into the step-series,
-/// then re-arm the sampling timer while the calendar holds any event (so
-/// every active phase is sampled on the global k·interval grid and a
-/// finished run's calendar drains).
+/// Mark flow `f` endpoint `ep` for the next obs sample. Called right
+/// after every `TcpConn` mutator the lab invokes; a no-op with obs off.
+#[inline]
+fn obs_touch(lab: &mut Lab, f: usize, ep: usize) {
+    if let Some(obs) = &mut lab.obs {
+        obs.dirty_eps.set(2 * f + ep);
+    }
+}
+
+/// Mark every link on flow `f`'s route from endpoint `ep` for the next
+/// obs sample: a walk down it dropped a frame, so some link's drop
+/// counters moved.
+fn obs_touch_route(lab: &mut Lab, f: usize, ep: usize) {
+    if let Some(obs) = &mut lab.obs {
+        for &l in &lab.flows[f].route[ep] {
+            obs.dirty_links.set(l);
+        }
+    }
+}
+
+/// The sampled metrics of one flow endpoint, in series key order.
+fn flow_metrics(c: &TcpConn) -> [(MetricKind, u64); 6] {
+    [
+        (MetricKind::Cwnd, c.cc.cwnd),
+        (MetricKind::Ssthresh, c.cc.ssthresh),
+        (
+            MetricKind::SrttNanos,
+            c.srtt().unwrap_or(Nanos::ZERO).as_nanos(),
+        ),
+        (MetricKind::RttvarNanos, c.rttvar().as_nanos()),
+        (MetricKind::BytesInFlight, c.inflight_bytes()),
+        (MetricKind::Retransmits, c.stats.retransmits),
+    ]
+}
+
+/// The sampled metrics of one host, in series key order.
+fn host_metrics(host: &HostRt) -> [(MetricKind, u64); 5] {
+    [
+        (MetricKind::RxRingFrames, host.rx_pending.len() as u64),
+        (MetricKind::CoalescePending, host.coalescer.pending() as u64),
+        (
+            MetricKind::CoalesceDelayNanos,
+            host.cfg.nic.rx_coalesce_delay.as_nanos(),
+        ),
+        (MetricKind::RxCrcDrops, host.rx_crc_drops),
+        (
+            MetricKind::CpuBusyNanos,
+            host.hottest_cpu_busy_total().as_nanos(),
+        ),
+    ]
+}
+
+/// The sampled metrics of one link, in series key order.
+fn link_metrics(link: &PathState) -> [(MetricKind, u64); 2] {
+    [
+        (MetricKind::QueueDrops, link.total_drops()),
+        (MetricKind::ImpairDrops, link.impair_drops()),
+    ]
+}
+
+/// Record one scope's metrics at `now`; returns the record count.
+fn record_scope(
+    tl: &mut Timelines,
+    scope: Scope,
+    now: Nanos,
+    metrics: &[(MetricKind, u64)],
+) -> u64 {
+    for &(m, v) in metrics {
+        tl.record(scope, m, now, v);
+    }
+    metrics.len() as u64
+}
+
+/// Whether this replica samples link `l`: it owns the link's
+/// transmitting host ([`GridRt::owns_link`]), or it owns everything.
+fn samples_link(lab: &Lab, l: usize) -> bool {
+    lab.grid.as_ref().map_or(true, |g| g.owns_link(l))
+}
+
+/// One observability sample: read every host's NIC/CPU state, and the
+/// TCP state of each flow endpoint and the drop counters of each link
+/// marked in the dirty maps since the last sample (all of them on the
+/// first), into the step-series; then re-arm the sampling timer while
+/// the calendar holds any event (so every active phase is sampled on the
+/// global k·interval grid and a finished run's calendar drains).
+///
+/// The skipped scopes are exactly those whose metrics cannot have moved
+/// (see [`ObsRt`]), so the timelines equal a full walk's byte for byte.
+/// Under a sanitizer the sampler proves it: it re-reads every owned
+/// flow endpoint and link and records a [`ViolationKind::ObsStale`] for
+/// any metric that differs from its series' last point.
 ///
 /// Strictly read-only with respect to the simulation: no resource is
 /// admitted, no randomness drawn, no connection touched — so enabling
@@ -811,73 +956,48 @@ pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
 /// CPU is the cumulative [`MetricKind::CpuBusyNanos`] (a dormant shard's
 /// value is exactly frozen, so skipped samples collapse away), and no
 /// metric decays with *when* the owning shard happens to sample.
+///
+/// Kept out of line: it runs once per sampling interval, and inlined
+/// into [`Ev`]'s dispatch it would grow the code every event runs.
+#[inline(never)]
 fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
     let now = eng.now();
     let Some(mut obs) = lab.obs.take() else {
         return;
     };
-    let tl = &mut obs.timelines;
-    for (f, flow) in lab.flows.iter().enumerate() {
-        for ep in 0..2 {
-            if !lab.runs_host(flow.host[ep]) {
-                continue;
-            }
-            let c = &flow.conns[ep];
+    let ObsRt {
+        timelines: tl,
+        dirty_eps,
+        dirty_links,
+        ..
+    } = &mut obs;
+    let mut records = 0;
+    dirty_eps.drain(|i| {
+        let (f, ep) = (i / 2, i % 2);
+        let flow = &lab.flows[f];
+        if lab.runs_host(flow.host[ep]) {
             let scope = Scope::Flow {
                 flow: f as u32,
                 ep: ep as u32,
             };
-            tl.record(scope, MetricKind::Cwnd, now, c.cc.cwnd);
-            tl.record(scope, MetricKind::Ssthresh, now, c.cc.ssthresh);
-            tl.record(
-                scope,
-                MetricKind::SrttNanos,
-                now,
-                c.srtt().unwrap_or(Nanos::ZERO).as_nanos(),
-            );
-            tl.record(scope, MetricKind::RttvarNanos, now, c.rttvar().as_nanos());
-            tl.record(scope, MetricKind::BytesInFlight, now, c.inflight_bytes());
-            tl.record(scope, MetricKind::Retransmits, now, c.stats.retransmits);
+            records += record_scope(tl, scope, now, &flow_metrics(&flow.conns[ep]));
         }
-    }
+    });
     for (h, host) in lab.hosts.iter().enumerate() {
-        if !lab.runs_host(h) {
-            continue;
+        if lab.runs_host(h) {
+            let scope = Scope::Host { host: h as u32 };
+            records += record_scope(tl, scope, now, &host_metrics(host));
         }
-        let scope = Scope::Host { host: h as u32 };
-        tl.record(
-            scope,
-            MetricKind::CpuBusyNanos,
-            now,
-            host.hottest_cpu_busy_total().as_nanos(),
-        );
-        tl.record(
-            scope,
-            MetricKind::RxRingFrames,
-            now,
-            host.rx_pending.len() as u64,
-        );
-        tl.record(
-            scope,
-            MetricKind::CoalescePending,
-            now,
-            host.coalescer.pending() as u64,
-        );
-        tl.record(
-            scope,
-            MetricKind::CoalesceDelayNanos,
-            now,
-            host.cfg.nic.rx_coalesce_delay.as_nanos(),
-        );
-        tl.record(scope, MetricKind::RxCrcDrops, now, host.rx_crc_drops);
     }
-    for (l, link) in lab.links.iter().enumerate() {
-        if !lab.grid.as_ref().map_or(true, |g| g.owns_link(l)) {
-            continue;
+    dirty_links.drain(|l| {
+        if samples_link(lab, l) {
+            let scope = Scope::Link { link: l as u32 };
+            records += record_scope(tl, scope, now, &link_metrics(&lab.links[l]));
         }
-        let scope = Scope::Link { link: l as u32 };
-        tl.record(scope, MetricKind::QueueDrops, now, link.total_drops());
-        tl.record(scope, MetricKind::ImpairDrops, now, link.impair_drops());
+    });
+    lab.prof.obs_records += records;
+    if let Some(s) = eng.sanitizer_mut() {
+        check_obs_fresh(lab, tl, s, now);
     }
     // A shard whose calendar drained goes dormant here and is revived by
     // the next cross-shard message.
@@ -886,6 +1006,41 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
         eng.schedule_event_at(now + obs.interval, Ev::ObsSample);
     }
     lab.obs = Some(obs);
+}
+
+/// Sanitizer check of the sampler's skips, run right after a sample:
+/// every owned flow endpoint's and link's live metrics must equal their
+/// series' last points. A mismatch means some mutation did not mark its
+/// scope dirty, and the timelines silently missed a change.
+fn check_obs_fresh(lab: &Lab, tl: &Timelines, s: &mut Sanitizer, now: Nanos) {
+    let mut check = |scope: Scope, metrics: &[(MetricKind, u64)]| {
+        for &(m, v) in metrics {
+            let last = tl.get(scope, m).and_then(StepSeries::last);
+            if last != Some(v) {
+                s.record(
+                    ViolationKind::ObsStale,
+                    now,
+                    format!("{scope} {m}: live {v}, series last {last:?}"),
+                );
+            }
+        }
+    };
+    for (f, flow) in lab.flows.iter().enumerate() {
+        for ep in 0..2 {
+            if lab.runs_host(flow.host[ep]) {
+                let scope = Scope::Flow {
+                    flow: f as u32,
+                    ep: ep as u32,
+                };
+                check(scope, &flow_metrics(&flow.conns[ep]));
+            }
+        }
+    }
+    for (l, link) in lab.links.iter().enumerate() {
+        if samples_link(lab, l) {
+            check(Scope::Link { link: l as u32 }, &link_metrics(link));
+        }
+    }
 }
 
 /// Revival of a shard's dormant sampling chain: when a cross-shard
@@ -919,6 +1074,7 @@ fn start_flow(lab: &mut Lab, eng: &mut LabEngine, f: usize) {
             let h = lab.flows[f].host[ep];
             lab.flows[f].meas.cpu_busy_start[ep] = lab.hosts[h].hottest_cpu_busy(now);
             lab.flows[f].conns[ep].on_open(now);
+            obs_touch(lab, f, ep);
         }
     }
     match &mut lab.flows[f].app {
@@ -1025,6 +1181,7 @@ fn app_write(lab: &mut Lab, eng: &mut LabEngine, f: usize, ep: usize, bytes: u64
     lab.hosts[h].probe(now, Stage::AppWrite, f as u64, bytes, cost);
     let mut actions = lab.take_actions();
     let accepted = lab.flows[f].conns[ep].on_app_write_into(now, bytes, &mut actions);
+    obs_touch(lab, f, ep);
     debug_assert_eq!(accepted, bytes, "writer checked space before writing");
     process_actions(lab, eng, f, ep, &mut actions);
     lab.recycle_actions(actions);
@@ -1187,6 +1344,9 @@ fn tx_wire(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Seg
         s.inject(wire);
     }
     let v = route_walk(&mut lab.links, &lab.flows[f].route[src_ep], now, wire);
+    if v.dropped > 0 {
+        obs_touch_route(lab, f, src_ep);
+    }
     if let Some(s) = eng.sanitizer_mut() {
         if v.duplicated {
             // The duplicate is a second physical frame on the wire: it
@@ -1371,6 +1531,7 @@ fn read_done(lab: &mut Lab, eng: &mut LabEngine, f: usize, ep: usize, bytes: u64
     lab.hosts[h].probe(now, Stage::AppRead, f as u64, bytes, Nanos::ZERO);
     let mut acts = lab.take_actions();
     lab.flows[f].conns[ep].on_app_read_into(now, bytes, &mut acts);
+    obs_touch(lab, f, ep);
     process_actions(lab, eng, f, ep, &mut acts);
     lab.recycle_actions(acts);
     app_on_delivered(lab, eng, f, ep, bytes);
@@ -1392,6 +1553,7 @@ fn mark_done(lab: &mut Lab, f: usize, now: Nanos) {
         let h = lab.flows[f].host[ep];
         lab.flows[f].meas.cpu_busy_end[ep] = lab.hosts[h].hottest_cpu_busy(now);
         lab.flows[f].conns[ep].on_close(now);
+        obs_touch(lab, f, ep);
     }
 }
 
@@ -1499,6 +1661,9 @@ fn pktgen_tick(lab: &mut Lab, eng: &mut LabEngine, f: usize) {
     let t3 = adm.done;
     // Wire.
     let v = route_walk(&mut lab.links, &lab.flows[f].route[0], t3, wire);
+    if v.dropped > 0 {
+        obs_touch_route(lab, f, 0);
+    }
     if let Some(s) = eng.sanitizer_mut() {
         if v.duplicated {
             s.inject(wire);
@@ -1661,6 +1826,63 @@ mod tests {
             (m.t_start.unwrap(), m.t_done.unwrap(), eng.executed())
         };
         assert_eq!(run(), run());
+    }
+
+    /// One b2b NTTCP flow with obs sampling every 100 µs, its start
+    /// held back to 550 µs, under a sanitizer.
+    fn late_start_obs_lab() -> (Lab, LabEngine) {
+        let cfg = LadderRung::Stock.pe2650_config(Mtu::STANDARD);
+        let (mut lab, mut eng) = b2b_lab(cfg, nttcp(1448, 50), 1);
+        eng.install_sanitizer(Sanitizer::new(1));
+        let obs = ObsConfig {
+            sample_interval: Nanos::from_micros(100),
+            ..ObsConfig::default()
+        };
+        lab.enable_obs(&obs, 1);
+        kick_at(&mut lab, &mut eng, &[Nanos::from_micros(550)]);
+        (lab, eng)
+    }
+
+    /// A flow that has not started is read at the first sample, so its
+    /// series exist from the same instant as every other scope's, and
+    /// not again until its `StartFlow` opens the connections.
+    #[test]
+    fn an_idle_flow_is_read_at_the_first_sample_and_again_at_its_start() {
+        let (mut lab, mut eng) = late_start_obs_lab();
+        let flow = 2 * 6;
+        let hosts = 5 * lab.hosts.len() as u64;
+        let links = 2 * lab.links.len() as u64;
+        eng.advance_to(&mut lab, Nanos::from_micros(100));
+        assert_eq!(lab.prof.obs_records, flow + hosts + links);
+        let tl = &lab.obs.as_ref().expect("obs is on").timelines;
+        let cwnd = tl.get(Scope::Flow { flow: 0, ep: 1 }, MetricKind::Cwnd);
+        let first = cwnd.expect("idle flow series exist").points()[0].0;
+        assert_eq!(first, Nanos::from_micros(100));
+        eng.advance_to(&mut lab, Nanos::from_micros(500));
+        let idle = flow + hosts + links + 4 * hosts;
+        assert_eq!(lab.prof.obs_records, idle, "only hosts are re-read");
+        eng.advance_to(&mut lab, Nanos::from_micros(600));
+        assert_eq!(lab.prof.obs_records, idle + hosts + flow);
+        assert!(!eng.sanitizer().expect("installed").has_violations());
+    }
+
+    /// Under a sanitizer the sampler re-reads every scope it skips: a
+    /// metric that moves without marking its scope is an `obs-stale`
+    /// violation naming the scope and metric.
+    #[test]
+    fn a_change_the_sampler_was_not_told_about_is_an_obs_stale_violation() {
+        let (mut lab, mut eng) = late_start_obs_lab();
+        eng.advance_to(&mut lab, Nanos::from_micros(100));
+        assert!(!eng.sanitizer().expect("installed").has_violations());
+        lab.flows[0].conns[1].stats.retransmits += 1;
+        eng.advance_to(&mut lab, Nanos::from_micros(200));
+        let v = &eng.sanitizer().expect("installed").violations()[0];
+        assert_eq!(v.kind, ViolationKind::ObsStale);
+        assert_eq!(v.at, Nanos::from_micros(200));
+        assert_eq!(
+            v.detail,
+            "flow 0/1 retransmits: live 1, series last Some(0)"
+        );
     }
 
     #[test]

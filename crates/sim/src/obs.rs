@@ -21,9 +21,13 @@
 //! (`u64` / [`Nanos`]), there is no wall-clock anywhere, and serialization
 //! is byte-deterministic — the same run on 1 and N sweep threads emits
 //! identical timeline JSONL. [`Timelines`] stores its series densely, in
-//! one `Vec` sorted by `(scope, metric)`, so a sample is a key compare
-//! and a step push, and iteration, merge, equality and serialization
-//! read the deterministic key order straight from storage.
+//! one `Vec` sorted by `(scope, metric)`, so a record is usually a key
+//! compare and a step push, and iteration, merge, equality and
+//! serialization read the deterministic key order straight from
+//! storage. A sample costs its reads of lab state more than its
+//! records, so the lab's sampler reads a flow endpoint or link only
+//! when something changed it since the previous sample, and a
+//! sanitizer proves each skip exact (`ViolationKind::ObsStale`).
 
 use crate::time::Nanos;
 use crate::trace::TraceEvent;
@@ -205,8 +209,13 @@ impl StepSeries {
     }
 
     /// Record a sample. Consecutive samples with an unchanged value are
-    /// collapsed into the first point (step semantics).
+    /// collapsed into the first point (step semantics). Sample times must
+    /// strictly increase: [`StepSeries::value_at`] binary-searches them.
     pub fn push(&mut self, t: Nanos, v: u64) {
+        debug_assert!(
+            self.points.last().map_or(true, |&(last, _)| t > last),
+            "step-series sample at {t} does not follow the last point"
+        );
         if self.points.last().map(|&(_, last)| last) == Some(v) {
             return;
         }
@@ -258,12 +267,14 @@ impl StepSeries {
 ///
 /// Series are stored densely in one `Vec` sorted by key, each next to
 /// its key, so a [`Timelines::record`] that hits the slot after the one
-/// it hit last costs a key compare plus a step push: the lab's sampler
-/// walks the same scopes in the same order on every sample, so after
-/// the first sample most records hit. A miss binary-searches the
-/// `Vec`, inserting the key if it is new. Every reader — iteration,
-/// `get`, merge, serialization — sees the deterministic
-/// `(scope, metric)` order because that is the storage order.
+/// it hit last costs a key compare plus a step push. The lab's sampler
+/// records each scope's metrics in key order and visits scopes in key
+/// order, skipping those nothing changed since its last sample, so
+/// every record of a scope after its first hits. A miss
+/// binary-searches the `Vec`, inserting the key if it is new. Every
+/// reader — iteration, `get`, merge, serialization — sees the
+/// deterministic `(scope, metric)` order because that is the storage
+/// order.
 #[derive(Debug, Clone)]
 pub struct Timelines {
     /// The sampling cadence the series were recorded on.
@@ -607,6 +618,11 @@ fn parse_points(line: &str) -> Result<Vec<(u64, u64)>, String> {
             .ok_or_else(|| format!("malformed point `{pair}`"))?;
         let t: u64 = t.parse().map_err(|e| format!("point time `{t}`: {e}"))?;
         let v: u64 = v.parse().map_err(|e| format!("point value `{v}`: {e}"))?;
+        if let Some(&(prev, _)) = out.last() {
+            if t <= prev {
+                return Err(format!("point time {t} does not follow {prev}"));
+            }
+        }
         out.push((t, v));
     }
     Ok(out)
@@ -876,6 +892,17 @@ mod tests {
         assert!(err("{\"obs\":\"timelines\",\"interval_ns\":1}").contains("missing series"));
         let e = err(&format!("{hdr}{one}\n{one}\n"));
         assert!(e.contains("line 3: repeated series host 0 cwnd"), "{e}");
+        // Point times must strictly increase, or `value_at` and `diff`
+        // misread the series.
+        for (points, want) in [
+            ("[[5,1],[3,2]]", "line 2: point time 3 does not follow 5"),
+            ("[[5,1],[5,2]]", "line 2: point time 5 does not follow 5"),
+        ] {
+            let e = err(&with(&format!(
+                "{{\"scope\":\"host\",\"host\":0,\"metric\":\"cwnd\",\"points\":{points}}}"
+            )));
+            assert!(e.contains(want), "{e}");
+        }
         assert!(Timelines::from_jsonl(&with(one)).is_ok());
     }
 

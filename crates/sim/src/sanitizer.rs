@@ -17,6 +17,9 @@
 //! * **TCP sequence invariants** — checked by the TCP layer at every ACK
 //!   and reported here (`snd_una ≤ snd_nxt`, cwnd/ssthresh bounds, SWS
 //!   rounding; see `TcpConn::check_invariants` in `tengig-tcp`).
+//! * **Obs freshness** — the lab's obs sampler skips scopes nothing
+//!   changed since its last sample; under a sanitizer it re-reads them
+//!   and reports any metric that moved without marking its scope.
 //!
 //! Violations are *recorded*, not panicked on, so a test can observe them;
 //! the experiment drivers turn a non-empty violation list into a panic whose
@@ -74,6 +77,9 @@ pub enum ViolationKind {
     ByteConservation,
     /// A TCP connection's sequence-space invariants failed.
     TcpInvariant,
+    /// The obs sampler skipped a scope it believed unchanged, yet a
+    /// metric's live value differs from its series' last point.
+    ObsStale,
 }
 
 impl fmt::Display for ViolationKind {
@@ -82,6 +88,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::Causality => "causality",
             ViolationKind::ByteConservation => "byte-conservation",
             ViolationKind::TcpInvariant => "tcp-invariant",
+            ViolationKind::ObsStale => "obs-stale",
         })
     }
 }
