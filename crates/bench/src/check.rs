@@ -185,13 +185,12 @@ pub static REGISTRY: &[Family] = &[
     },
 ];
 
-/// Obs cadence for the pinned workloads: a 100 µs sampling interval with
-/// 1-in-4 detail sampling keeps the timelines compact but non-trivial.
+/// Obs cadence for the pinned workloads: a 100 µs sampling interval keeps
+/// the timelines compact but non-trivial.
 pub fn obs_config() -> ObsConfig {
     ObsConfig {
         sample_interval: Nanos::from_micros(100),
-        ring_capacity: 256,
-        sample_every: 4,
+        ..ObsConfig::default()
     }
 }
 

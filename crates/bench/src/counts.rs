@@ -65,15 +65,13 @@ fn throughput_sweep() -> (u64, u64) {
 }
 
 /// The same payload sweep with the observability layer enabled: per-flow
-/// metrics timelines sampled every 100 µs plus detail tracing 1-in-16.
-/// The workload bytes match `throughput_sweep` exactly; the extra events
-/// are the obs samples.
+/// metrics timelines sampled every 100 µs. The workload bytes match
+/// `throughput_sweep` exactly; the extra events are the obs samples.
 fn throughput_sweep_obs() -> (u64, u64) {
     let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
     let obs = ObsConfig {
         sample_interval: Nanos::from_micros(100),
-        ring_capacity: 256,
-        sample_every: 16,
+        ..ObsConfig::default()
     };
     let mut events = 0;
     let mut bytes = 0;

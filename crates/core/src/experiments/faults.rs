@@ -33,7 +33,7 @@ use crate::sweep::{scenarios, SweepRunner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tengig_net::{GilbertElliott, Hop, ImpairmentSchedule, Impairments, Path, Reorder, WanSpec};
 use tengig_nic::NicSpec;
-use tengig_sim::{rate_of, Bandwidth, Nanos, Sanitizer, SimRng};
+use tengig_sim::{rate_of, Bandwidth, Nanos, SimRng};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -443,8 +443,7 @@ fn chaos_lab(spec: &ChaosSpec, seed: u64) -> (Lab, LabEngine) {
     // Chaos runs always arm the sanitizer and flight recorder — the whole
     // point is running pathological inputs with the invariants on,
     // regardless of the debug/release default.
-    eng.install_sanitizer(Sanitizer::new(seed));
-    lab.arm_flight_recorder(lab::FLIGHT_RING);
+    lab::install_sanitizer(&mut lab, &mut eng, seed);
     (lab, eng)
 }
 

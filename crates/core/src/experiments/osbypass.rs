@@ -19,7 +19,7 @@ use crate::lab::{self, App};
 use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_ethernet::Mtu;
-use tengig_sim::{rate_of, Bandwidth, Nanos};
+use tengig_sim::Nanos;
 use tengig_tools::Pktgen;
 
 /// Per-descriptor PCI-X overhead of an RDMA-capable adapter: descriptors
@@ -91,17 +91,6 @@ pub fn latency(mtu: Mtu) -> Nanos {
     post + pci + wire + pci + poll
 }
 
-/// The sustained rate the bus-level math supports (for cross-checking the
-/// simulation).
-pub fn bus_ceiling(mtu: Mtu) -> Bandwidth {
-    let cfg = rdma_host(mtu);
-    let frame = mtu.get() + 18;
-    rate_of(
-        tengig_tcp::Datagram::max_payload(mtu.get()),
-        cfg.hw.pci.packet_transfer_time(frame),
-    )
-}
-
 /// Sweep the OS-bypass projection over MTUs on the deterministic sweep
 /// runner. Returns the per-point results plus the machine-readable
 /// [`SweepReport`].
@@ -140,6 +129,7 @@ pub fn mtu_sweep_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tengig_sim::rate_of;
 
     #[test]
     fn projection_approaches_8_gbps() {
@@ -178,8 +168,12 @@ mod tests {
 
     #[test]
     fn bus_math_agrees_with_simulation() {
-        let sim = throughput(Mtu::JUMBO_9000, 3_000).gbps;
-        let ceiling = bus_ceiling(Mtu::JUMBO_9000).gbps();
+        // The sustained rate the bus-level math supports: one datagram's
+        // payload per PCI-X transfer of its frame.
+        let mtu = Mtu::JUMBO_9000;
+        let sim = throughput(mtu, 3_000).gbps;
+        let pci = rdma_host(mtu).hw.pci.packet_transfer_time(mtu.get() + 18);
+        let ceiling = rate_of(tengig_tcp::Datagram::max_payload(mtu.get()), pci).gbps();
         assert!(
             (sim / ceiling - 1.0).abs() < 0.15,
             "sim {sim} vs analytic ceiling {ceiling}"

@@ -192,15 +192,14 @@ fn stripe_wan() -> Path {
 }
 
 /// Observability configuration for serve runs: 2 ms sampling (dozens of
-/// samples per rung), flight-recorder detail effectively off. Always on,
+/// samples per rung). Always on,
 /// so the per-host CPU-saturation series comes from the same run the
 /// golden gates (the sampling events themselves are netted out of the
 /// reported event counts — see [`run_serve`]).
 fn serve_obs() -> ObsConfig {
     ObsConfig {
         sample_interval: Nanos::from_millis(2),
-        ring_capacity: 64,
-        sample_every: 1 << 20,
+        ..ObsConfig::default()
     }
 }
 

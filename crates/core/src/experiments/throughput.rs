@@ -11,10 +11,6 @@ use tengig_sim::stats::Series;
 use tengig_sim::{Nanos, ObsConfig, Timelines};
 use tengig_tools::{NttcpReceiver, NttcpResult, NttcpSender, Pktgen};
 
-/// Default packet count per sweep point. The paper uses 32,768; sweeps
-/// converge well before that, so callers may reduce it for quick runs.
-pub const DEFAULT_COUNT: u64 = 32_768;
-
 /// Default master seed for the paper sweeps (the publication year).
 /// Every scenario's seed derives from this and its grid index.
 pub const MASTER_SEED: u64 = 2003;

@@ -48,7 +48,8 @@ pub struct HostRt {
     /// Corrupted frames the NIC's MAC discarded on a bad FCS (before any
     /// DMA), i.e. the receive side of the corruption impairment.
     pub rx_crc_drops: u64,
-    /// MAGNET-style tracer for this host.
+    /// This host's flight recorder, armed only by
+    /// [`install_sanitizer`](crate::lab::install_sanitizer).
     pub tracer: Tracer,
     /// Disk bank, when this host is a storage endpoint of the
     /// disk→NIC→WAN→NIC→disk pipeline (see [`Lab::attach_disk`]).
@@ -63,9 +64,9 @@ impl HostRt {
         let cores = cfg.hw.cpu.usable_cores();
         HostRt {
             cfg,
-            cpu: ServerBank::new("cpu", cores),
-            membus: FifoServer::new("membus"),
-            pci: FifoServer::new("pci-x"),
+            cpu: ServerBank::new(cores),
+            membus: FifoServer::new(),
+            pci: FifoServer::new(),
             coalescer: Coalescer::new(cfg.nic.rx_coalesce_delay, cfg.nic.rx_coalesce_max_frames),
             rx_pending: VecDeque::new(),
             rx_crc_drops: 0,
@@ -75,9 +76,9 @@ impl HostRt {
     }
 
     /// Typed probe point: record a pipeline-stage observation on this
-    /// host's tracer. The disabled fast path is a single inlined bool
-    /// test, so probes sprinkled through the hot pipeline cost nothing
-    /// unless observability or the flight recorder is armed.
+    /// host's flight recorder. The disabled fast path is a single inlined
+    /// compare, so probes sprinkled through the hot pipeline cost nothing
+    /// unless a sanitizer armed the recorder.
     #[inline]
     pub fn probe(&mut self, at: Nanos, stage: Stage, packet: u64, bytes: u64, cost: Nanos) {
         if self.tracer.is_enabled() {

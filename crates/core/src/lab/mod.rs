@@ -674,25 +674,16 @@ impl Lab {
         self.flows.iter().all(|f| f.meas.t_done.is_some())
     }
 
-    /// Enable the observability layer: arm every host's tracer in sampling
-    /// mode (ring detail for ~1/`sample_every` packets) and start
-    /// accumulating metrics timelines on `cfg.sample_interval` cadence.
+    /// Enable the observability layer: accumulate metrics timelines on
+    /// `cfg.sample_interval` cadence. The hosts' flight recorders are not
+    /// obs's: only a sanitizer arms them ([`install_sanitizer`]).
     ///
-    /// The tracer sampling RNG is forked per host from `seed` — the same
-    /// seed that drives the scenario — so the kept sample is a pure
-    /// function of the run configuration, never a global constant.
+    /// Timelines sample deterministic lab state, so `seed` is unused; the
+    /// parameter stays because `benchmark/` calls this signature.
     ///
     /// Call after the topology is assembled and before [`kick`] (the first
     /// sample event is scheduled by `kick`).
-    pub fn enable_obs(&mut self, cfg: &ObsConfig, seed: u64) {
-        let mut root = SimRng::seeded(seed);
-        for (i, host) in self.hosts.iter_mut().enumerate() {
-            host.tracer = Tracer::sampling(
-                cfg.ring_capacity,
-                cfg.sample_every,
-                root.fork(&format!("tracer-{i}")),
-            );
-        }
+    pub fn enable_obs(&mut self, cfg: &ObsConfig, _seed: u64) {
         let interval = cfg.clamped_interval();
         self.obs = Some(ObsRt {
             interval,
@@ -713,19 +704,6 @@ impl Lab {
     pub fn take_timelines(&mut self) -> Option<Timelines> {
         self.obs.take().map(|o| o.timelines)
     }
-
-    /// Arm every host whose tracer is disabled with a full (unsampled)
-    /// flight-recorder ring of the most recent `ring_capacity` trace
-    /// events. Hosts already tracing (e.g. via [`Lab::enable_obs`]) keep
-    /// their tracer. Recording is observe-only: it schedules no events and
-    /// draws no randomness, so arming it cannot perturb a run.
-    pub fn arm_flight_recorder(&mut self, ring_capacity: usize) {
-        for host in &mut self.hosts {
-            if !host.tracer.is_enabled() {
-                host.tracer = Tracer::full(ring_capacity);
-            }
-        }
-    }
 }
 
 impl Default for Lab {
@@ -742,18 +720,28 @@ impl Default for Lab {
 /// the "last N trace events" a violation dump shows per host.
 pub const FLIGHT_RING: usize = 256;
 
-/// Install a runtime invariant [`Sanitizer`] on `eng` when the process-wide
-/// default asks for one (always in debug builds; opt-in via
-/// [`tengig_sim::sanitizer::set_default_enabled`] in release builds).
+/// Install a runtime invariant [`Sanitizer`] recording `seed` on `eng`, and
+/// arm every host's flight recorder with a full-detail ring of its last
+/// [`FLIGHT_RING`] trace events — the one place a ring is armed.
 ///
 /// The recorded `seed` makes every violation a one-command repro, and the
-/// flight recorder armed with it makes the violation come with its story:
-/// [`check_sanitizer`] appends each host's last [`FLIGHT_RING`] trace
-/// events to the panic message.
+/// flight recorder makes the violation come with its story:
+/// [`check_sanitizer`] appends every host's ring to the panic message.
+/// Recording is observe-only: it schedules no events and draws no
+/// randomness, so arming it cannot perturb a run.
+pub fn install_sanitizer(lab: &mut Lab, eng: &mut LabEngine, seed: u64) {
+    eng.install_sanitizer(Sanitizer::new(seed));
+    for host in &mut lab.hosts {
+        host.tracer = Tracer::full(FLIGHT_RING);
+    }
+}
+
+/// [`install_sanitizer`] when the process-wide default asks for one
+/// (always in debug builds; opt-in via
+/// [`tengig_sim::sanitizer::set_default_enabled`] in release builds).
 pub fn install_default_sanitizer(lab: &mut Lab, eng: &mut LabEngine, seed: u64) {
     if SimConfig::default().sanitize {
-        eng.install_sanitizer(Sanitizer::new(seed));
-        lab.arm_flight_recorder(FLIGHT_RING);
+        install_sanitizer(lab, eng, seed);
     }
 }
 
@@ -768,7 +756,7 @@ pub fn engine(lab: &mut Lab, seed: u64) -> LabEngine {
 }
 
 /// Collect the flight-recorder dump: every host's ring of recent trace
-/// events, in host-index order (empty if no tracer was armed).
+/// events, in host-index order (empty if no sanitizer armed the rings).
 pub fn flight_dump(lab: &Lab) -> FlightDump {
     FlightDump {
         hosts: lab
@@ -1283,12 +1271,25 @@ struct RouteVerdict {
     route_hops: usize,
 }
 
-/// Walk `wire` bytes down `route` starting at `start`, carrying at most
-/// two copies (the original plus one impairment duplicate) across the
-/// links. A duplicate minted on one link continues through the rest of
-/// the route like any other frame; corruption and reorder marks stick to
-/// the copy that earned them.
-fn route_walk(links: &mut [PathState], route: &[usize], start: Nanos, wire: u64) -> RouteVerdict {
+/// Walk `wire` bytes down flow `f`'s route from endpoint `ep` starting at
+/// `start`, carrying at most two copies (the original plus one impairment
+/// duplicate) across the links. A duplicate minted on one link continues
+/// through the rest of the route like any other frame; corruption and
+/// reorder marks stick to the copy that earned them.
+///
+/// The walk's ledger entries are posted here, for both transmit paths
+/// (`tx_wire`, `pktgen_tick`): a drop marks the route for the next obs
+/// sample, and the sanitizer's byte ledger enters the duplicate and
+/// retires each dropped copy at `start`.
+fn route_walk(
+    lab: &mut Lab,
+    eng: &mut LabEngine,
+    f: usize,
+    ep: usize,
+    start: Nanos,
+    wire: u64,
+) -> RouteVerdict {
+    let (links, route) = (&mut lab.links, &lab.flows[f].route[ep]);
     let mut v = RouteVerdict {
         deliveries: [None, None],
         duplicated: false,
@@ -1330,6 +1331,20 @@ fn route_walk(links: &mut [PathState], route: &[usize], start: Nanos, wire: u64)
         }
     }
     v.deliveries = cur;
+    if v.dropped > 0 {
+        obs_touch_route(lab, f, ep);
+    }
+    if let Some(s) = eng.sanitizer_mut() {
+        if v.duplicated {
+            // The duplicate is a second physical frame on the wire: it
+            // enters the ledger here and retires via its own delivery or
+            // drop, so byte conservation holds per copy.
+            s.inject(wire);
+        }
+        for _ in 0..v.dropped {
+            s.drop_bytes(start, wire);
+        }
+    }
     v
 }
 
@@ -1343,21 +1358,7 @@ fn tx_wire(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Seg
     if let Some(s) = eng.sanitizer_mut() {
         s.inject(wire);
     }
-    let v = route_walk(&mut lab.links, &lab.flows[f].route[src_ep], now, wire);
-    if v.dropped > 0 {
-        obs_touch_route(lab, f, src_ep);
-    }
-    if let Some(s) = eng.sanitizer_mut() {
-        if v.duplicated {
-            // The duplicate is a second physical frame on the wire: it
-            // enters the ledger here and retires via its own delivery or
-            // drop, so byte conservation holds per copy.
-            s.inject(wire);
-        }
-        for _ in 0..v.dropped {
-            s.drop_bytes(now, wire);
-        }
-    }
+    let v = route_walk(lab, eng, f, src_ep, now, wire);
     let host = &mut lab.hosts[h];
     if v.duplicated {
         host.probe(now, Stage::ImpairDup, seg.seq, wire, Nanos::ZERO);
@@ -1660,18 +1661,7 @@ fn pktgen_tick(lab: &mut Lab, eng: &mut LabEngine, f: usize) {
     host.membus.admit(now, host.rx_dma_bus_time(frame));
     let t3 = adm.done;
     // Wire.
-    let v = route_walk(&mut lab.links, &lab.flows[f].route[0], t3, wire);
-    if v.dropped > 0 {
-        obs_touch_route(lab, f, 0);
-    }
-    if let Some(s) = eng.sanitizer_mut() {
-        if v.duplicated {
-            s.inject(wire);
-        }
-        for _ in 0..v.dropped {
-            s.drop_bytes(t3, wire);
-        }
-    }
+    let v = route_walk(lab, eng, f, 0, t3, wire);
     let mut t = t3;
     let mut counted = false;
     let dst_h = lab.flows[f].host[1];
@@ -1833,7 +1823,7 @@ mod tests {
     fn late_start_obs_lab() -> (Lab, LabEngine) {
         let cfg = LadderRung::Stock.pe2650_config(Mtu::STANDARD);
         let (mut lab, mut eng) = b2b_lab(cfg, nttcp(1448, 50), 1);
-        eng.install_sanitizer(Sanitizer::new(1));
+        install_sanitizer(&mut lab, &mut eng, 1);
         let obs = ObsConfig {
             sample_interval: Nanos::from_micros(100),
             ..ObsConfig::default()

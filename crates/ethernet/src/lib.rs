@@ -9,11 +9,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod frame;
 pub mod mtu;
 
-pub use frame::{Frame, FrameKind, MacAddr};
 pub use mtu::{
-    Mtu, WireOverheads, ETH_FCS, ETH_HEADER, ETH_PREAMBLE_IFG, IP_HEADER, TCP_HEADER,
-    TCP_TIMESTAMP_OPTION,
+    Mtu, ETH_FCS, ETH_HEADER, ETH_PREAMBLE_IFG, IP_HEADER, TCP_HEADER, TCP_TIMESTAMP_OPTION,
 };

@@ -80,36 +80,6 @@ impl Mtu {
     }
 }
 
-/// Byte overheads for one TCP segment at every level of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireOverheads {
-    /// TCP payload bytes.
-    pub payload: u64,
-    /// IP packet bytes (payload + TCP/IP headers + options).
-    pub ip_bytes: u64,
-    /// Byte-times on the wire including Ethernet framing, preamble, and IFG.
-    pub wire_bytes: u64,
-}
-
-impl WireOverheads {
-    /// Overheads for a segment carrying `payload` bytes with or without the
-    /// timestamp option.
-    pub const fn for_segment(payload: u64, timestamps: bool) -> WireOverheads {
-        let opts = if timestamps { TCP_TIMESTAMP_OPTION } else { 0 };
-        let ip_bytes = payload + TCP_HEADER + opts + IP_HEADER;
-        WireOverheads {
-            payload,
-            ip_bytes,
-            wire_bytes: Mtu::wire_bytes_for(ip_bytes),
-        }
-    }
-
-    /// Payload efficiency on the wire: `payload / wire_bytes`.
-    pub fn efficiency(&self) -> f64 {
-        self.payload as f64 / self.wire_bytes as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,18 +130,21 @@ mod tests {
 
     #[test]
     fn efficiency_grows_with_payload() {
-        let small = WireOverheads::for_segment(64, true);
-        let big = WireOverheads::for_segment(8948, true);
-        assert!(big.efficiency() > small.efficiency());
+        // Payload efficiency on the wire: payload over the byte-times of
+        // its timestamped segment's frame.
+        let ip = |payload: u64| payload + TCP_HEADER + TCP_TIMESTAMP_OPTION + IP_HEADER;
+        let eff = |payload: u64| payload as f64 / Mtu::wire_bytes_for(ip(payload)) as f64;
+        assert!(eff(8948) > eff(64));
         // Full jumbo segment is ~99% efficient on the wire.
-        assert!(big.efficiency() > 0.98, "{}", big.efficiency());
-        assert_eq!(big.ip_bytes, 9000);
+        assert!(eff(8948) > 0.98, "{}", eff(8948));
+        assert_eq!(ip(8948), 9000);
     }
 
     #[test]
     fn segment_overheads_with_and_without_timestamps() {
-        let with = WireOverheads::for_segment(1000, true);
-        let without = WireOverheads::for_segment(1000, false);
-        assert_eq!(with.ip_bytes - without.ip_bytes, TCP_TIMESTAMP_OPTION);
+        // The timestamp option takes its bytes out of every segment.
+        for mtu in [Mtu::STANDARD, Mtu::JUMBO_9000, Mtu::MAX_INTEL_16000] {
+            assert_eq!(mtu.mss(false) - mtu.mss(true), TCP_TIMESTAMP_OPTION);
+        }
     }
 }

@@ -94,13 +94,6 @@ impl BlockAllocator {
             linear
         }
     }
-
-    /// Payload-per-buffer efficiency: how much of the truesize charge is
-    /// useful payload. This single number explains the paper's MTU ranking:
-    /// 8160 (0.95) > 16000 (0.95) > 1500 (0.63) > 9000 (0.54).
-    pub fn buffer_efficiency(frame_bytes: u64, payload: u64) -> f64 {
-        payload as f64 / Self::truesize(frame_bytes) as f64
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +148,11 @@ mod tests {
 
     #[test]
     fn buffer_efficiency_ranking_matches_paper() {
-        let eff = |mtu: Mtu| BlockAllocator::buffer_efficiency(mtu.frame_bytes(), mtu.mss(true));
+        // Payload-per-buffer efficiency: how much of the truesize charge
+        // is useful payload. This single number explains the paper's MTU
+        // ranking: 8160 (0.95) > 16000 (0.95) > 1500 (0.63) > 9000 (0.54).
+        let eff =
+            |mtu: Mtu| mtu.mss(true) as f64 / BlockAllocator::truesize(mtu.frame_bytes()) as f64;
         let e1500 = eff(Mtu::STANDARD);
         let e9000 = eff(Mtu::JUMBO_9000);
         let e8160 = eff(Mtu::TUNED_8160);

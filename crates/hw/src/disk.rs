@@ -45,16 +45,6 @@ impl DiskSpec {
         }
     }
 
-    /// A small hardware-RAID volume of `stripes` SCSI spindles presented
-    /// as one: same positioning time, aggregated sequential rate.
-    pub fn raid_volume(stripes: u64) -> Self {
-        let base = Self::scsi_2003();
-        DiskSpec {
-            seek: base.seek,
-            rate: Bandwidth::from_gbps_f64(0.4 * stripes.max(1) as f64),
-        }
-    }
-
     /// Service time for a sequential chunk of `bytes`, excluding any
     /// positioning penalty.
     pub fn stream_time(&self, bytes: u64) -> Nanos {
@@ -90,8 +80,8 @@ impl DiskModel {
             spec,
             spindles: (0..spindles)
                 .map(|_| Spindle {
-                    read: FifoServer::new("disk-rd"),
-                    write: FifoServer::new("disk-wr"),
+                    read: FifoServer::new(),
+                    write: FifoServer::new(),
                 })
                 .collect(),
         }
@@ -213,12 +203,19 @@ mod tests {
 
     #[test]
     fn raid_volume_scales_sequential_rate() {
-        let one = DiskSpec::scsi_2003();
-        let four = DiskSpec::raid_volume(4);
+        // Four streams striped over four spindles move four chunks in the
+        // time one spindle moves one: same positioning time, aggregated
+        // sequential rate.
+        let spec = DiskSpec::scsi_2003();
+        let mut four = DiskModel::new(spec, 4);
         let chunk = 64 << 20;
+        for stream in 0..4 {
+            let a = four.read(stream, Nanos::ZERO, chunk);
+            assert_eq!(a.done, spec.seek + spec.stream_time(chunk));
+        }
         assert_eq!(
-            four.stream_time(chunk).as_nanos() * 4,
-            one.stream_time(chunk).as_nanos()
+            four.read_busy_total(),
+            (spec.seek + spec.stream_time(chunk)) * 4
         );
     }
 }

@@ -100,12 +100,6 @@ impl MemorySpec {
         frame_bytes + 2 * copies * payload
     }
 
-    /// Bytes charged for transmitting one frame (mirror of `rx_bus_bytes`:
-    /// CPU copies from user space into the skb, then the NIC DMA-reads it).
-    pub fn tx_bus_bytes(&self, frame_bytes: u64, payload: u64, copies: u64) -> u64 {
-        frame_bytes + 2 * copies * payload
-    }
-
     /// Bus occupancy time for moving `bus_bytes` across the memory bus.
     pub fn bus_time(&self, bus_bytes: u64) -> Nanos {
         self.packet_path_bandwidth().time_to_send(bus_bytes)
@@ -149,7 +143,7 @@ mod tests {
         // could carry ~3x the observed 5.5 Gb/s — consistent with the
         // paper's finding that memory bandwidth is not pktgen's limit.
         let m = MemorySpec::gc_le();
-        let t = m.bus_time(m.tx_bus_bytes(8198, 8160, 0));
+        let t = m.bus_time(8198); // one DMA read of the frame, no copies
         let rate = tengig_sim::rate_of(8160, t).gbps();
         assert!(rate > 10.0, "single-copy path rate {rate}");
     }
@@ -160,7 +154,7 @@ mod tests {
         // frame + 2 crossings per copy.
         assert_eq!(m.rx_bus_bytes(9018, 8948, 1), 9018 + 17_896);
         assert_eq!(m.rx_bus_bytes(9018, 8948, 0), 9018);
-        assert_eq!(m.tx_bus_bytes(1538, 1448, 2), 1538 + 4 * 1448);
+        assert_eq!(m.rx_bus_bytes(1538, 1448, 2), 1538 + 4 * 1448);
     }
 
     #[test]

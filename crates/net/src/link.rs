@@ -112,8 +112,6 @@ pub struct HopState {
     pub random_drops: Counter,
     /// Frames forwarded.
     pub forwarded: Counter,
-    /// Peak backlog observed, in bytes.
-    pub peak_backlog_bytes: u64,
     /// Impairment runtime (burst-loss chain state + per-cause counters).
     pub impair: ImpairState,
 }
@@ -123,11 +121,10 @@ impl HopState {
     pub fn new(spec: Hop) -> Self {
         HopState {
             spec,
-            server: FifoServer::new(spec.name),
+            server: FifoServer::new(),
             drops: Counter::default(),
             random_drops: Counter::default(),
             forwarded: Counter::default(),
-            peak_backlog_bytes: 0,
             impair: ImpairState::new(),
         }
     }
@@ -190,8 +187,6 @@ impl HopState {
                 return HopOutcome::Drop(DropCause::Buffer);
             }
         }
-        let backlog = self.backlog_bytes(now);
-        self.peak_backlog_bytes = self.peak_backlog_bytes.max(backlog + bytes);
         let service = self.spec.rate.time_to_send(bytes);
         let adm = self.server.admit(now, service);
         self.forwarded.bump();
@@ -411,11 +406,6 @@ impl PathState {
     /// Frames delayed by the reordering model across all hops.
     pub fn reordered_frames(&self) -> u64 {
         self.hops.iter().map(|h| h.impair.reorders.get()).sum()
-    }
-
-    /// Frames marked bit-corrupted across all hops.
-    pub fn corrupt_marks(&self) -> u64 {
-        self.hops.iter().map(|h| h.impair.corrupts.get()).sum()
     }
 }
 
@@ -658,7 +648,7 @@ mod tests {
         let d = v.deliveries[0].expect("corrupted frames still arrive");
         assert!(d.corrupted);
         assert_eq!(v.dropped, 0);
-        assert_eq!(st.corrupt_marks(), 1);
+        assert_eq!(st.hops[0].impair.corrupts.get(), 1);
         // The legacy send facade treats it as delivered (it reached the
         // far end; the NIC-level discard is the lab's job).
         assert!(st.send(Nanos::from_micros(10), 1538).is_some());

@@ -86,11 +86,6 @@ impl NicSpec {
     pub fn serialize_time(&self, wire_bytes: u64) -> Nanos {
         self.line_rate.time_to_send(wire_bytes)
     }
-
-    /// Whether this MTU is usable on this adapter.
-    pub fn supports_mtu(&self, mtu: u64) -> bool {
-        mtu <= self.max_mtu
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +97,6 @@ mod tests {
         let nic = NicSpec::intel_pro_10gbe();
         assert_eq!(nic.rx_coalesce_delay, Nanos::from_micros(5));
         assert_eq!(nic.max_mtu, 16000);
-        assert!(nic.supports_mtu(16000));
-        assert!(!nic.supports_mtu(16001));
         assert!(nic.tx_csum_offload && nic.rx_csum_offload);
         assert!(!nic.tso, "2.4 kernels in the paper do not use TSO");
     }

@@ -9,8 +9,9 @@
 //!   event enums ([`EventFire`]),
 //! * [`FifoServer`]/[`ServerBank`] — analytic work-conserving resources used
 //!   to model CPUs, buses, and wires,
-//! * statistics instruments ([`stats`]) and a packet-path tracer ([`trace`],
-//!   the substrate of the MAGNET analog),
+//! * statistics instruments ([`stats`]), metrics timelines ([`obs`]) and
+//!   the per-host flight recorder ([`trace`], what is left of the MAGNET
+//!   analog),
 //! * [`SimRng`] — deterministic, forkable randomness,
 //! * [`Sanitizer`] — a runtime invariant checker (causality, byte
 //!   conservation, TCP sequence invariants) installable on the engine.
@@ -37,14 +38,14 @@ pub mod workload;
 
 pub use calendar::{Calendar, EventId};
 pub use engine::{Engine, EventFire};
-pub use obs::{FlightDump, MetricKind, ObsConfig, Scope, StepSeries, Timelines};
+pub use obs::{MetricKind, ObsConfig, Scope, StepSeries, Timelines};
 pub use prof::{CalendarCounters, EngineCounters, Hist, WallStats};
 pub use rng::SimRng;
 pub use sanitizer::{Sanitizer, SimConfig, Violation, ViolationKind};
 pub use server::{Admission, FifoServer, ServerBank};
 pub use shard::{run_sharded, run_sharded_wall, ShardWorld};
 pub use time::Nanos;
-pub use trace::{Stage, TraceEvent, Tracer};
+pub use trace::{FlightDump, Stage, TraceEvent, Tracer};
 pub use units::{rate_of, Bandwidth};
 pub use workload::{
     build_schedule, ArrivalProcess, BoundedPareto, FctStats, FlowPlan, SizeMix, WorkloadSpec,

@@ -1,21 +1,16 @@
-//! The observability layer: per-flow metrics timelines and the flight
-//! recorder that grow the MAGNET analog ([`crate::trace`]) into a real
-//! diagnostic subsystem.
+//! The observability layer: per-flow metrics timelines sampled on the
+//! sim clock.
 //!
 //! The paper's conclusions rest on instrumentation — MAGNET packet-path
 //! traces, per-optimization CPU-load numbers, and cwnd/throughput-over-time
 //! plots that explain the WAN record's AIMD behaviour. This module provides
-//! the simulated equivalents:
+//! the time-series half of the simulated equivalents (the packet half is
+//! the sanitizer's flight recorder, [`crate::trace`]):
 //!
 //! * [`Timelines`] — compact step-series of per-flow TCP state (cwnd,
 //!   ssthresh, srtt/rttvar, bytes in flight, retransmits), per-host NIC and
 //!   CPU state, and per-link drop counters, sampled on a sim-clock cadence.
-//! * [`FlightDump`] — a rendering of the per-host [`crate::Tracer`] rings
-//!   (the "flight recorder"), produced when the [`crate::Sanitizer`] fires
-//!   so a violation comes with the story, not just a scalar.
-//! * [`ObsConfig`] — the knobs, including the tracer-sampling RNG seed
-//!   discipline (seeded from the lab config via [`crate::SimRng`], never a
-//!   fixed constant).
+//! * [`ObsConfig`] — the sampling cadence.
 //!
 //! Everything here honors the house determinism rules: values are integer
 //! (`u64` / [`Nanos`]), there is no wall-clock anywhere, and serialization
@@ -30,7 +25,6 @@
 //! sanitizer proves each skip exact (`ViolationKind::ObsStale`).
 
 use crate::time::Nanos;
-use crate::trace::TraceEvent;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -39,11 +33,12 @@ use std::fmt::Write as _;
 pub struct ObsConfig {
     /// Sim-clock cadence between metric samples.
     pub sample_interval: Nanos,
-    /// Per-host flight-recorder ring capacity (recent detailed events).
+    /// Retired and ignored (the flight recorder is the sanitizer's, not
+    /// obs's). Kept only because `benchmark/` builds this struct with a
+    /// literal.
     pub ring_capacity: usize,
-    /// Keep ring detail for a random ~1/k sample of packets (1 = all) —
-    /// MAGNET's sampling mode. The sampling RNG is forked from the lab
-    /// seed, so the kept sample is a pure function of `(config, seed)`.
+    /// Retired and ignored (the flight recorder keeps every event). Kept
+    /// only because `benchmark/` builds this struct with a literal.
     pub sample_every: u64,
 }
 
@@ -52,9 +47,6 @@ impl ObsConfig {
     /// AIMD sawtooth on a 180 ms-RTT WAN path, coarse enough to stay
     /// compact on microsecond-scale LAN runs.
     pub const DEFAULT_INTERVAL: Nanos = Nanos::from_millis(1);
-
-    /// Default flight-recorder ring capacity per host.
-    pub const DEFAULT_RING: usize = 256;
 
     /// The sampling cadence guarded against a zero interval: a sampler
     /// armed every 0 ns would reschedule itself at the current instant
@@ -74,8 +66,8 @@ impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             sample_interval: Self::DEFAULT_INTERVAL,
-            ring_capacity: Self::DEFAULT_RING,
-            sample_every: 1,
+            ring_capacity: 0,
+            sample_every: 0,
         }
     }
 }
@@ -638,80 +630,9 @@ fn err_at(lineno: usize, key: &str) -> String {
     format!("line {lineno}: missing field `{key}`")
 }
 
-/// A flight-recorder dump: the recent [`TraceEvent`] rings of every host,
-/// captured at the moment something went wrong (sanitizer violation, TCP
-/// invariant failure, panicking lab). Renders both human-readable text
-/// (for panic messages and terminals) and JSONL (for tooling).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FlightDump {
-    /// Per-host `(host index, recent events oldest-first)`.
-    pub hosts: Vec<(usize, Vec<TraceEvent>)>,
-}
-
-impl FlightDump {
-    /// Whether no host recorded any events (tracers disabled or idle).
-    pub fn is_empty(&self) -> bool {
-        self.hosts.iter().all(|(_, evs)| evs.is_empty())
-    }
-
-    /// Total events across all hosts.
-    pub fn len(&self) -> usize {
-        self.hosts.iter().map(|(_, evs)| evs.len()).sum()
-    }
-
-    /// Human-readable rendering (the form embedded in panic messages).
-    pub fn text(&self) -> String {
-        if self.is_empty() {
-            return "== flight recorder == (no trace events recorded)\n".to_string();
-        }
-        let mut out = String::from("== flight recorder ==\n");
-        for (host, evs) in &self.hosts {
-            let _ = writeln!(out, "host {host}: last {} trace events", evs.len());
-            for e in evs {
-                let _ = writeln!(
-                    out,
-                    "  [{:>14}] {:<11} packet={:<12} bytes={:<8} cost={}",
-                    e.at.as_nanos(),
-                    e.stage.to_string(),
-                    e.packet,
-                    e.bytes,
-                    e.cost
-                );
-            }
-        }
-        out
-    }
-
-    /// JSONL rendering: one object per event, hosts in index order.
-    pub fn jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"obs\":\"flight\",\"hosts\":{},\"events\":{}}}",
-            self.hosts.len(),
-            self.len()
-        );
-        for (host, evs) in &self.hosts {
-            for e in evs {
-                let _ = writeln!(
-                    out,
-                    "{{\"host\":{host},\"at\":{},\"stage\":\"{}\",\"packet\":{},\"bytes\":{},\"cost\":{}}}",
-                    e.at.as_nanos(),
-                    e.stage,
-                    e.packet,
-                    e.bytes,
-                    e.cost.as_nanos()
-                );
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Stage;
 
     fn flow0() -> Scope {
         Scope::Flow { flow: 0, ep: 0 }
@@ -959,32 +880,5 @@ mod tests {
             assert_eq!(MetricKind::parse(&k.to_string()), Some(k));
         }
         assert_eq!(MetricKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn flight_dump_renders_text_and_jsonl() {
-        let dump = FlightDump {
-            hosts: vec![(
-                0,
-                vec![TraceEvent {
-                    at: Nanos(1234),
-                    stage: Stage::TxStack,
-                    packet: 42,
-                    bytes: 8948,
-                    cost: Nanos(500),
-                }],
-            )],
-        };
-        let text = dump.text();
-        assert!(text.contains("flight recorder"));
-        assert!(text.contains("tx-stack"));
-        assert!(text.contains("packet=42"));
-        let jsonl = dump.jsonl();
-        assert!(jsonl.starts_with("{\"obs\":\"flight\",\"hosts\":1,\"events\":1}"));
-        assert!(jsonl.contains("\"stage\":\"tx-stack\""));
-        assert!(!dump.is_empty());
-        assert_eq!(dump.len(), 1);
-        assert!(FlightDump::default().is_empty());
-        assert!(FlightDump::default().text().contains("no trace events"));
     }
 }

@@ -23,7 +23,8 @@
 //!
 //! Violations are *recorded*, not panicked on, so a test can observe them;
 //! the experiment drivers turn a non-empty violation list into a panic whose
-//! message carries the scenario seed and index — a one-command repro.
+//! message carries the scenario seed — a one-command repro (a sweep's
+//! error adds the scenario index and label).
 //!
 //! The sanitizer is enabled by default in debug builds (so all tests run
 //! under it) and opt-in via [`SimConfig`] in release builds.
@@ -123,7 +124,6 @@ const MAX_RECORDED: usize = 64;
 #[derive(Debug, Clone)]
 pub struct Sanitizer {
     seed: u64,
-    scenario: Option<(usize, String)>,
     injected: u64,
     delivered: u64,
     dropped: u64,
@@ -137,7 +137,6 @@ impl Sanitizer {
     pub fn new(seed: u64) -> Self {
         Sanitizer {
             seed,
-            scenario: None,
             injected: 0,
             delivered: 0,
             dropped: 0,
@@ -146,19 +145,9 @@ impl Sanitizer {
         }
     }
 
-    /// Attach the sweep scenario index and label this run belongs to.
-    pub fn set_scenario(&mut self, index: usize, label: &str) {
-        self.scenario = Some((index, label.to_string()));
-    }
-
     /// The master seed recorded at construction.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The sweep scenario `(index, label)` if one was attached.
-    pub fn scenario(&self) -> Option<(usize, &str)> {
-        self.scenario.as_ref().map(|(i, l)| (*i, l.as_str()))
     }
 
     /// Record a violation of `kind` at virtual time `at`.
@@ -250,20 +239,15 @@ impl Sanitizer {
         &self.violations
     }
 
-    /// Render every recorded violation with the run's repro coordinates
-    /// (seed, scenario index/label).
+    /// Render every recorded violation with the run's repro seed.
     pub fn report(&self) -> String {
         use fmt::Write;
         let mut out = String::new();
         let _ = write!(
             out,
-            "sanitizer: {} violation(s) [seed=0x{:x}",
+            "sanitizer: {} violation(s) [seed=0x{:x}]",
             self.total, self.seed
         );
-        if let Some((index, label)) = self.scenario() {
-            let _ = write!(out, " scenario={index} \"{label}\"");
-        }
-        out.push(']');
         for v in &self.violations {
             let _ = write!(out, "\n  {v}");
         }
@@ -295,9 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn leaked_bytes_are_reported_with_seed_and_scenario() {
+    fn leaked_bytes_are_reported_with_the_seed() {
         let mut s = Sanitizer::new(0xBEEF);
-        s.set_scenario(7, "payload=8948");
         s.inject(1000);
         s.deliver(Nanos(50), 400);
         assert!(!s.has_violations(), "mid-run in-flight is legal");
@@ -308,8 +291,8 @@ mod tests {
         assert_eq!(s.violations()[0].kind, ViolationKind::ByteConservation);
         assert_eq!(s.violations()[0].at, Nanos(99));
         let report = s.report();
-        assert!(report.contains("seed=0xbeef"), "{report}");
-        assert!(report.contains("scenario=7 \"payload=8948\""), "{report}");
+        assert!(report.contains("[seed=0xbeef]"), "{report}");
+        assert_eq!(s.seed(), 0xBEEF);
         assert!(report.contains("in-flight 600"), "{report}");
     }
 
@@ -332,14 +315,5 @@ mod tests {
         }
         assert_eq!(s.violations().len(), MAX_RECORDED);
         assert!(s.report().contains("... and 10 more"));
-    }
-
-    #[test]
-    fn scenario_metadata_roundtrips() {
-        let mut s = Sanitizer::new(2003);
-        assert_eq!(s.scenario(), None);
-        s.set_scenario(3, "mtu=9000");
-        assert_eq!(s.scenario(), Some((3, "mtu=9000")));
-        assert_eq!(s.seed(), 2003);
     }
 }

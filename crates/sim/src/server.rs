@@ -25,30 +25,16 @@ pub struct Admission {
 }
 
 /// A non-preemptive, work-conserving, FIFO single server.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FifoServer {
-    name: &'static str,
     busy_until: Nanos,
     busy_total: Nanos,
-    jobs: u64,
-    queued_total: Nanos,
 }
 
 impl FifoServer {
-    /// Create an idle server. `name` appears in traces and reports.
-    pub fn new(name: &'static str) -> Self {
-        FifoServer {
-            name,
-            busy_until: Nanos::ZERO,
-            busy_total: Nanos::ZERO,
-            jobs: 0,
-            queued_total: Nanos::ZERO,
-        }
-    }
-
-    /// The server's display name.
-    pub fn name(&self) -> &'static str {
-        self.name
+    /// Create an idle server.
+    pub fn new() -> Self {
+        FifoServer::default()
     }
 
     /// Admit a job arriving at `now` requiring `service` time.
@@ -58,8 +44,6 @@ impl FifoServer {
         let queued_for = start - now;
         self.busy_until = done;
         self.busy_total = self.busy_total.saturating_add(service);
-        self.jobs += 1;
-        self.queued_total = self.queued_total.saturating_add(queued_for);
         Admission {
             start,
             done,
@@ -87,11 +71,6 @@ impl FifoServer {
         self.busy_total
     }
 
-    /// Number of jobs admitted.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
     /// Mean utilization over `[0, now]` — the model's `/proc/loadavg` analog.
     ///
     /// Counts only service actually delivered by `now` (work scheduled beyond
@@ -102,24 +81,6 @@ impl FifoServer {
         }
         let delivered = self.busy_total.saturating_sub(self.backlog(now));
         delivered.as_nanos() as f64 / now.as_nanos() as f64
-    }
-
-    /// Mean queueing delay per admitted job.
-    pub fn mean_wait(&self) -> Nanos {
-        if self.jobs == 0 {
-            Nanos::ZERO
-        } else {
-            self.queued_total / self.jobs
-        }
-    }
-
-    /// Reset counters (jobs, busy time, waits) but keep the busy horizon.
-    ///
-    /// Used when a measurement window opens after warm-up traffic.
-    pub fn reset_stats(&mut self) {
-        self.busy_total = Nanos::ZERO;
-        self.jobs = 0;
-        self.queued_total = Nanos::ZERO;
     }
 }
 
@@ -136,10 +97,10 @@ pub struct ServerBank {
 
 impl ServerBank {
     /// Create `n` idle servers (n ≥ 1).
-    pub fn new(name: &'static str, n: usize) -> Self {
+    pub fn new(n: usize) -> Self {
         assert!(n >= 1, "a host needs at least one CPU");
         ServerBank {
-            servers: (0..n).map(|_| FifoServer::new(name)).collect(),
+            servers: vec![FifoServer::new(); n],
         }
     }
 
@@ -182,19 +143,6 @@ impl ServerBank {
             .map(|s| s.utilization(now))
             .fold(0.0, f64::max)
     }
-
-    /// Mean utilization across the bank — the `/proc/loadavg`-style figure.
-    pub fn mean_utilization(&self, now: Nanos) -> f64 {
-        let sum: f64 = self.servers.iter().map(|s| s.utilization(now)).sum();
-        sum / self.servers.len() as f64
-    }
-
-    /// Reset all per-server statistics.
-    pub fn reset_stats(&mut self) {
-        for s in &mut self.servers {
-            s.reset_stats();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +151,7 @@ mod tests {
 
     #[test]
     fn idle_server_starts_immediately() {
-        let mut s = FifoServer::new("cpu");
+        let mut s = FifoServer::new();
         let a = s.admit(Nanos(100), Nanos(50));
         assert_eq!(a.start, Nanos(100));
         assert_eq!(a.done, Nanos(150));
@@ -212,7 +160,7 @@ mod tests {
 
     #[test]
     fn busy_server_queues_fifo() {
-        let mut s = FifoServer::new("pci");
+        let mut s = FifoServer::new();
         s.admit(Nanos(0), Nanos(100));
         let a = s.admit(Nanos(10), Nanos(20));
         assert_eq!(a.start, Nanos(100));
@@ -224,7 +172,7 @@ mod tests {
 
     #[test]
     fn utilization_is_busy_fraction() {
-        let mut s = FifoServer::new("cpu");
+        let mut s = FifoServer::new();
         s.admit(Nanos(0), Nanos(400));
         // At t=1000 the server has been busy 400 of 1000 ns.
         assert!((s.utilization(Nanos(1000)) - 0.4).abs() < 1e-9);
@@ -235,7 +183,7 @@ mod tests {
 
     #[test]
     fn idle_and_backlog() {
-        let mut s = FifoServer::new("wire");
+        let mut s = FifoServer::new();
         assert!(s.idle_at(Nanos(0)));
         s.admit(Nanos(0), Nanos(100));
         assert!(!s.idle_at(Nanos(50)));
@@ -245,27 +193,15 @@ mod tests {
 
     #[test]
     fn mean_wait_counts_queueing_only() {
-        let mut s = FifoServer::new("cpu");
-        s.admit(Nanos(0), Nanos(100)); // waits 0
-        s.admit(Nanos(0), Nanos(100)); // waits 100
-        assert_eq!(s.mean_wait(), Nanos(50));
-    }
-
-    #[test]
-    fn reset_stats_keeps_horizon() {
-        let mut s = FifoServer::new("cpu");
-        s.admit(Nanos(0), Nanos(100));
-        s.reset_stats();
-        assert_eq!(s.jobs(), 0);
-        assert_eq!(s.busy_total(), Nanos::ZERO);
-        // Horizon survives: a new job still queues behind the old one.
-        let a = s.admit(Nanos(0), Nanos(10));
-        assert_eq!(a.start, Nanos(100));
+        let mut s = FifoServer::new();
+        let a = s.admit(Nanos(0), Nanos(100)); // waits 0
+        let b = s.admit(Nanos(0), Nanos(100)); // waits 100
+        assert_eq!((a.queued_for + b.queued_for) / 2, Nanos(50));
     }
 
     #[test]
     fn bank_pinned_vs_least_loaded() {
-        let mut bank = ServerBank::new("cpu", 2);
+        let mut bank = ServerBank::new(2);
         bank.admit_pinned(0, Nanos(0), Nanos(1000));
         // Least-loaded routing picks CPU 1.
         let (idx, a) = bank.admit_least_loaded(Nanos(0), Nanos(10));
@@ -274,12 +210,13 @@ mod tests {
         // Pinned routing keeps hammering CPU 0 — the SMP interrupt pathology.
         let a = bank.admit_pinned(0, Nanos(0), Nanos(10));
         assert_eq!(a.start, Nanos(1000));
-        assert!(bank.peak_utilization(Nanos(1000)) > bank.mean_utilization(Nanos(1000)));
+        assert_eq!(bank.peak_utilization(Nanos(1000)), 1.0);
+        assert_eq!(bank.server(1).busy_total(), Nanos(10));
     }
 
     #[test]
     #[should_panic(expected = "at least one CPU")]
     fn empty_bank_rejected() {
-        let _ = ServerBank::new("cpu", 0);
+        let _ = ServerBank::new(0);
     }
 }

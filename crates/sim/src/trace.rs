@@ -1,28 +1,28 @@
-//! Packet-path tracing — the substrate for the laboratory's MAGNET analog.
+//! Packet-path probes and the per-host flight recorder — what is left of
+//! the laboratory's MAGNET analog.
 //!
 //! MAGNET (Gardner et al., CCGrid'03) let the paper's authors trace the path
-//! of individual packets through the Linux TCP stack with negligible
-//! overhead, quantifying how many packets took each path and what each path
-//! cost. [`Tracer`] provides the same capability for the simulated stack:
-//! components emit [`TraceEvent`]s tagged with a [`Stage`]; the tracer keeps
-//! a bounded ring of recent events plus full per-stage counters, and supports
-//! random sampling (MAGNET observed "a random sampling of packets").
+//! of individual packets through the Linux TCP stack. Here the lab's probes
+//! emit [`TraceEvent`]s tagged with a [`Stage`] into each host's [`Tracer`],
+//! a bounded ring of the most recent events. The rings are armed only with
+//! a sanitizer, always at full detail, and a violation panics with their
+//! [`FlightDump`]: the breach comes with the last events of every host.
+//! A disabled tracer (the default) records nothing and costs one compare
+//! per probe.
 
-use crate::rng::SimRng;
 use crate::time::Nanos;
 use std::collections::VecDeque;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A stage of the end-to-end path a packet can be observed at.
 ///
 /// These mirror the stations of the simulated pipeline; MAGNET's kernel
 /// tracepoints map onto the TX/RX stack stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Application wrote data into the socket.
     AppWrite,
-    /// User → kernel (skb) copy on the transmit side.
-    TxCopy,
     /// TCP/IP transmit processing (segmentation, headers, checksum).
     TxStack,
     /// DMA descriptor + payload crossing the I/O bus outbound.
@@ -61,46 +61,10 @@ pub enum Stage {
     ImpairCorrupt,
 }
 
-impl Stage {
-    /// Number of stages (the size of the per-stage stats table).
-    const COUNT: usize = 20;
-
-    /// Every stage, in pipeline order — the iteration order of
-    /// [`Tracer::stage_stats`].
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::AppWrite,
-        Stage::TxCopy,
-        Stage::TxStack,
-        Stage::TxDma,
-        Stage::Wire,
-        Stage::Switch,
-        Stage::RxDma,
-        Stage::Interrupt,
-        Stage::RxStack,
-        Stage::RxCopy,
-        Stage::AppRead,
-        Stage::Drop,
-        Stage::Retransmit,
-        Stage::Ack,
-        Stage::TimerRto,
-        Stage::TimerDelack,
-        Stage::ImpairDrop,
-        Stage::ImpairDup,
-        Stage::ImpairReorder,
-        Stage::ImpairCorrupt,
-    ];
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
 impl fmt::Display for Stage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             Stage::AppWrite => "app-write",
-            Stage::TxCopy => "tx-copy",
             Stage::TxStack => "tx-stack",
             Stage::TxDma => "tx-dma",
             Stage::Wire => "wire",
@@ -139,167 +103,97 @@ pub struct TraceEvent {
     pub cost: Nanos,
 }
 
-/// Per-stage aggregate: how many packets took this path and what it cost —
-/// MAGNET's headline output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageStats {
-    /// Number of events observed at this stage.
-    pub count: u64,
-    /// Total bytes observed.
-    pub bytes: u64,
-    /// Total stage cost.
-    pub cost: Nanos,
-}
-
-impl StageStats {
-    /// Mean cost per observed event.
-    pub fn mean_cost(&self) -> Nanos {
-        if self.count == 0 {
-            Nanos::ZERO
-        } else {
-            self.cost / self.count
-        }
-    }
-}
-
-/// The tracer. Cheap when disabled: a disabled tracer only tests one bool.
-///
-/// Per-stage aggregates live in a fixed array indexed by [`Stage`] so the
-/// emit hot path is an add, not a map lookup.
-#[derive(Debug)]
+/// One host's flight recorder: a ring of its most recent trace events.
+/// A tracer with no capacity (the default) is off and records nothing.
+#[derive(Debug, Default)]
 pub struct Tracer {
-    enabled: bool,
-    /// Keep only every k-th packet's detailed events (1 = all).
-    sample_every: u64,
-    /// Precomputed `1 / sample_every` for the sampling draw.
-    sample_p: f64,
-    ring_capacity: usize,
+    capacity: usize,
     ring: VecDeque<TraceEvent>,
-    stats: [StageStats; Stage::COUNT],
-    rng: Option<SimRng>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::disabled()
-    }
 }
 
 impl Tracer {
     /// A tracer that records nothing.
     pub fn disabled() -> Self {
-        Tracer {
-            enabled: false,
-            sample_every: 1,
-            sample_p: 1.0,
-            ring_capacity: 0,
-            ring: VecDeque::new(),
-            stats: [StageStats::default(); Stage::COUNT],
-            rng: None,
-        }
+        Tracer::default()
     }
 
-    /// A tracer recording every event, keeping the most recent
-    /// `ring_capacity` in detail.
-    pub fn full(ring_capacity: usize) -> Self {
+    /// A tracer recording every event, keeping the most recent `capacity`.
+    pub fn full(capacity: usize) -> Self {
         Tracer {
-            enabled: true,
-            sample_every: 1,
-            sample_p: 1.0,
-            ring_capacity,
-            ring: VecDeque::with_capacity(ring_capacity.min(4096)),
-            stats: [StageStats::default(); Stage::COUNT],
-            rng: None,
-        }
-    }
-
-    /// A tracer that aggregates all events but keeps detailed ring entries
-    /// only for a random ~1/k sample of packets (MAGNET's sampling mode).
-    pub fn sampling(ring_capacity: usize, every: u64, rng: SimRng) -> Self {
-        let every = every.max(1);
-        Tracer {
-            enabled: true,
-            sample_every: every,
-            sample_p: 1.0 / every as f64,
-            ring_capacity,
-            ring: VecDeque::with_capacity(ring_capacity.min(4096)),
-            stats: [StageStats::default(); Stage::COUNT],
-            rng: Some(rng),
+            capacity,
+            ring: VecDeque::with_capacity(capacity.min(4096)),
         }
     }
 
     /// Whether the tracer records anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.capacity > 0
     }
 
-    /// Record an event.
+    /// Record an event, evicting the oldest once the ring is full.
     #[inline]
     pub fn emit(&mut self, at: Nanos, stage: Stage, packet: u64, bytes: u64, cost: Nanos) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
-        let s = &mut self.stats[stage.index()];
-        s.count += 1;
-        s.bytes += bytes;
-        s.cost = s.cost.saturating_add(cost);
-
-        let keep_detail = if self.sample_every == 1 {
-            true
-        } else if let Some(rng) = &mut self.rng {
-            rng.chance(self.sample_p)
-        } else {
-            packet % self.sample_every == 0
-        };
-        if keep_detail && self.ring_capacity > 0 {
-            if self.ring.len() == self.ring_capacity {
-                self.ring.pop_front();
-            }
-            self.ring.push_back(TraceEvent {
-                at,
-                stage,
-                packet,
-                bytes,
-                cost,
-            });
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
         }
+        self.ring.push_back(TraceEvent {
+            at,
+            stage,
+            packet,
+            bytes,
+            cost,
+        });
     }
 
-    /// Per-stage aggregates for every observed stage, in pipeline order.
-    pub fn stage_stats(&self) -> impl Iterator<Item = (Stage, StageStats)> + '_ {
-        Stage::ALL
-            .iter()
-            .map(|&st| (st, self.stats[st.index()]))
-            .filter(|(_, s)| s.count > 0)
-    }
-
-    /// Aggregate for a single stage (zeroes if never observed).
-    pub fn stage(&self, stage: Stage) -> StageStats {
-        self.stats[stage.index()]
-    }
-
-    /// Recently recorded detailed events, oldest first.
+    /// The recorded events, oldest first.
     pub fn recent(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring.iter()
     }
+}
 
-    /// Detailed events for one packet id, oldest first.
-    pub fn packet_path(&self, packet: u64) -> Vec<&TraceEvent> {
-        self.ring.iter().filter(|e| e.packet == packet).collect()
+/// A flight-recorder dump: the recent [`TraceEvent`] rings of every host,
+/// captured when the sanitizer fires, rendered as text for the panic
+/// message.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FlightDump {
+    /// Per-host `(host index, recent events oldest-first)`.
+    pub hosts: Vec<(usize, Vec<TraceEvent>)>,
+}
+
+impl FlightDump {
+    /// Whether no host recorded any events (tracers disabled or idle).
+    pub fn is_empty(&self) -> bool {
+        self.hosts.iter().all(|(_, evs)| evs.is_empty())
     }
 
-    /// Render the MAGNET-style per-stage cost profile.
-    pub fn profile(&self) -> String {
-        let mut out = String::from("stage        count        bytes     mean-cost\n");
-        for (stage, s) in self.stage_stats() {
-            out.push_str(&format!(
-                "{:<12} {:>9} {:>12} {:>13}\n",
-                stage.to_string(),
-                s.count,
-                s.bytes,
-                s.mean_cost().to_string()
-            ));
+    /// Total events across all hosts.
+    pub fn len(&self) -> usize {
+        self.hosts.iter().map(|(_, evs)| evs.len()).sum()
+    }
+
+    /// Human-readable rendering (the form embedded in panic messages).
+    pub fn text(&self) -> String {
+        if self.is_empty() {
+            return "== flight recorder == (no trace events recorded)\n".to_string();
+        }
+        let mut out = String::from("== flight recorder ==\n");
+        for (host, evs) in &self.hosts {
+            let _ = writeln!(out, "host {host}: last {} trace events", evs.len());
+            for e in evs {
+                let _ = writeln!(
+                    out,
+                    "  [{:>14}] {:<11} packet={:<12} bytes={:<8} cost={}",
+                    e.at.as_nanos(),
+                    e.stage.to_string(),
+                    e.packet,
+                    e.bytes,
+                    e.cost
+                );
+            }
         }
         out
     }
@@ -313,64 +207,32 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::disabled();
         t.emit(Nanos(1), Stage::Wire, 1, 1500, Nanos(1200));
-        assert_eq!(t.stage(Stage::Wire).count, 0);
         assert_eq!(t.recent().count(), 0);
         assert!(!t.is_enabled());
     }
 
     #[test]
-    fn full_tracer_aggregates_and_keeps_ring() {
-        let mut t = Tracer::full(2);
-        t.emit(Nanos(1), Stage::Wire, 1, 1500, Nanos(1200));
-        t.emit(Nanos(2), Stage::Wire, 2, 1500, Nanos(1200));
-        t.emit(Nanos(3), Stage::Wire, 3, 1500, Nanos(1200));
-        let s = t.stage(Stage::Wire);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.bytes, 4500);
-        assert_eq!(s.mean_cost(), Nanos(1200));
-        // Ring keeps only the 2 most recent.
-        let ids: Vec<u64> = t.recent().map(|e| e.packet).collect();
-        assert_eq!(ids, vec![2, 3]);
-    }
-
-    #[test]
-    fn packet_path_reconstruction() {
-        let mut t = Tracer::full(16);
-        for (at, stage) in [
-            (1u64, Stage::TxStack),
-            (2, Stage::TxDma),
-            (3, Stage::Wire),
-            (5, Stage::RxStack),
-        ] {
-            t.emit(Nanos(at), stage, 7, 100, Nanos(1));
-        }
-        t.emit(Nanos(4), Stage::Wire, 8, 100, Nanos(1));
-        let path = t.packet_path(7);
-        assert_eq!(path.len(), 4);
-        assert_eq!(path[0].stage, Stage::TxStack);
-        assert_eq!(path[3].stage, Stage::RxStack);
-    }
-
-    #[test]
-    fn deterministic_sampling_keeps_every_kth() {
-        let mut t = Tracer::sampling(1000, 10, SimRng::seeded(5));
-        for p in 0..1000 {
-            t.emit(Nanos(p), Stage::RxStack, p, 1, Nanos(1));
-        }
-        // All events aggregate...
-        assert_eq!(t.stage(Stage::RxStack).count, 1000);
-        // ...but only ~1/10 keep detail.
-        let detail = t.recent().count();
-        assert!((50..200).contains(&detail), "detail={detail}");
-    }
-
-    #[test]
-    fn profile_renders_all_stages() {
-        let mut t = Tracer::full(4);
-        t.emit(Nanos(1), Stage::TxStack, 1, 100, Nanos(10));
-        t.emit(Nanos(2), Stage::Drop, 2, 100, Nanos::ZERO);
-        let p = t.profile();
-        assert!(p.contains("tx-stack"));
-        assert!(p.contains("drop"));
+    fn flight_dump_renders_text() {
+        let dump = FlightDump {
+            hosts: vec![(
+                0,
+                vec![TraceEvent {
+                    at: Nanos(1234),
+                    stage: Stage::TxStack,
+                    packet: 42,
+                    bytes: 8948,
+                    cost: Nanos(500),
+                }],
+            )],
+        };
+        let text = dump.text();
+        assert!(text.contains("flight recorder"));
+        assert!(text.contains("host 0: last 1 trace events"));
+        assert!(text.contains("tx-stack"));
+        assert!(text.contains("packet=42"));
+        assert!(!dump.is_empty());
+        assert_eq!(dump.len(), 1);
+        assert!(FlightDump::default().is_empty());
+        assert!(FlightDump::default().text().contains("no trace events"));
     }
 }

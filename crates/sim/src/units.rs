@@ -52,14 +52,6 @@ impl Bandwidth {
         }
     }
 
-    /// Construct from megabytes per second (decimal; e.g. STREAM results).
-    #[inline]
-    pub const fn from_mbytes_per_sec(mbs: u64) -> Self {
-        Bandwidth {
-            bits_per_sec: mbs * 8_000_000,
-        }
-    }
-
     /// Rate in bits per second.
     #[inline]
     pub const fn bps(self) -> u64 {
@@ -150,7 +142,6 @@ mod tests {
         assert_eq!(Bandwidth::from_gbps(10).bps(), 10_000_000_000);
         assert_eq!(Bandwidth::from_mbps(2500).bps(), 2_500_000_000);
         assert_eq!(Bandwidth::from_gbps_f64(2.5).bps(), 2_500_000_000);
-        assert_eq!(Bandwidth::from_mbytes_per_sec(1600).bps(), 12_800_000_000);
     }
 
     #[test]

@@ -223,17 +223,6 @@ impl SizeMix {
         }
     }
 
-    /// Web-serving preset: 95% mice of 2–64 KB (α = 1.2), 5% elephants
-    /// of 1–64 MB (α = 1.1). Mice dominate the flow count; elephants
-    /// carry most bytes.
-    pub fn web_serving() -> Self {
-        SizeMix::new(
-            0.95,
-            BoundedPareto::new(1.2, 2 << 10, 64 << 10),
-            BoundedPareto::new(1.1, 1 << 20, 64 << 20),
-        )
-    }
-
     /// Probability a flow is a mouse.
     pub fn mice_share(&self) -> f64 {
         self.mice_share
@@ -403,6 +392,17 @@ impl FctStats {
 mod tests {
     use super::*;
 
+    /// A web-serving mix: 95% mice of 2–64 KB (α = 1.2), 5% elephants of
+    /// 1–64 MB (α = 1.1). Mice dominate the flow count; elephants carry
+    /// most bytes.
+    fn web_serving() -> SizeMix {
+        SizeMix::new(
+            0.95,
+            BoundedPareto::new(1.2, 2 << 10, 64 << 10),
+            BoundedPareto::new(1.1, 1 << 20, 64 << 20),
+        )
+    }
+
     /// Advance a fresh rng by `draws` and return the next raw word —
     /// the sentinel the draw-count tests compare against.
     fn sentinel(seed: u64, draws: u64) -> u64 {
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn size_mix_costs_two_draws_and_is_pinned() {
-        let mix = SizeMix::web_serving();
+        let mix = web_serving();
         let mut rng = SimRng::seeded(2003);
         let xs: Vec<u64> = (0..5).map(|_| mix.sample(&mut rng)).collect();
         assert_eq!(xs, vec![2650, 6844, 3407, 2119, 2339]);
@@ -490,7 +490,7 @@ mod tests {
             arrivals: ArrivalProcess::Poisson {
                 mean_gap: Nanos::from_micros(50),
             },
-            sizes: SizeMix::web_serving(),
+            sizes: web_serving(),
             flows: 100,
         };
         let mut a = SimRng::seeded(11);
@@ -524,7 +524,7 @@ mod tests {
             arrivals: ArrivalProcess::Poisson {
                 mean_gap: Nanos::from_micros(100),
             },
-            sizes: SizeMix::web_serving(),
+            sizes: web_serving(),
             flows: 1,
         };
         let want = spec.sizes.mean() * 8.0 / 100e-6;

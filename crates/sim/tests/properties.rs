@@ -65,7 +65,7 @@ proptest! {
         // Admit in arrival-time order, as the engine would.
         let mut jobs = jobs;
         jobs.sort_by_key(|&(t, _)| t);
-        let mut s = FifoServer::new("cpu");
+        let mut s = FifoServer::new();
         let mut prev_done = Nanos::ZERO;
         let mut total_service = Nanos::ZERO;
         let mut horizon = Nanos::ZERO;

@@ -833,11 +833,6 @@ impl TcpConn {
         }
     }
 
-    /// Expose the current advertised window (for instrumentation).
-    pub fn advertised_window(&self) -> u64 {
-        self.window_to_advertise()
-    }
-
     // ------------------------------------------------------------------
     // invariants (runtime sanitizer hook)
     // ------------------------------------------------------------------
@@ -1178,7 +1173,7 @@ mod tests {
     fn advertised_window_is_mss_aligned() {
         let cfg = Sysctls::default().with_mtu(Mtu::JUMBO_9000);
         let (_, b) = lan_pair(cfg);
-        let w = b.advertised_window();
+        let w = b.window_to_advertise();
         assert!(w > 0);
         assert_eq!(w % 8948, 0, "window {w} must be a multiple of the 8948 MSS");
     }
@@ -1189,11 +1184,11 @@ mod tests {
         // window loses a large fraction to MSS alignment and truesize.
         let w9000 = {
             let cfg = Sysctls::default().with_mtu(Mtu::JUMBO_9000);
-            lan_pair(cfg).1.advertised_window()
+            lan_pair(cfg).1.window_to_advertise()
         };
         let w8160 = {
             let cfg = Sysctls::default().with_mtu(Mtu::TUNED_8160);
-            lan_pair(cfg).1.advertised_window()
+            lan_pair(cfg).1.window_to_advertise()
         };
         let clamp = Sysctls::default().window_clamp();
         // Both are below the clamp, but 9000 loses more of it.
@@ -1218,9 +1213,9 @@ mod tests {
             ferry(now, replies, &mut a);
         }
         assert!(
-            b.advertised_window() < 2 * 8948,
+            b.window_to_advertise() < 2 * 8948,
             "window should be nearly closed, got {}",
-            b.advertised_window()
+            b.window_to_advertise()
         );
         // The sender is rwnd-limited, not cwnd-limited.
         assert!(a.stats.rwnd_limited > 0);
@@ -1230,7 +1225,7 @@ mod tests {
             upd.iter().any(|x| matches!(x, Action::Send(_))),
             "window update must be sent after a read that reopens the window"
         );
-        assert!(b.advertised_window() >= 8948);
+        assert!(b.window_to_advertise() >= 8948);
     }
 
     #[test]

@@ -24,11 +24,6 @@ impl WireSeq {
         (other.0.wrapping_sub(self.0) as i32) > 0
     }
 
-    /// `self <= other` wrap-aware.
-    pub fn before_eq(self, other: WireSeq) -> bool {
-        self == other || self.before(other)
-    }
-
     /// `self > other` wrap-aware.
     pub fn after(self, other: WireSeq) -> bool {
         other.before(self)
@@ -57,7 +52,7 @@ mod tests {
         let b = WireSeq(200);
         assert!(a.before(b));
         assert!(!b.before(a));
-        assert!(a.before_eq(a));
+        assert!(!a.before(a), "strict: a sequence does not precede itself");
         assert!(b.after(a));
         assert_eq!(a.distance_to(b), 100);
     }

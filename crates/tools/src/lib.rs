@@ -19,6 +19,6 @@ pub mod stream;
 
 pub use iperf::Iperf;
 pub use netpipe::{NetPipe, PingPongSide};
-pub use nttcp::{paper_payload_sweep, NttcpReceiver, NttcpResult, NttcpSender, PAPER_PACKET_COUNT};
+pub use nttcp::{NttcpReceiver, NttcpResult, NttcpSender};
 pub use pktgen::Pktgen;
 pub use stream::{run_stream, StreamResult};

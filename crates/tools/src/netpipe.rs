@@ -96,11 +96,6 @@ impl NetPipe {
     pub fn samples(&self) -> u64 {
         self.rtts.count()
     }
-
-    /// RTT spread (standard deviation), for jitter checks.
-    pub fn rtt_stddev(&self) -> Nanos {
-        Nanos::from_nanos(self.rtts.stddev().round() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +121,7 @@ mod tests {
         assert_eq!(np.samples(), 3);
         // RTT 38 µs → one-way 19 µs.
         assert_eq!(np.one_way_latency(), Nanos::from_micros(19));
-        assert_eq!(np.rtt_stddev(), Nanos::ZERO);
+        assert_eq!(np.rtts.stddev(), 0.0);
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub struct NttcpSender {
     started: Option<Nanos>,
     /// Writes issued so far.
     pub writes: u64,
-    /// Whether a write is logically blocked on socket-buffer space.
-    blocked: bool,
 }
 
 impl NttcpSender {
@@ -35,7 +33,6 @@ impl NttcpSender {
             remaining: count,
             started: None,
             writes: 0,
-            blocked: false,
         }
     }
 
@@ -46,26 +43,14 @@ impl NttcpSender {
             return None;
         }
         if space < self.payload {
-            self.blocked = true;
             return None;
         }
-        self.blocked = false;
         self.remaining -= 1;
         self.writes += 1;
         if self.started.is_none() {
             self.started = Some(now);
         }
         Some(self.payload)
-    }
-
-    /// Whether the sender still has writes to issue.
-    pub fn finished_writing(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// Whether the last attempt blocked on buffer space.
-    pub fn is_blocked(&self) -> bool {
-        self.blocked
     }
 
     /// Time of the first write.
@@ -158,16 +143,6 @@ impl NttcpResult {
     }
 }
 
-/// The paper's §3.3 payload sweep: "32,768 packets ranging in size from
-/// 128 bytes to 16 KB at increments ranging in size from 32 to 128 bytes".
-/// We sweep 128 B → 16 KiB in 128-byte steps.
-pub fn paper_payload_sweep() -> Vec<u64> {
-    (128..=16_384).step_by(128).collect()
-}
-
-/// The canonical packet count (reduced runs may scale it down).
-pub const PAPER_PACKET_COUNT: u64 = 32_768;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +154,7 @@ mod tests {
         assert_eq!(s.next_write(Nanos(2), 1 << 20), Some(1000));
         assert_eq!(s.next_write(Nanos(3), 1 << 20), Some(1000));
         assert_eq!(s.next_write(Nanos(4), 1 << 20), None);
-        assert!(s.finished_writing());
+        assert_eq!(s.remaining, 0);
         assert_eq!(s.started_at(), Some(Nanos(1)));
         assert_eq!(s.writes, 3);
     }
@@ -188,10 +163,13 @@ mod tests {
     fn sender_blocks_on_partial_space() {
         let mut s = NttcpSender::new(1000, 2);
         assert_eq!(s.next_write(Nanos(1), 999), None);
-        assert!(s.is_blocked());
-        assert!(!s.finished_writing());
+        assert_eq!(
+            (s.writes, s.remaining),
+            (0, 2),
+            "a blocked write issues nothing"
+        );
         assert_eq!(s.next_write(Nanos(2), 1000), Some(1000));
-        assert!(!s.is_blocked());
+        assert_eq!(s.started_at(), Some(Nanos(2)));
     }
 
     #[test]
@@ -208,13 +186,5 @@ mod tests {
         assert_eq!(res.elapsed, Nanos(8_000));
         // 10 KB in 8 µs = 10 Gb/s.
         assert!((res.throughput.gbps() - 10.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn paper_sweep_bounds() {
-        let sweep = paper_payload_sweep();
-        assert_eq!(*sweep.first().unwrap(), 128);
-        assert_eq!(*sweep.last().unwrap(), 16_384);
-        assert_eq!(sweep.len(), 128);
     }
 }

@@ -1,7 +1,7 @@
-//! Observability-layer integration tests: the flight recorder dumps on a
-//! sanitizer violation, metrics timelines reproduce the paper's
-//! cwnd-vs-time shape, enabling obs never changes a primary result, and
-//! the tracer's sampling is a pure function of the scenario seed.
+//! Observability-layer integration tests: the sanitizer's flight recorder
+//! dumps on a violation and obs never empties it, metrics timelines
+//! reproduce the paper's cwnd-vs-time shape, and enabling obs never
+//! changes a primary result.
 
 use std::panic::AssertUnwindSafe;
 
@@ -12,7 +12,7 @@ use tengig::lab::{self, App};
 use tengig::LadderRung;
 use tengig_ethernet::Mtu;
 use tengig_net::WanSpec;
-use tengig_sim::{MetricKind, Nanos, ObsConfig, Sanitizer, Scope, ViolationKind};
+use tengig_sim::{MetricKind, Nanos, ObsConfig, Scope, ViolationKind};
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
 const SEED: u64 = 42;
@@ -20,8 +20,7 @@ const SEED: u64 = 42;
 fn quick_obs() -> ObsConfig {
     ObsConfig {
         sample_interval: Nanos::from_micros(50),
-        ring_capacity: 128,
-        sample_every: 4,
+        ..ObsConfig::default()
     }
 }
 
@@ -37,8 +36,7 @@ fn sanitizer_violation_dumps_the_flight_recorder() {
     let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
     let (mut lab, mut eng) = b2b_lab(cfg, nttcp_app(1448, 200), SEED);
     // Force the recorder and sanitizer on regardless of build profile.
-    eng.install_sanitizer(Sanitizer::new(SEED));
-    lab.arm_flight_recorder(lab::FLIGHT_RING);
+    lab::install_sanitizer(&mut lab, &mut eng, SEED);
     run_to_completion(&mut lab, &mut eng);
 
     // Inject a violation as an invariant check would.
@@ -73,7 +71,7 @@ fn flight_dump_holds_the_last_events_of_a_run() {
     // In debug builds the default sanitizer has already armed the recorder
     // at FLIGHT_RING; in release this arms it. Either way the per-host ring
     // stays bounded at FLIGHT_RING.
-    lab.arm_flight_recorder(lab::FLIGHT_RING);
+    lab::install_sanitizer(&mut lab, &mut eng, SEED);
     run_to_completion(&mut lab, &mut eng);
     let dump = lab::flight_dump(&lab);
     assert!(!dump.is_empty());
@@ -115,21 +113,36 @@ fn wan_cwnd_timeline_reproduces_slow_start_growth() {
     assert_eq!(parsed.to_jsonl(), tl.to_jsonl());
 }
 
+/// Obs and the flight recorder are separate planes: under serve's obs
+/// config a sanitized run still dumps the last `FLIGHT_RING` events of
+/// both hosts, whichever of the two is armed first (`pair` and
+/// `record_timeline` install the sanitizer first, `Grid::build` enables
+/// obs first).
 #[test]
-fn tracer_sampling_is_a_pure_function_of_the_seed() {
+fn obs_never_empties_the_sanitizers_flight_recorder() {
     let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
-    let dump_for = |seed: u64| {
-        let (mut lab, mut eng) = b2b_lab(cfg, nttcp_app(1448, 500), seed);
-        lab.enable_obs(&quick_obs(), seed);
-        run_to_completion(&mut lab, &mut eng);
-        lab::flight_dump(&lab).text()
+    // serve's cadence, with nonzero values in the retired ring fields,
+    // which must be ignored.
+    let serve_obs = ObsConfig {
+        sample_interval: Nanos::from_millis(2),
+        ring_capacity: 64,
+        sample_every: 1 << 20,
     };
-    // Same seed → byte-identical sampled rings; the sampling RNG is forked
-    // from the scenario seed, never a fixed constant.
-    assert_eq!(dump_for(SEED), dump_for(SEED));
-    assert_ne!(
-        dump_for(SEED),
-        dump_for(SEED + 1),
-        "a new seed must resample the detail ring"
-    );
+    for sanitizer_first in [true, false] {
+        let (mut lab, mut eng) = b2b_lab(cfg, nttcp_app(1448, 300), SEED);
+        if sanitizer_first {
+            lab::install_sanitizer(&mut lab, &mut eng, SEED);
+            lab.enable_obs(&serve_obs, SEED);
+        } else {
+            lab.enable_obs(&serve_obs, SEED);
+            lab::install_sanitizer(&mut lab, &mut eng, SEED);
+        }
+        run_to_completion(&mut lab, &mut eng);
+        let events = lab::flight_dump(&lab).len();
+        assert_eq!(
+            events,
+            2 * lab::FLIGHT_RING,
+            "sanitizer first: {sanitizer_first}"
+        );
+    }
 }

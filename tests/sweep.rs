@@ -58,18 +58,16 @@ fn paper_sweep_is_byte_identical_across_thread_counts() {
 
 /// The metrics side-channel obeys the same contract as the report it rides
 /// alongside: byte-identical at any thread count, and the primary report's
-/// bytes are untouched by enabling it. (That the tracer's sampling RNG is
-/// plumbed from the scenario seed is covered in `tests/obs.rs` — the
-/// timelines themselves sample deterministic state, so a back-to-back
-/// sweep's sidecar is legitimately seed-stable.)
+/// bytes are untouched by enabling it. (The timelines sample
+/// deterministic state, so a back-to-back sweep's sidecar is
+/// legitimately seed-stable.)
 #[test]
 fn metrics_sidecar_is_byte_identical_across_thread_counts() {
     let cfg = LadderRung::Stock.pe2650_config(Mtu::JUMBO_9000);
     let payloads = [512u64, 1448, 8948];
     let obs = ObsConfig {
         sample_interval: Nanos::from_micros(50),
-        ring_capacity: 64,
-        sample_every: 4,
+        ..ObsConfig::default()
     };
     let sweep = |threads: usize, master_seed: u64| {
         let (_, report, sidecar) = throughput_sweep_report(
