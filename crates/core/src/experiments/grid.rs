@@ -332,8 +332,6 @@ pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridP
         let c = s.eng.calendar_counters();
         let cal_obj = Json::Object(vec![
             ("sched_slab".to_string(), Json::U64(c.sched_slab)),
-            ("sched_lane".to_string(), Json::U64(c.sched_lane)),
-            ("lane_hiwater".to_string(), Json::U64(c.lane_hiwater)),
             ("cancels".to_string(), Json::U64(c.cancels)),
             ("cancel_hits".to_string(), Json::U64(c.cancel_hits)),
         ]);

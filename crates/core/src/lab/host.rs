@@ -9,25 +9,15 @@ use tengig_nic::Coalescer;
 use tengig_sim::{FifoServer, Nanos, ServerBank, Stage, Tracer};
 use tengig_tcp::Segment;
 
-/// A frame sitting in a host's receive ring awaiting an interrupt.
+/// A TCP segment sitting in a host's receive ring awaiting an interrupt.
 #[derive(Debug, Clone)]
-pub enum RxFrame {
-    /// A TCP segment for a flow endpoint.
-    Tcp {
-        /// Flow index in the lab.
-        flow: usize,
-        /// Endpoint (0 or 1) the segment is addressed to.
-        ep: usize,
-        /// The segment.
-        seg: Segment,
-    },
-    /// A raw datagram (pktgen traffic) — counted, not processed.
-    Udp {
-        /// Flow index.
-        flow: usize,
-        /// IP bytes.
-        bytes: u64,
-    },
+pub struct RxFrame {
+    /// Flow index in the lab.
+    pub flow: usize,
+    /// Endpoint (0 or 1) the segment is addressed to.
+    pub ep: usize,
+    /// The segment.
+    pub seg: Segment,
 }
 
 /// Runtime state of one host.

@@ -234,7 +234,7 @@ impl EventFire<Lab> for Ev {
                 let h = lab.flows[f].host[ep];
                 lab.hosts[h]
                     .rx_pending
-                    .push_back(RxFrame::Tcp { flow: f, ep, seg });
+                    .push_back(RxFrame { flow: f, ep, seg });
                 coalesce_frame(lab, eng, h);
             }
             Ev::CoalesceTimer { h, gen } => {
@@ -1452,26 +1452,18 @@ fn process_rx_batch(lab: &mut Lab, eng: &mut LabEngine, h: usize, batch: u32) {
     lab.hosts[h].cpu.admit_pinned(irq_cpu, now, irq);
     lab.hosts[h].probe(now, Stage::Interrupt, 0, batch as u64, irq);
     for _ in 0..batch {
-        let Some(frame) = lab.hosts[h].rx_pending.pop_front() else {
+        let Some(RxFrame { flow, ep, seg }) = lab.hosts[h].rx_pending.pop_front() else {
             break;
         };
-        match frame {
-            RxFrame::Tcp { flow, ep, seg } => {
-                let cost = lab.hosts[h].rx_cpu_cost(&seg);
-                let done = lab.hosts[h].cpu.admit_pinned(irq_cpu, now, cost).done;
-                let stage = if seg.is_pure_ack() {
-                    Stage::Ack
-                } else {
-                    Stage::RxStack
-                };
-                lab.hosts[h].probe(now, stage, seg.seq, seg.len, cost);
-                eng.schedule_event_at(done, Ev::RxStack { f: flow, ep, seg });
-            }
-            RxFrame::Udp { flow, bytes } => {
-                // pktgen sink: count only.
-                let _ = (flow, bytes);
-            }
-        }
+        let cost = lab.hosts[h].rx_cpu_cost(&seg);
+        let done = lab.hosts[h].cpu.admit_pinned(irq_cpu, now, cost).done;
+        let stage = if seg.is_pure_ack() {
+            Stage::Ack
+        } else {
+            Stage::RxStack
+        };
+        lab.hosts[h].probe(now, stage, seg.seq, seg.len, cost);
+        eng.schedule_event_at(done, Ev::RxStack { f: flow, ep, seg });
     }
 }
 
@@ -1483,7 +1475,7 @@ fn schedule_app_read(lab: &mut Lab, eng: &mut LabEngine, f: usize, ep: usize, by
     lab.flows[f].read_pending[ep] += bytes;
     if !lab.flows[f].read_scheduled[ep] {
         lab.flows[f].read_scheduled[ep] = true;
-        eng.schedule_event_now(Ev::AppRead { f, ep, fresh: true });
+        eng.schedule_event_at(eng.now(), Ev::AppRead { f, ep, fresh: true });
     }
 }
 

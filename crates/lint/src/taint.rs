@@ -27,6 +27,7 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     // Event loop.
     "Engine::run",
     "Engine::run_until",
+    "Engine::run_before",
     "Engine::advance_to",
     "Engine::step",
     // Calendar queue.
@@ -59,6 +60,7 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     // cross-shard arrivals): nondeterminism here would break the grid
     // byte-identity contract across shard counts, not just across runs.
     "run_sharded",
+    "GridShard::run_window",
     "GridShard::accept",
     "route_arrival",
     // The wall-time profiling variant of the merge loop: it may touch

@@ -1,6 +1,6 @@
 //! The slab-backed event calendar underneath [`crate::Engine`].
 //!
-//! Five structural choices keep the hot path allocation- and
+//! Four structural choices keep the hot path allocation- and
 //! comparison-light, replacing the original `BinaryHeap<Box<event>>`:
 //!
 //! * **Slab storage.** Payloads live in a slab (`Vec` of slots) and are
@@ -15,11 +15,6 @@
 //!   in the heap is left behind as a tombstone and discarded lazily when
 //!   it surfaces. Cancelling is O(1) instead of an O(n) heap rebuild or
 //!   an O(log n) removal.
-//! * **Same-timestamp batching.** An event scheduled for the *current*
-//!   instant (the overwhelmingly common "immediately after this one"
-//!   pattern, plus past-clamped events) bypasses the heap into a FIFO
-//!   lane. Draining the lane costs no comparisons, and the keys never
-//!   pay sift-up/sift-down traffic.
 //! * **Re-arm in place.** A TCP timer is re-armed on nearly every ACK
 //!   and almost never fires. [`Calendar::rearm`] is exactly a cancel
 //!   followed by a schedule, but while the new deadline is later than
@@ -32,21 +27,16 @@
 //! the original queue, with one addition: a **front class**
 //! ([`Calendar::schedule_front`]) whose keys carry a caller-chosen
 //! canonical key in place of the insertion counter and sort before every
-//! normal key of their instant. The lane is sound because a key only enters it
-//! while the clock already sits at its timestamp, so every heap key with
-//! the same timestamp was scheduled earlier and holds a smaller `seq`:
-//! draining heap keys at `now` before lane keys reproduces the global
-//! sequence order. Re-arm in place is sound because a deferred key is
-//! strictly later than the stale key that forwards it, so it reaches the
-//! heap before the clock can reach it, and the heap orders keys by
-//! `(time, seq)` regardless of when they arrive. The equivalence
-//! (including cancellation and every re-arm case) is pinned by property
-//! tests against a reference heap in
+//! normal key of their instant. Re-arm in place is sound because a
+//! deferred key is strictly later than the stale key that forwards it,
+//! so it reaches the heap before the clock can reach it, and the heap
+//! orders keys by `(time, seq)` regardless of when they arrive. The
+//! equivalence (including cancellation and every re-arm case) is pinned
+//! by property tests against a reference heap in
 //! `crates/sim/tests/calendar_equivalence.rs`.
 
 use crate::prof::CalendarCounters;
 use crate::time::Nanos;
-use std::collections::VecDeque;
 
 /// Handle to a scheduled event, returned by the schedule calls and
 /// accepted by [`Calendar::cancel`] and [`Calendar::rearm`].
@@ -62,7 +52,7 @@ pub struct EventId {
     gen: u32,
 }
 
-/// A heap/lane key: everything the ordering needs, nothing it does not.
+/// A heap key: everything the ordering needs, nothing it does not.
 /// 24 bytes and `Copy`, so sift operations move keys, not payloads.
 #[derive(Debug, Clone, Copy)]
 struct Key {
@@ -131,13 +121,10 @@ fn widen(v: u32) -> usize {
 }
 
 /// A deterministic event calendar: a slab of payloads indexed by a 4-ary
-/// min-heap of `(time, seq)` keys, with a FIFO fast lane for events at the
-/// current instant and O(1) tombstone cancellation.
+/// min-heap of `(time, seq)` keys, with O(1) tombstone cancellation.
 #[derive(Debug)]
 pub struct Calendar<T> {
     heap: Vec<Key>,
-    /// Keys whose `at` equals the current time, in insertion (= seq) order.
-    lane: VecDeque<Key>,
     slots: Vec<Slot<T>>,
     free_head: u32,
     now: Nanos,
@@ -147,7 +134,7 @@ pub struct Calendar<T> {
     /// Side entries of [`Calendar::rearm`], one per slab slot. An entry
     /// speaks for its slot only while its key is live.
     armed: Vec<Option<Armed>>,
-    /// Self-profiling routing counters (see [`CalendarCounters`]):
+    /// Self-profiling counters (see [`CalendarCounters`]):
     /// deterministic, but calendar-private.
     prof: CalendarCounters,
 }
@@ -163,7 +150,6 @@ impl<T> Calendar<T> {
     pub fn new() -> Self {
         Calendar {
             heap: Vec::new(),
-            lane: VecDeque::new(),
             slots: Vec::new(),
             free_head: NIL,
             now: Nanos::ZERO,
@@ -174,7 +160,7 @@ impl<T> Calendar<T> {
         }
     }
 
-    /// Snapshot of the routing counters accumulated so far.
+    /// Snapshot of the counters accumulated so far.
     #[inline]
     pub fn prof_counters(&self) -> CalendarCounters {
         self.prof
@@ -215,17 +201,8 @@ impl<T> Calendar<T> {
         self.seq += 1;
         let (slot, gen) = self.insert(payload);
         let key = Key { at, seq, slot, gen };
-        if at == self.now {
-            // Fast lane: every heap key at this timestamp predates (and
-            // outranks) every lane key, so FIFO order is (at, seq) order.
-            self.lane.push_back(key);
-            self.prof.sched_lane += 1;
-            let depth = u64::try_from(self.lane.len()).expect("lane depth exceeds u64");
-            self.prof.lane_hiwater = self.prof.lane_hiwater.max(depth);
-        } else {
-            self.heap_push(key);
-            self.prof.sched_slab += 1;
-        }
+        self.heap_push(key);
+        self.prof.sched_slab += 1;
         self.live += 1;
         key
     }
@@ -297,9 +274,9 @@ impl<T> Calendar<T> {
     /// instant (two equal `(at, key)` pairs pop in unspecified order) and
     /// below `2^63`, the normal-class bit.
     ///
-    /// Strictly-future is load-bearing: a front key never has to enter
-    /// the same-instant FIFO lane (where it would pop *after* older lane
-    /// keys and break the class order), so it always goes to the heap.
+    /// Strictly-future is load-bearing: normal events of the current
+    /// instant may already have fired, so a front key at `now` could pop
+    /// after them and break the class order.
     pub fn schedule_front(&mut self, at: Nanos, key: u64, payload: T) -> EventId {
         assert!(at > self.now, "front-class events must be strictly future");
         assert!(
@@ -318,8 +295,8 @@ impl<T> Calendar<T> {
     }
 
     /// Cancel a scheduled event, returning its payload if the handle was
-    /// still live. The payload is freed now; the key left in the heap (or
-    /// lane) becomes a tombstone discarded lazily on pop.
+    /// still live. The payload is freed now; the key left in the heap
+    /// becomes a tombstone discarded lazily on pop.
     pub fn cancel(&mut self, id: EventId) -> Option<T> {
         self.prof.cancels += 1;
         match self.slots.get(widen(id.slot)) {
@@ -337,24 +314,6 @@ impl<T> Calendar<T> {
     /// Tombstones encountered on the way are discarded.
     pub fn peek_time(&mut self) -> Option<Nanos> {
         loop {
-            if let Some(&top) = self.heap.first() {
-                if top.at == self.now {
-                    if self.is_live(top) {
-                        return Some(top.at);
-                    }
-                    self.heap_pop();
-                    self.forward(top);
-                    continue;
-                }
-            }
-            if let Some(&front) = self.lane.front() {
-                if self.is_live(front) {
-                    return Some(front.at);
-                }
-                self.lane.pop_front();
-                self.forward(front);
-                continue;
-            }
             let &top = self.heap.first()?;
             if self.is_live(top) {
                 return Some(top.at);
@@ -368,27 +327,6 @@ impl<T> Calendar<T> {
     /// advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Nanos, T)> {
         loop {
-            // Heap keys at the current instant precede the lane: they
-            // were scheduled before the clock reached `now`, so their
-            // seqs are smaller than any lane key's.
-            if let Some(&top) = self.heap.first() {
-                if top.at == self.now {
-                    self.heap_pop();
-                    if let Some(p) = self.take_live(top) {
-                        return Some((top.at, p));
-                    }
-                    continue;
-                }
-            }
-            if let Some(front) = self.lane.pop_front() {
-                debug_assert!(front.at == self.now, "lane key left behind the clock");
-                if let Some(p) = self.take_live(front) {
-                    return Some((front.at, p));
-                }
-                continue;
-            }
-            // Lane drained: the earliest event (if any) sits atop the heap
-            // strictly in the future; popping it advances the clock.
             let top = self.heap_pop()?;
             if let Some(p) = self.take_live(top) {
                 debug_assert!(top.at >= self.now, "time went backwards");
@@ -558,17 +496,16 @@ mod tests {
     }
 
     #[test]
-    fn current_instant_uses_the_lane_and_keeps_global_order() {
+    fn an_event_at_the_current_instant_pops_after_those_already_queued() {
         let mut c: Calendar<u32> = Calendar::new();
         c.schedule(Nanos(5), 1);
         c.schedule(Nanos(5), 2);
         let (at, p) = c.pop().expect("event pending");
         assert_eq!((at, p), (Nanos(5), 1));
-        // Scheduled *at* the clock: lands in the lane, after key 2.
+        // Scheduled *at* the clock: its fresh seq orders it after key 2.
         c.schedule(Nanos(5), 3);
-        assert!(!c.lane.is_empty(), "same-instant event must take the lane");
-        assert_eq!(c.pop().map(|(_, p)| p), Some(2));
-        assert_eq!(c.pop().map(|(_, p)| p), Some(3));
+        assert_eq!(c.pop(), Some((Nanos(5), 2)));
+        assert_eq!(c.pop(), Some((Nanos(5), 3)));
         assert_eq!(c.pop(), None);
     }
 

@@ -69,7 +69,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         self.prof
     }
 
-    /// The calendar's internal routing counters (deterministic but
+    /// The calendar's internal counters (deterministic but
     /// calendar-private — see [`CalendarCounters`]).
     #[inline]
     pub fn calendar_counters(&self) -> CalendarCounters {
@@ -163,12 +163,6 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         self.calendar.rearm(prev, at, ev)
     }
 
-    /// Schedule `ev` to fire "immediately" (at the current time, after all
-    /// events already queued for this instant).
-    pub fn schedule_event_now(&mut self, ev: E) -> EventId {
-        self.schedule_event_at(self.calendar.now(), ev)
-    }
-
     /// Schedule `ev` at strictly-future time `at` in the calendar's
     /// **front class** under the canonical `key`
     /// ([`crate::Calendar::schedule_front`]): at equal timestamps it
@@ -178,9 +172,9 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// same order on any shard count.
     ///
     /// Panics when `at <= now` — front-class events may not target the
-    /// current instant (the same-instant FIFO lane would break the class
-    /// order), so callers must schedule them strictly ahead — or when
-    /// `key >= 2^63`.
+    /// current instant (normal events of that instant may already have
+    /// fired, which would break the class order), so callers must
+    /// schedule them strictly ahead — or when `key >= 2^63`.
     pub fn schedule_front_at(&mut self, at: Nanos, key: u64, ev: E) -> EventId {
         self.prof.sched_front += 1;
         self.calendar.schedule_front(at, key, ev)
@@ -316,7 +310,7 @@ mod tests {
                 Ev::Spawn => {
                     log.push(e.now().as_nanos());
                     e.schedule_event_in(Nanos(5), Ev::PushNow);
-                    e.schedule_event_now(Ev::PushNow);
+                    e.schedule_event_at(e.now(), Ev::PushNow);
                 }
                 Ev::Respawn => {
                     e.schedule_event_in(Nanos(1), Ev::Respawn);

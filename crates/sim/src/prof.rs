@@ -7,7 +7,7 @@
 //!
 //! * **Deterministic plane** — pure-integer counters and log-bucketed
 //!   histograms ([`Hist`]) driven exclusively by simulation-domain
-//!   quantities (event counts, batch lengths, calendar routing). Every
+//!   quantities (event counts, batch lengths, calendar heap traffic). Every
 //!   value is a function of the executed schedule alone, so the plane is
 //!   byte-identical across shard counts and sweep threads and can be
 //!   golden-gated like any other sim output.
@@ -251,19 +251,20 @@ impl Hist {
     }
 }
 
-/// Calendar-internal routing counters: where keys landed (the 4-ary
-/// heap or the same-instant FIFO lane) and how often a cancel, or the
-/// cancel half of a re-arm, found its event. **Deterministic but
-/// calendar-private** — they describe one calendar's own queue, so they
-/// belong in the per-shard "local" profiling section, never in the
-/// merged golden-gated one.
+/// Calendar-internal counters: how many keys entered the 4-ary heap and
+/// how often a cancel, or the cancel half of a re-arm, found its event.
+/// **Deterministic but calendar-private** — they describe one calendar's
+/// own queue, so they belong in the per-shard "local" profiling section,
+/// never in the merged golden-gated one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalendarCounters {
     /// Keys pushed into the heap, a re-armed key when it is forwarded.
     pub sched_slab: u64,
-    /// Same-instant schedules routed to the FIFO lane.
+    /// Always 0: the same-instant lane is gone and every key goes to the
+    /// heap. This field and the next remain only because `benchmark/`
+    /// still reads them.
     pub sched_lane: u64,
-    /// High-water mark of the same-instant FIFO lane depth.
+    /// Always 0; kept for `benchmark/`, like `sched_lane`.
     pub lane_hiwater: u64,
     /// Always 0: the timing wheel is gone. This field and the next two
     /// remain only because `benchmark/` still reads them.
@@ -279,7 +280,7 @@ pub struct CalendarCounters {
 }
 
 /// Engine-surface scheduling totals: how many times each scheduling verb
-/// was invoked, independent of calendar-internal routing. Every call
+/// was invoked, independent of calendar internals. Every call
 /// site executes on exactly one shard at the same virtual instant
 /// regardless of shard count, so these totals (summed across shards)
 /// **are** shard-count-invariant and safe for the golden-gated section.

@@ -3,8 +3,8 @@
 //! The original engine queue was a `BinaryHeap` of `(time, seq)`-ordered
 //! entries owning boxed payloads: strict `(time, seq)` pop order, ties
 //! FIFO by insertion. The slab calendar replaces it with handle-indexed
-//! storage, a 4-ary key heap, a same-instant FIFO lane, tombstone
-//! cancellation and in-place timer re-arming — none of which may change
+//! storage, a 4-ary key heap, tombstone cancellation and in-place timer
+//! re-arming — none of which may change
 //! the observable order — and adds a keyed front class. This test drives
 //! random schedule/re-arm/cancel/pop traces through both queues and
 //! asserts identical pop sequences, identical cancellation outcomes, and
@@ -111,12 +111,12 @@ impl ReferenceQueue {
 
 /// One step of a random trace, decoded from a `(kind, offset, pick,
 /// timer_offset)` tuple: kinds 0-1 schedule at `now + offset` (tiny
-/// offsets force heavy timestamp collisions; offset 0 exercises the
-/// same-instant FIFO lane), kind 2 schedules at a medium offset (up to
-/// 2^26 ns, so deadlines spread far past the crowded instants), kind 3
-/// re-arms a handle at its own deadline `- 2 ..= +3` ns (earlier, equal
-/// and later deadlines; clamped to the clock, so a fired or cancelled
-/// handle re-arms onto the current instant and into the lane), kind 4
+/// offsets force heavy timestamp collisions; offset 0 schedules onto the
+/// current instant), kind 2 schedules at a medium offset (up to 2^26 ns,
+/// so deadlines spread far past the crowded instants), kind 3 re-arms a
+/// handle at its own deadline `- 2 ..= +3` ns (earlier, equal and later
+/// deadlines; clamped to the clock, so a fired or cancelled handle
+/// re-arms onto the current instant), kind 4
 /// re-arms a handle up to 2^20 ns later (the RTO pattern, chaining
 /// in-place re-arms), kind 5 cancels the `pick`-th id issued so far
 /// (live, popped, or already cancelled — all three outcomes must agree
@@ -128,8 +128,8 @@ impl ReferenceQueue {
 /// A re-arm's `pick` chooses its handle: an even pick re-arms one of
 /// [`TIMERS`] timer slots, as the lab re-arms a connection's timer;
 /// an odd pick re-arms any id issued so far — a live, fired or
-/// cancelled one, a front-class one, or one whose key sits in the
-/// lane. Either way the new handle replaces the slot's.
+/// cancelled one, a front-class one, or one queued for the current
+/// instant. Either way the new handle replaces the slot's.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Schedule { offset: u64 },
@@ -246,13 +246,13 @@ impl Lockstep {
         }
         assert_eq!(self.cal.len(), self.reference.live, "live counts diverged");
         assert_eq!(self.cal.now(), self.reference.now, "clocks diverged");
-        // Every normal event enters the heap or the lane at most once: a
-        // re-armed key is forwarded by one stale key, never by two.
+        // Every normal event enters the heap at most once: a re-armed key
+        // is forwarded by one stale key, never by two.
         let c = self.cal.prof_counters();
         assert!(
-            c.sched_slab + c.sched_lane <= self.normals,
+            c.sched_slab <= self.normals,
             "{} keys queued for {} normal events",
-            c.sched_slab + c.sched_lane,
+            c.sched_slab,
             self.normals
         );
     }
@@ -267,6 +267,62 @@ impl Lockstep {
             }
         }
     }
+}
+
+/// A deep same-instant backlog in lockstep: hundreds of keys at `now`,
+/// each scheduled from a pop at `now`, interleaved with timers re-armed
+/// onto `now`, and normal and front keys for the next instant. The
+/// instant already holds 125 normal keys when the clock reaches it, and
+/// the heap holds future normal, front and timer keys. Handlers that
+/// cascade work onto their own instant build exactly this: every key
+/// scheduled at `now` must pop after every key already queued for it.
+#[test]
+fn deep_same_instant_backlog_matches_the_reference() {
+    let mut run = Lockstep::new();
+    for i in 0..500u64 {
+        run.apply(match i % 4 {
+            0 => Op::Schedule { offset: 10 },
+            1 => Op::Schedule {
+                offset: 11 + i * 7_919 % 997,
+            },
+            2 => Op::ScheduleFront {
+                offset: 10 + i % 50,
+            },
+            _ => Op::Rearm {
+                pick: 2 * (i / 4) as usize,
+                offset: 500 + (i % 13) as i64,
+            },
+        });
+    }
+    run.apply(Op::Pop);
+    let instant = run.cal.now();
+    for i in 0..600usize {
+        run.apply(Op::Schedule { offset: 0 });
+        run.apply(Op::Schedule { offset: 0 });
+        if i % 3 == 0 {
+            // Far enough back to clamp onto the clock: a pending timer
+            // leaves its future deadline for the current instant.
+            run.apply(Op::Rearm {
+                pick: 2 * i,
+                offset: -(1 << 40),
+            });
+        }
+        if i % 5 == 0 {
+            run.apply(Op::ScheduleFront { offset: 0 });
+        }
+        if i % 7 == 0 {
+            run.apply(Op::Schedule { offset: 1 });
+        }
+        run.apply(Op::Pop);
+        assert_eq!(run.cal.now(), instant, "the backlog ran dry at step {i}");
+    }
+    let mut backlog = 0;
+    while run.cal.peek_time() == Some(instant) {
+        run.apply(Op::Pop);
+        backlog += 1;
+    }
+    assert!(backlog >= 600, "only {backlog} keys left at the instant");
+    run.drain();
 }
 
 proptest! {
