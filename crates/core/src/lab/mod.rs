@@ -22,7 +22,7 @@ pub use grid::{Grid, GridMsg, GridRt, GridShard};
 pub use host::{HostRt, RxFrame};
 use std::collections::VecDeque;
 use tengig_hw::DiskModel;
-use tengig_net::{Delivery, Path, PathState};
+use tengig_net::{Delivery, Path, PathState, PathVerdict};
 use tengig_nic::CoalesceAction;
 use tengig_sim::{
     Engine, EventFire, EventId, FlightDump, Hist, MetricKind, Nanos, ObsConfig, Sanitizer, Scope,
@@ -1254,28 +1254,11 @@ fn tx_dma(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Segm
     eng.schedule_event_at(t3, Ev::TxWire { f, ep: src_ep, seg });
 }
 
-/// The fate of one frame (and at most one impairment-minted duplicate)
-/// across a whole link route. Fixed-size arrays — the walk allocates
-/// nothing, so un-impaired runs pay only an `is_none` check per hop.
-struct RouteVerdict {
-    /// Copies that reached the far end (original first, then the
-    /// duplicate if one was minted and survived).
-    deliveries: [Option<Delivery>; 2],
-    /// A duplicate copy was minted somewhere along the route.
-    duplicated: bool,
-    /// Copies dropped at some hop, any cause.
-    dropped: u32,
-    /// Of `dropped`, how many were impairment-caused (burst/flap).
-    dropped_impair: u32,
-    /// Total store-and-forward hops on the route.
-    route_hops: usize,
-}
-
 /// Walk `wire` bytes down flow `f`'s route from endpoint `ep` starting at
-/// `start`, carrying at most two copies (the original plus one impairment
-/// duplicate) across the links. A duplicate minted on one link continues
-/// through the rest of the route like any other frame; corruption and
-/// reorder marks stick to the copy that earned them.
+/// `start`: one [`PathState::carry`] per link, so the frame's copies (the
+/// original plus at most one impairment duplicate, minted anywhere on the
+/// route) cross each link in turn. Corruption and reorder marks stick to
+/// the copy that earned them, and a duplicate inherits its parent's.
 ///
 /// The walk's ledger entries are posted here, for both transmit paths
 /// (`tx_wire`, `pktgen_tick`): a drop marks the route for the next obs
@@ -1288,49 +1271,16 @@ fn route_walk(
     ep: usize,
     start: Nanos,
     wire: u64,
-) -> RouteVerdict {
+) -> PathVerdict {
     let (links, route) = (&mut lab.links, &lab.flows[f].route[ep]);
-    let mut v = RouteVerdict {
-        deliveries: [None, None],
-        duplicated: false,
-        dropped: 0,
-        dropped_impair: 0,
-        route_hops: 0,
-    };
-    let mut cur: [Option<Delivery>; 2] = [
-        Some(Delivery {
-            at: start,
-            corrupted: false,
-            reordered: false,
-        }),
-        None,
-    ];
+    let mut v = PathVerdict::default();
+    v.deliveries[0] = Some(Delivery {
+        at: start,
+        ..Delivery::default()
+    });
     for &lid in route {
-        v.route_hops += links[lid].hops.len();
-        let mut next: [Option<Delivery>; 2] = [None, None];
-        let mut filled = 0usize;
-        for c in cur.into_iter().flatten() {
-            let pv = links[lid].send_verdict(c.at, wire, !v.duplicated);
-            v.duplicated |= pv.duplicated;
-            v.dropped += pv.dropped;
-            v.dropped_impair += pv.dropped_impair;
-            for d in pv.deliveries.into_iter().flatten() {
-                if filled < 2 {
-                    next[filled] = Some(Delivery {
-                        at: d.at,
-                        corrupted: c.corrupted || d.corrupted,
-                        reordered: c.reordered || d.reordered,
-                    });
-                    filled += 1;
-                }
-            }
-        }
-        cur = next;
-        if filled == 0 {
-            break;
-        }
+        links[lid].carry(wire, &mut v);
     }
-    v.deliveries = cur;
     if v.dropped > 0 {
         obs_touch_route(lab, f, ep);
     }
@@ -1374,9 +1324,14 @@ fn tx_wire(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Seg
         let host = &mut lab.hosts[h];
         if first {
             host.probe(now, Stage::Wire, seg.seq, wire, Nanos::ZERO);
-            if v.route_hops > 1 {
-                // The frame traversed at least one store-and-forward stage.
-                host.probe(now, Stage::Switch, seg.seq, wire, Nanos::ZERO);
+            // The frame traversed at least one store-and-forward stage
+            // (the route is only read when the flight recorder is armed).
+            if host.tracer.is_enabled() {
+                let route = &lab.flows[f].route[src_ep];
+                let hops: usize = route.iter().map(|&l| lab.links[l].hops.len()).sum();
+                if hops > 1 {
+                    host.probe(now, Stage::Switch, seg.seq, wire, Nanos::ZERO);
+                }
             }
             first = false;
         }

@@ -48,7 +48,7 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     "TcpConn::on_app_read",
     "TcpConn::on_app_read_into",
     // Link-layer transmit paths.
-    "HopState::offer",
+    "PathState::carry",
     "HopState::offer_verdict",
     "PathState::send",
     "PathState::send_verdict",

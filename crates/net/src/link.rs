@@ -135,23 +135,10 @@ impl HopState {
         self.spec.rate.bytes_in(self.server.backlog(now))
     }
 
-    /// Offer a frame of `wire_bytes` to this hop at `now`.
-    ///
-    /// Returns the arrival time at the far end, or `None` if the frame was
-    /// dropped (buffer overflow, random loss, burst loss, or a scripted
-    /// flap). A corrupted frame still "arrives" here; callers that care
-    /// about corruption use [`HopState::offer_verdict`].
-    pub fn offer(&mut self, now: Nanos, wire_bytes: u64, rng: &mut SimRng) -> Option<Nanos> {
-        match self.offer_verdict(now, wire_bytes, rng, false) {
-            HopOutcome::Forward { at, .. } => Some(at),
-            HopOutcome::Drop(_) => None,
-        }
-    }
-
     /// Offer a frame to this hop, reporting the full impairment verdict.
     ///
-    /// `allow_dup` gates the duplication draw so a path walk mints at
-    /// most one duplicate per frame. Draw order is fixed and documented:
+    /// `allow_dup` gates the duplication draw so a walk mints at most one
+    /// duplicate per frame. Draw order is fixed and documented:
     /// legacy random loss, then (only when impairments are active) the
     /// flap check (no draw), burst chain, corruption, duplication,
     /// reordering — so un-impaired hops consume exactly the legacy RNG
@@ -267,7 +254,10 @@ impl Path {
     }
 }
 
-/// Runtime state of a path.
+/// Runtime state of a path: its hop states and the RNG their draws
+/// consume. Every walk of a frame, over this path alone or over a route
+/// of several, is [`PathState::carry`] moving the frame's copies hop by
+/// hop.
 #[derive(Debug)]
 pub struct PathState {
     /// Hop states in order.
@@ -295,93 +285,92 @@ impl PathState {
         v.deliveries[0].map(|d| d.at)
     }
 
-    /// Walk a frame down the path, reporting every copy's fate.
-    ///
-    /// When `allow_dup` is set, the impairment layer may mint at most one
-    /// duplicate; the copy re-traverses the path from the hop that minted
-    /// it (queueing behind the original in that hop's serializer), so a
-    /// frame yields at most two deliveries. Every copy terminates in
-    /// exactly one of: a [`Delivery`] slot, or a drop counted in
-    /// [`PathVerdict::dropped`].
+    /// Walk one frame down the path, reporting every copy's fate: the
+    /// walk [`PathState::carry`] gives each copy, for the one copy that
+    /// enters at `now`.
     pub fn send_verdict(&mut self, now: Nanos, wire_bytes: u64, allow_dup: bool) -> PathVerdict {
         let mut v = PathVerdict::default();
-        let mut dup_from: Option<(usize, Nanos)> = None;
-        let mut t = now;
-        let mut corrupted = false;
-        let mut reordered = false;
-        let mut delivered = true;
-        for (i, hop) in self.hops.iter_mut().enumerate() {
-            let dup_ok = allow_dup && dup_from.is_none();
-            match hop.offer_verdict(t, wire_bytes, &mut self.rng, dup_ok) {
-                HopOutcome::Forward {
-                    at,
-                    corrupted: c,
-                    duplicated,
-                    reordered: r,
-                } => {
-                    if duplicated {
-                        dup_from = Some((i, t));
-                    }
-                    corrupted |= c;
-                    reordered |= r;
-                    t = at;
-                }
-                HopOutcome::Drop(cause) => {
-                    v.dropped += 1;
-                    if cause.is_impairment() {
-                        v.dropped_impair += 1;
-                    }
-                    delivered = false;
-                    break;
-                }
-            }
+        let entry = Delivery {
+            at: now,
+            ..Delivery::default()
+        };
+        self.walk(entry, wire_bytes, allow_dup, &mut v);
+        v
+    }
+
+    /// Carry a frame's copies across this path, hop by hop: the copies in
+    /// `v.deliveries` (each `at` its entry time, its marks those it picked
+    /// up upstream) are replaced by those that reach the far end, in walk
+    /// order, and every other copy ends in `v`'s drop counts.
+    ///
+    /// Each copy walks every hop in turn. While the frame has one copy
+    /// and `v` records no duplicate, a hop may mint the frame's one
+    /// duplicate: it walks on from that hop (queueing behind its parent
+    /// in that hop's serializer) once its parent has finished, and it
+    /// carries the marks its parent had on entering that hop.
+    pub fn carry(&mut self, wire_bytes: u64, v: &mut PathVerdict) {
+        let copies = std::mem::take(&mut v.deliveries);
+        let mint = copies[1].is_none();
+        for c in copies.into_iter().flatten() {
+            self.walk(c, wire_bytes, mint && !v.duplicated, v);
         }
-        let mut filled = 0;
-        if delivered {
-            v.deliveries[0] = Some(Delivery {
-                at: t,
-                corrupted,
-                reordered,
-            });
-            filled = 1;
-        }
-        if let Some((start, t0)) = dup_from {
-            v.duplicated = true;
-            let mut t = t0;
-            let mut corrupted = false;
-            let mut reordered = false;
-            let mut delivered = true;
-            for hop in self.hops[start..].iter_mut() {
-                match hop.offer_verdict(t, wire_bytes, &mut self.rng, false) {
+    }
+
+    /// Walk copy `entry` from the first hop to the far end, appending it
+    /// to `v.deliveries` if it arrives; a duplicate a hop mints (when
+    /// `mint` allows one) then walks on from that hop.
+    #[inline]
+    fn walk(&mut self, entry: Delivery, wire_bytes: u64, mut mint: bool, v: &mut PathVerdict) {
+        let mut next = Some((0, entry));
+        while let Some((from, c)) = next.take() {
+            // Scalar copies of the copy's fields keep the walk in registers.
+            let Delivery {
+                mut at,
+                mut corrupted,
+                mut reordered,
+            } = c;
+            let mut arrived = true;
+            for (i, hop) in (from..).zip(self.hops[from..].iter_mut()) {
+                match hop.offer_verdict(at, wire_bytes, &mut self.rng, mint) {
                     HopOutcome::Forward {
-                        at,
+                        at: out,
                         corrupted: c,
+                        duplicated,
                         reordered: r,
-                        ..
                     } => {
+                        if duplicated {
+                            let dup = Delivery {
+                                at,
+                                corrupted,
+                                reordered,
+                            };
+                            next = Some((i, dup));
+                            mint = false;
+                            v.duplicated = true;
+                        }
+                        at = out;
                         corrupted |= c;
                         reordered |= r;
-                        t = at;
                     }
                     HopOutcome::Drop(cause) => {
                         v.dropped += 1;
                         if cause.is_impairment() {
                             v.dropped_impair += 1;
                         }
-                        delivered = false;
+                        arrived = false;
                         break;
                     }
                 }
             }
-            if delivered {
-                v.deliveries[filled] = Some(Delivery {
-                    at: t,
+            if arrived {
+                let d = Delivery {
+                    at,
                     corrupted,
                     reordered,
-                });
+                };
+                v.deliveries[usize::from(v.deliveries[0].is_some())] = Some(d);
             }
         }
-        v
     }
 
     /// Total frames dropped across all hops, every cause included.
@@ -409,10 +398,12 @@ impl PathState {
     }
 }
 
-/// One delivered frame copy at the end of a path walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One copy of a frame: where a walk hands it in or out
+/// ([`PathState::carry`]), and what reached the far end of a path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Delivery {
-    /// Arrival time at the far end of the path.
+    /// Arrival time at the copy's current position (the far end of the
+    /// path, once delivered).
     pub at: Nanos,
     /// The copy was bit-corrupted en route; the receiving NIC will
     /// discard it on the bad FCS before DMA.
@@ -421,14 +412,17 @@ pub struct Delivery {
     pub reordered: bool,
 }
 
-/// Outcome of [`PathState::send_verdict`]: the fate of every copy of one
-/// offered frame.
+/// The fate of every copy of one offered frame, over one path
+/// ([`PathState::send_verdict`]) or a route of several, one
+/// [`PathState::carry`] per path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PathVerdict {
-    /// Delivered copies (at most two: the original and one duplicate).
+    /// The frame's copies (at most two: the original and one
+    /// duplicate): those delivered once the walk ends, those in flight
+    /// between two [`PathState::carry`] calls.
     pub deliveries: [Option<Delivery>; 2],
-    /// A duplicate copy was minted during this walk (it may still have
-    /// been dropped downstream).
+    /// The frame's one duplicate copy was minted during the walk (it may
+    /// still have been dropped downstream).
     pub duplicated: bool,
     /// Copies dropped at some hop, any cause.
     pub dropped: u32,
@@ -635,6 +629,33 @@ mod tests {
         let v2 = st.send_verdict(Nanos::from_micros(50), 1538, false);
         assert!(!v2.duplicated);
         assert_eq!(v2.deliveries.iter().flatten().count(), 1);
+    }
+
+    #[test]
+    fn a_duplicate_keeps_the_marks_its_parent_had_at_the_mint_hop() {
+        use crate::impair::{Impairments, Reorder};
+        // Hop 0 marks every frame, hop 1 duplicates every frame: the
+        // duplicate re-walks only hop 1, so its hop-0 mark can only come
+        // from its parent.
+        let corrupt = Impairments::none().with_corrupt(1.0);
+        let late = Nanos::from_micros(1);
+        let reorder = Impairments::none().with_reorder(Reorder::new(1.0, late, late));
+        for corrupts in [true, false] {
+            let mark = if corrupts { corrupt } else { reorder };
+            let path = Path {
+                hops: vec![
+                    Hop::wire("mark", gbps10(), Nanos::ZERO).with_impairments(mark),
+                    Hop::wire("dup", gbps10(), Nanos::ZERO)
+                        .with_impairments(Impairments::none().with_duplicate(1.0)),
+                ],
+            };
+            let mut st = PathState::new(&path, SimRng::seeded(1));
+            let v = st.send_verdict(Nanos::ZERO, 1538, true);
+            let copies: Vec<_> = v.deliveries.iter().flatten().collect();
+            assert_eq!(copies.len(), 2, "original + one duplicate");
+            let marked = |d: &&Delivery| if corrupts { d.corrupted } else { d.reordered };
+            assert!(copies.iter().all(marked), "{copies:?}");
+        }
     }
 
     #[test]

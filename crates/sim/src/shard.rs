@@ -33,9 +33,11 @@
 //! count: window boundaries are computed from published next-event times
 //! with integer arithmetic only, identically on every shard.
 //!
-//! The `shards = 1` case runs inline on the caller's thread with no
-//! synchronization primitives at all — the degenerate case costs nothing
-//! over a plain [`crate::Engine::run`] loop beyond the window bookkeeping.
+//! Every shard count runs the same round loop. The caller's thread runs
+//! shard 0 and a scoped worker runs each other shard, so `shards = 1`
+//! spawns no thread, and its rounds add to a plain
+//! [`crate::Engine::run`] loop only the window bookkeeping, an
+//! uncontended inbox lock and a barrier that never waits.
 
 use crate::prof::{wall_now_ns, WallStats};
 use crate::time::Nanos;
@@ -155,8 +157,8 @@ fn global_min(slots: &[AtomicU64]) -> u64 {
 /// window arrive at or after its exclusive edge, so no shard ever
 /// receives an arrival for an instant it has already executed past.
 ///
-/// With a single shard the loop runs inline on the caller's thread; the
-/// window sequence (and therefore the executed schedule) is identical.
+/// Shard 0 runs on the caller's thread, so a single shard spawns no
+/// thread and runs the same round loop as any other shard count.
 pub fn run_sharded<S: ShardWorld + Send>(shards: &mut [S], lookahead: Nanos) {
     run_sharded_wall(shards, lookahead, None);
 }
@@ -188,33 +190,14 @@ pub fn run_sharded_wall<S: ShardWorld + Send>(
             "wall-stats slots must match shard count"
         );
     }
-    if shards.len() == 1 {
-        let mut slot = wall.map(|ws| &mut ws[0]);
-        let world = &mut shards[0];
-        while let Some(t) = world.next_time() {
-            let t0 = slot.as_ref().map(|_| wall_now_ns());
-            world.run_window(t.saturating_add(lookahead));
-            if let (Some(w), Some(t0)) = (slot.as_deref_mut(), t0) {
-                w.windows += 1;
-                w.execute_ns += wall_now_ns().saturating_sub(t0);
-            }
-            // A single shard may only message itself.
-            for (dst, at, msg) in world.flush() {
-                assert!(dst == 0, "single-shard run emitted to shard {dst}");
-                world.accept(at, msg);
-            }
-        }
-        return;
-    }
-
     let n = shards.len();
-    // Disjoint per-worker wall slots (or one `None` per worker).
+    // Disjoint per-shard wall slots (or one `None` per shard).
     let wall_slots: Vec<Option<&mut WallStats>> = match wall {
         Some(ws) => ws.iter_mut().map(Some).collect(),
         None => (0..n).map(|_| None).collect(),
     };
     // Parity-buffered next-time slots and inboxes (see the module docs).
-    // Round 0 reads parity 0, seeded here before any worker starts.
+    // Round 0 reads parity 0, seeded here before any shard starts.
     let slots: [Vec<AtomicU64>; 2] = [
         shards
             .iter_mut()
@@ -225,62 +208,68 @@ pub fn run_sharded_wall<S: ShardWorld + Send>(
     let inboxes: [Vec<Inbox<S::Msg>>; 2] =
         [0, 1].map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect());
     let barrier = RoundBarrier::new(n);
-    std::thread::scope(|scope| {
-        for (i, (world, mut wslot)) in shards.iter_mut().zip(wall_slots).enumerate() {
-            let slots = &slots;
-            let inboxes = &inboxes;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let poison = PoisonOnPanic(barrier);
-                // Clock reads sit on the barrier's two edges, so a round
-                // takes two: execute is everything from one barrier exit
-                // to the next arrival (window negotiation, inbox drain,
-                // the window, outbox delivery), barrier is the wait.
-                let mut t_exit = wslot.as_ref().map(|_| wall_now_ns());
-                let mut p = 0;
-                loop {
-                    let t_min = global_min(&slots[p]);
-                    if t_min == DRAINED {
-                        break;
-                    }
-                    let batch = {
-                        let mut guard = inboxes[p][i].lock().expect("shard inbox lock poisoned");
-                        std::mem::take(&mut *guard)
-                    };
-                    for (at, msg) in batch {
-                        world.accept(at, msg);
-                    }
-                    let end = Nanos(t_min).saturating_add(lookahead);
-                    world.run_window(end);
-                    let mut next = world.next_time().map_or(DRAINED, |t| t.as_nanos());
-                    for (dst, at, msg) in world.flush() {
-                        debug_assert!(
-                            at >= end,
-                            "lookahead violated: arrival at {at} inside window ending {end}"
-                        );
-                        next = next.min(at.as_nanos());
-                        let mut guard = inboxes[1 - p][dst]
-                            .lock()
-                            .expect("shard inbox lock poisoned");
-                        guard.push((at, msg));
-                    }
-                    slots[1 - p][i].store(next, Ordering::SeqCst);
-                    let t_arrive = wslot.as_ref().map(|_| wall_now_ns());
-                    barrier.wait();
-                    let t_leave = wslot.as_ref().map(|_| wall_now_ns());
-                    if let (Some(w), Some(t0), Some(t1), Some(t2)) =
-                        (wslot.as_deref_mut(), t_exit, t_arrive, t_leave)
-                    {
-                        w.windows += 1;
-                        w.execute_ns += t1.saturating_sub(t0);
-                        w.barrier_wait_ns += t2.saturating_sub(t1);
-                    }
-                    t_exit = t_leave;
-                    p = 1 - p;
-                }
-                drop(poison);
-            });
+    // Shard `i`'s round loop (see the module docs), until every shard
+    // has drained.
+    let rounds = |i: usize, world: &mut S, mut wslot: Option<&mut WallStats>| {
+        let poison = PoisonOnPanic(&barrier);
+        // Clock reads sit on the barrier's two edges, so a round takes
+        // two: execute is everything from one barrier exit to the next
+        // arrival (window negotiation, inbox drain, the window, outbox
+        // delivery), barrier is the wait.
+        let mut t_exit = wslot.as_ref().map(|_| wall_now_ns());
+        let mut p = 0;
+        loop {
+            let t_min = global_min(&slots[p]);
+            if t_min == DRAINED {
+                break;
+            }
+            let batch = {
+                let mut guard = inboxes[p][i].lock().expect("shard inbox lock poisoned");
+                std::mem::take(&mut *guard)
+            };
+            for (at, msg) in batch {
+                world.accept(at, msg);
+            }
+            let end = Nanos(t_min).saturating_add(lookahead);
+            world.run_window(end);
+            let mut next = world.next_time().map_or(DRAINED, |t| t.as_nanos());
+            for (dst, at, msg) in world.flush() {
+                debug_assert!(
+                    at >= end,
+                    "lookahead violated: arrival at {at} inside window ending {end}"
+                );
+                next = next.min(at.as_nanos());
+                let mut guard = inboxes[1 - p][dst]
+                    .lock()
+                    .expect("shard inbox lock poisoned");
+                guard.push((at, msg));
+            }
+            slots[1 - p][i].store(next, Ordering::SeqCst);
+            let t_arrive = wslot.as_ref().map(|_| wall_now_ns());
+            barrier.wait();
+            let t_leave = wslot.as_ref().map(|_| wall_now_ns());
+            if let (Some(w), Some(t0), Some(t1), Some(t2)) =
+                (wslot.as_deref_mut(), t_exit, t_arrive, t_leave)
+            {
+                w.windows += 1;
+                w.execute_ns += t1.saturating_sub(t0);
+                w.barrier_wait_ns += t2.saturating_sub(t1);
+            }
+            t_exit = t_leave;
+            p = 1 - p;
         }
+        drop(poison);
+    };
+    // The caller's thread runs shard 0; a scoped worker runs each other
+    // shard.
+    std::thread::scope(|scope| {
+        let mut shards = shards.iter_mut().zip(wall_slots).enumerate();
+        let (_, (first, first_slot)) = shards.next().expect("at least one shard");
+        for (i, (world, wslot)) in shards {
+            let rounds = &rounds;
+            scope.spawn(move || rounds(i, world, wslot));
+        }
+        rounds(0, first, first_slot);
     });
 }
 
