@@ -238,7 +238,7 @@ fn grid(shards: usize, threads: usize) -> Vec<String> {
 }
 
 fn prof(shards: usize, threads: usize) -> Vec<String> {
-    let (report, gated, _host) =
+    let (report, gated) =
         grid_prof_sweep(&standard_presets(), shards, SEED, SweepRunner::new(threads));
     vec![gated.concatenated(), report.to_jsonl()]
 }

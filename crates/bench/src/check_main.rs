@@ -101,8 +101,8 @@ fn field_hist(line: &str, name: &str) -> Option<Hist> {
 /// The histograms a profile line embeds.
 const PROF_HISTS: [&str; 2] = ["rx_batch", "drain_batch"];
 
-/// Profile readout: per-preset sim sections with the p50/p90/p99/max
-/// histogram readout, then the local and wall sections.
+/// Profile readout: each preset's executed total and the
+/// p50/p90/p99/max readout of every histogram its gated line embeds.
 fn summarize_profile(doc: &str) {
     for line in doc.lines() {
         if line.contains("\"prof\":\"sim\"") {
@@ -116,24 +116,6 @@ fn summarize_profile(doc: &str) {
                     println!("  {h}: {}", hist.summary());
                 }
             }
-        } else if line.contains("\"prof\":\"local\"") {
-            println!(
-                "  shard {} windows={} msgs_sent={} pool={}h/{}m",
-                field_u64(line, "shard"),
-                field_u64(line, "windows"),
-                field_u64(line, "msgs_sent"),
-                field_u64(line, "pool_hits"),
-                field_u64(line, "pool_misses"),
-            );
-        } else if line.contains("\"wall\":\"shard\"") {
-            let ms = |name| field_u64(line, name) as f64 / 1e6;
-            println!(
-                "  wall shard {}: windows={} barrier_wait={:.3}ms execute={:.3}ms",
-                field_u64(line, "shard"),
-                field_u64(line, "windows"),
-                ms("barrier_wait_ns"),
-                ms("execute_ns"),
-            );
         }
     }
 }

@@ -27,11 +27,10 @@ use crate::config::{HostConfig, LadderRung};
 use crate::lab::{App, Ev, Grid, Lab};
 use crate::report::{Json, MetricsSidecar, SweepReport};
 use crate::sweep::{scenarios, Scenario, SweepRunner};
-use std::fmt::Write as _;
 use tengig_ethernet::Mtu;
 use tengig_net::{FatTreeSpec, TorusSpec};
 use tengig_nic::NicSpec;
-use tengig_sim::{rate_of, EngineCounters, Hist, Nanos, ObsConfig, SimRng, Timelines, WallStats};
+use tengig_sim::{rate_of, EngineCounters, Hist, Nanos, ObsConfig, SimRng, Timelines};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -221,7 +220,7 @@ pub struct GridResult {
 /// merge the result.
 pub fn run_grid(preset: &GridPreset, shards: usize, seed: u64) -> GridResult {
     let mut grid = build(preset, shards, seed, None);
-    grid.run(None);
+    grid.run();
     read(&mut grid).0
 }
 
@@ -261,39 +260,19 @@ pub fn read(grid: &mut Grid) -> (GridResult, Option<Timelines>) {
     (result, timelines)
 }
 
-/// The three-section self-profile of one grid run (see `DESIGN.md` §16).
-///
-/// Only [`GridProfile::sim`] is golden-gated: it carries exclusively
-/// shard-count- and thread-invariant merges (per-kind fired counts,
-/// executed totals, engine verb counters, the rx-interrupt batch
+/// The gated self-profile of one finished grid run (see `DESIGN.md`
+/// §16): one JSONL line of the preset's `label` and `seed` plus
+/// shard-count- and thread-invariant merges only (per-kind fired counts,
+/// executed total, engine verb counters, the rx-interrupt batch
 /// histogram, and the retired, always-empty ingress-drain batch
-/// histogram). The `local` section is deterministic
-/// for a fixed shard count but partition-dependent; the `wall` section is
-/// host-domain time and never reproducible.
-#[derive(Debug, Clone)]
-pub struct GridProfile {
-    /// The gated deterministic section: one JSONL line, byte-identical
-    /// across shard counts and sweep threads.
-    pub sim: String,
-    /// Per-shard deterministic section, one JSONL line per shard
-    /// (never gated — the values are functions of the partition).
-    pub local: String,
-    /// Host-domain wall-time section, one JSONL line per shard
-    /// (never gated, never deterministic).
-    pub wall: String,
-}
-
-/// Assemble the three profile sections of a finished grid run: the
-/// preset's `label` and `seed`, the replicas, and the per-shard wall
-/// accounting [`Grid::run`] collected.
-pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridProfile {
-    let replicas = grid.shards();
-    // Invariant merges for the gated "sim" section.
+/// histogram), so it is byte-identical across shard counts and sweep
+/// threads.
+pub fn profile(label: &str, seed: u64, grid: &Grid) -> String {
     let mut fired = [0u64; Ev::KINDS];
     let mut engine = EngineCounters::default();
     let mut rx_batch = Hist::new();
     let mut executed = 0u64;
-    for s in replicas {
+    for s in grid.shards() {
         let p = s.lab.prof();
         for (t, f) in fired.iter_mut().zip(&p.fired) {
             *t += f;
@@ -316,42 +295,12 @@ pub fn profile(label: &str, seed: u64, grid: &Grid, wall: &[WallStats]) -> GridP
     ]);
     // `drain_batch` is retired with the ingress channel and always empty
     // (see `GridRt::drain_batch`); it keeps the line's field set.
-    let mut sim = String::new();
-    let _ = writeln!(
-        sim,
+    format!(
         "{{\"prof\":\"sim\",\"preset\":\"{label}\",\"seed\":{seed},\"executed\":{executed},\
-         \"fired\":{fired_obj},\"engine\":{engine_obj},\"rx_batch\":{},\"drain_batch\":{}}}",
+         \"fired\":{fired_obj},\"engine\":{engine_obj},\"rx_batch\":{},\"drain_batch\":{}}}\n",
         rx_batch.render(),
         Hist::new().render(),
-    );
-    // Per-shard "local" section.
-    let mut local = String::new();
-    for (i, s) in replicas.iter().enumerate() {
-        let p = s.lab.prof();
-        let g = s.lab.grid().expect("grid shard without grid");
-        let c = s.eng.calendar_counters();
-        let cal_obj = Json::Object(vec![
-            ("sched_slab".to_string(), Json::U64(c.sched_slab)),
-            ("cancels".to_string(), Json::U64(c.cancels)),
-            ("cancel_hits".to_string(), Json::U64(c.cancel_hits)),
-        ]);
-        let _ = writeln!(
-            local,
-            "{{\"prof\":\"local\",\"preset\":\"{label}\",\"shard\":{i},\"windows\":{},\
-             \"msgs_sent\":{},\"pool_hits\":{},\"pool_misses\":{},\"calendar\":{cal_obj}}}",
-            g.windows, g.msgs_sent, p.pool_hits, p.pool_misses,
-        );
-    }
-    // Host-domain "wall" section.
-    let mut wall_out = String::new();
-    for (i, w) in wall.iter().enumerate() {
-        let _ = writeln!(wall_out, "{}", w.render(i));
-    }
-    GridProfile {
-        sim,
-        local,
-        wall: wall_out,
-    }
+    )
 }
 
 /// The pinned grid sweep: two fat-tree points and one torus point, sized
@@ -414,36 +363,32 @@ fn push_grid_row(report: &mut SweepReport, sc: &Scenario<GridPreset>, r: &GridRe
 }
 
 /// Sweep the grid presets with the self-profiling plane collected.
-/// Returns the primary report (byte-identical to [`grid_sweep_report`]'s),
-/// the gated profiling sidecar (one "sim" section per scenario — the
-/// bytes `goldens/prof_throughput.jsonl` pins across shard counts
-/// {1, 2, 4} and sweep threads {1, 4}), and the ungated host sidecar
-/// (per-shard "local" and "wall" sections, for humans).
+/// Returns the primary report (byte-identical to [`grid_sweep_report`]'s)
+/// and the gated profiling sidecar: one [`profile`] line per scenario,
+/// the bytes `goldens/prof_throughput.jsonl` pins across shard counts
+/// {1, 2, 4} and sweep threads {1, 4}.
 pub fn grid_prof_sweep(
     presets: &[GridPreset],
     shards: usize,
     master_seed: u64,
     runner: SweepRunner,
-) -> (SweepReport, MetricsSidecar, MetricsSidecar) {
+) -> (SweepReport, MetricsSidecar) {
     let grid = scenarios(master_seed, presets.iter().copied(), |p| p.label());
-    let (results, profiles) = runner
-        .run_split(&grid, |sc| {
+    let runs = runner
+        .run(&grid, |sc| {
             let mut world = build(&sc.input, shards, sc.seed, None);
-            let mut wall = vec![WallStats::default(); shards];
-            world.run(Some(&mut wall));
+            world.run();
             let result = read(&mut world).0;
-            (result, profile(&sc.label, sc.seed, &world, &wall))
+            (result, profile(&sc.label, sc.seed, &world))
         })
         .expect("grid prof sweep scenario panicked");
     let mut report = SweepReport::new("grid/fabric", master_seed);
     let mut gated = MetricsSidecar::new("grid/prof");
-    let mut host = MetricsSidecar::new("grid/prof-host");
-    for ((sc, r), p) in grid.iter().zip(&results).zip(&profiles) {
-        push_grid_row(&mut report, sc, r);
-        gated.push(sc.index, sc.label.clone(), p.sim.clone());
-        host.push(sc.index, sc.label.clone(), format!("{}{}", p.local, p.wall));
+    for (sc, (r, sim)) in grid.iter().zip(runs) {
+        push_grid_row(&mut report, sc, &r);
+        gated.push(sc.index, sc.label.clone(), sim);
     }
-    (report, gated, host)
+    (report, gated)
 }
 
 #[cfg(test)]

@@ -358,7 +358,7 @@ pub fn run_serve(preset: &ServePreset, shards: usize, seed: u64) -> (ServeOutcom
         arrivals.as_deref(),
         || world(preset, plans, seed),
     );
-    grid.run(None);
+    grid.run();
     let (events, timelines) = grid.finish();
     let outcome = match &schedule {
         Some((spec, plans)) => ServeOutcome::Load(read_load(&grid, spec, plans, events)),

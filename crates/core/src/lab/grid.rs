@@ -37,7 +37,7 @@
 
 use super::{Ev, FlowRt, HostRt, Lab, LabEngine};
 use tengig_net::Delivery;
-use tengig_sim::{run_sharded_wall, Hist, Nanos, ObsConfig, ShardWorld, Timelines, WallStats};
+use tengig_sim::{run_sharded, Hist, Nanos, ObsConfig, ShardWorld, Timelines};
 use tengig_tcp::Segment;
 
 /// One wire arrival: the fields of the [`Ev::FrameArrival`] that applies it.
@@ -95,8 +95,8 @@ pub struct GridRt {
     /// Messages bound for other shards, drained by [`ShardWorld::flush`].
     outbox: Vec<(usize, Nanos, GridMsg)>,
     /// Cross-shard messages this shard emitted (deterministic, but a
-    /// function of the partition — zero at one shard — so it lives in the
-    /// per-shard "local" profiling section, never the gated one).
+    /// function of the partition — zero at one shard — so the gated
+    /// profile never carries it; the benchmark ledger reads it).
     pub msgs_sent: u64,
     /// Retired and always empty. It counted arrivals per ingress-drain
     /// batch when grid mode applied arrivals through a per-host drain
@@ -309,11 +309,10 @@ impl Grid {
         }
     }
 
-    /// Run every shard to completion, conservatively synchronized; with
-    /// `wall`, also account each shard's barrier and execute time (one
-    /// slot per shard, see [`run_sharded_wall`]).
-    pub fn run(&mut self, wall: Option<&mut [WallStats]>) {
-        run_sharded_wall(&mut self.shards, self.lookahead, wall);
+    /// Run every shard to completion, conservatively synchronized (see
+    /// [`run_sharded`]).
+    pub fn run(&mut self) {
+        run_sharded(&mut self.shards, self.lookahead);
     }
 
     /// Settle a finished run: check every shard's sanitizer drained, and

@@ -26,7 +26,7 @@ use tengig_net::{Delivery, Path, PathState, PathVerdict};
 use tengig_nic::CoalesceAction;
 use tengig_sim::{
     Engine, EventFire, EventId, FlightDump, Hist, MetricKind, Nanos, ObsConfig, Sanitizer, Scope,
-    SimConfig, SimRng, Stage, StepSeries, Timelines, Tracer, ViolationKind,
+    SimRng, Stage, StepSeries, Timelines, Tracer, ViolationKind,
 };
 use tengig_tcp::{Action, Segment, Sysctls, TcpConn, TimerKind};
 use tengig_tools::{Iperf, NetPipe, NttcpReceiver, NttcpSender, PingPongSide, Pktgen};
@@ -740,7 +740,7 @@ pub fn install_sanitizer(lab: &mut Lab, eng: &mut LabEngine, seed: u64) {
 /// (always in debug builds; opt-in via
 /// [`tengig_sim::sanitizer::set_default_enabled`] in release builds).
 pub fn install_default_sanitizer(lab: &mut Lab, eng: &mut LabEngine, seed: u64) {
-    if SimConfig::default().sanitize {
+    if tengig_sim::sanitizer::default_enabled() {
         install_sanitizer(lab, eng, seed);
     }
 }

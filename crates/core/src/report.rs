@@ -324,8 +324,7 @@ impl SweepReport {
 /// The opt-in metrics side-channel of a sweep: one timelines JSONL
 /// document per scenario, collected alongside — and strictly outside — the
 /// primary [`SweepReport`], so enabling metrics can never change a byte of
-/// the report itself. Callers write each run's document to its own file
-/// (see [`MetricsSidecar::file_name`]).
+/// the report itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSidecar {
     /// The sweep this sidecar belongs to.
@@ -356,24 +355,6 @@ impl MetricsSidecar {
     /// Whether the sidecar is empty.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
-    }
-
-    /// Deterministic file name for one run's document:
-    /// `<sweep>.obs.<index>.jsonl`, with the sweep name sanitized to
-    /// `[A-Za-z0-9._-]` so it is always a single path component.
-    pub fn file_name(&self, index: usize) -> String {
-        let safe: String = self
-            .sweep
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        format!("{safe}.obs.{index}.jsonl")
     }
 
     /// Concatenate every run's document (each already line-oriented) for

@@ -185,25 +185,6 @@ impl SweepRunner {
             .map(|s| s.expect("every scenario reported exactly once"))
             .collect())
     }
-
-    /// [`SweepRunner::run`] for scenarios that produce a primary result
-    /// *and* a side-channel payload (e.g. metrics timelines): the pair is
-    /// unzipped into two scenario-ordered vectors, so the primary results
-    /// stay structurally identical to a plain `run` and the side-channel
-    /// can be routed elsewhere without touching them.
-    pub fn run_split<I, O, M, F>(
-        &self,
-        scenarios: &[Scenario<I>],
-        f: F,
-    ) -> Result<(Vec<O>, Vec<M>), SweepError>
-    where
-        I: Sync,
-        O: Send,
-        M: Send,
-        F: Fn(&Scenario<I>) -> (O, M) + Sync,
-    {
-        Ok(self.run(scenarios, f)?.into_iter().unzip())
-    }
 }
 
 /// Render a panic payload as text (the common `&str` / `String` payloads;

@@ -105,7 +105,7 @@ fn each_link_is_sampled_by_the_shard_owning_its_transmitter() {
     };
     for shards in [1usize, 2] {
         let mut grid = Grid::build(shards, path.base_latency(), SEED, Some(&obs), None, world);
-        grid.run(None);
+        grid.run();
         let owner = grid.shards()[0]
             .lab
             .grid()
@@ -164,7 +164,7 @@ fn an_unpartitioned_pair_equals_the_same_world_on_a_grid() {
         let mut grid = Grid::build(shards, path.base_latency(), SEED, Some(&obs), None, || {
             world().0
         });
-        grid.run(None);
+        grid.run();
         let (grid_events, merged) = grid.finish();
         let rx = grid.rx(0);
         assert_eq!(rx.meas.t_done, t_done, "t_done at {shards} shards");

@@ -9,31 +9,30 @@
 //! * grid-mode observability timelines merge shard-count-invariantly.
 
 use tengig::experiments::grid::{
-    self, grid_prof_sweep, grid_sweep_report, run_grid, standard_presets, GridPreset, GridProfile,
-    GridResult,
+    self, grid_prof_sweep, grid_sweep_report, run_grid, standard_presets, GridPreset, GridResult,
 };
 use tengig::sweep::SweepRunner;
-use tengig_sim::{Nanos, ObsConfig, Timelines, WallStats};
+use tengig_sim::{run_sharded_wall, Nanos, ObsConfig, Timelines, WallStats};
 
 /// The pinned master seed of the grid and prof goldens (kept in sync
 /// with `tengig_bench::check::SEED`).
 const SEED: u64 = 2003;
 
-/// One grid run with the wall plane collected, read into its result and
-/// three-section profile.
-fn profiled(preset: &GridPreset, shards: usize) -> (GridResult, GridProfile) {
+/// One grid run with the wall plane collected, read into its result,
+/// gated profile line and per-shard wall accounting.
+fn profiled(preset: &GridPreset, shards: usize) -> (GridResult, String, Vec<WallStats>) {
     let mut world = grid::build(preset, shards, SEED, None);
     let mut wall = vec![WallStats::default(); shards];
-    world.run(Some(&mut wall));
+    run_sharded_wall(world.shards_mut(), preset.lookahead(), Some(&mut wall));
     let result = grid::read(&mut world).0;
-    (result, grid::profile(&preset.label(), SEED, &world, &wall))
+    (result, grid::profile(&preset.label(), SEED, &world), wall)
 }
 
 /// One grid run with observability on, read into its result and merged
 /// timelines.
 fn observed(preset: &GridPreset, shards: usize, obs: &ObsConfig) -> (GridResult, Timelines) {
     let mut world = grid::build(preset, shards, SEED, Some(obs));
-    world.run(None);
+    world.run();
     let (result, timelines) = grid::read(&mut world);
     (result, timelines.expect("obs was on"))
 }
@@ -41,7 +40,7 @@ fn observed(preset: &GridPreset, shards: usize, obs: &ObsConfig) -> (GridResult,
 #[test]
 fn prof_sidecar_is_byte_identical_across_shards_and_threads() {
     let presets = standard_presets();
-    let (ref_report, ref_gated, _) = grid_prof_sweep(&presets, 1, SEED, SweepRunner::new(1));
+    let (ref_report, ref_gated) = grid_prof_sweep(&presets, 1, SEED, SweepRunner::new(1));
     let reference = ref_gated.concatenated();
     assert!(reference.contains("\"prof\":\"sim\""));
     for shards in [1usize, 2, 4] {
@@ -49,7 +48,7 @@ fn prof_sidecar_is_byte_identical_across_shards_and_threads() {
             if (shards, threads) == (1, 1) {
                 continue;
             }
-            let (report, gated, _) =
+            let (report, gated) =
                 grid_prof_sweep(&presets, shards, SEED, SweepRunner::new(threads));
             assert_eq!(
                 reference,
@@ -71,7 +70,7 @@ fn profiling_never_changes_the_primary_report_bytes() {
     let plain = grid_sweep_report(&presets, 2, SEED, SweepRunner::new(1))
         .1
         .to_jsonl();
-    let (profiled, _, _) = grid_prof_sweep(&presets, 2, SEED, SweepRunner::new(1));
+    let (profiled, _) = grid_prof_sweep(&presets, 2, SEED, SweepRunner::new(1));
     assert_eq!(plain, profiled.to_jsonl());
 }
 
@@ -79,81 +78,55 @@ fn profiling_never_changes_the_primary_report_bytes() {
 fn wall_plane_reports_barrier_stalls_outside_every_gated_byte() {
     let preset = GridPreset::fat_tree(2, 4, 2);
     let plain = run_grid(&preset, 4, SEED);
-    let (profiled, prof) = profiled(&preset, 4);
+    let (profiled, sim, wall) = profiled(&preset, 4);
     // Same simulation: the wall plane rides outside the event loop.
     assert_eq!(plain.events, profiled.events);
     assert_eq!(plain.last_done, profiled.last_done);
     assert_eq!(plain.payload_bytes, profiled.payload_bytes);
     // Four shards synchronizing over thousands of conservative windows
     // must observe some barrier waiting, and each shard executes work.
-    let mut barrier_total = 0u64;
-    let mut shards_seen = 0usize;
-    for line in prof.wall.lines() {
-        assert!(line.starts_with("{\"wall\":\"shard\""), "wall line: {line}");
-        let field = |name: &str| -> u64 {
-            let pat = format!("\"{name}\":");
-            let at = line.find(&pat).expect("wall field present");
-            line[at + pat.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .expect("wall field numeric")
-        };
-        assert!(field("windows") > 0);
-        barrier_total += field("barrier_wait_ns");
-        shards_seen += 1;
-    }
-    assert_eq!(shards_seen, 4);
+    assert_eq!(wall.len(), 4);
+    assert!(wall.iter().all(|w| w.windows > 0), "{wall:?}");
+    let barrier_total: u64 = wall.iter().map(|w| w.barrier_wait_ns).sum();
     assert!(
         barrier_total > 0,
         "a 4-shard run must report some barrier wait"
     );
-    // The wall-domain figures appear in no gated output: neither the sim
-    // profiling section nor the primary report may mention them.
-    assert!(!prof.sim.contains("barrier_wait_ns"));
-    assert!(!prof.sim.contains("\"wall\""));
-    assert!(!prof.sim.contains("execute_ns"));
+    // The wall-domain figures appear in no gated output.
+    assert!(!sim.contains("barrier_wait_ns"));
+    assert!(!sim.contains("\"wall\""));
+    assert!(!sim.contains("execute_ns"));
 }
 
 #[test]
 fn sim_section_counts_the_grid_event_anatomy() {
     let preset = GridPreset::fat_tree(2, 2, 1);
-    let (r, prof) = profiled(&preset, 1);
+    let (r, sim, _) = profiled(&preset, 1);
     // Every arrival is its own front-class FrameArrival;
     // the retired IngressDrain slot and drain_batch histogram stay empty.
     let count = |name: &str| -> u64 {
         let tag = format!("\"{name}\":");
-        let at = prof.sim.find(&tag).unwrap_or_else(|| panic!("{name}")) + tag.len();
-        let digits = prof.sim[at..]
+        let at = sim.find(&tag).unwrap_or_else(|| panic!("{name}")) + tag.len();
+        let digits = sim[at..]
             .split(|c: char| !c.is_ascii_digit())
             .next()
             .unwrap_or_default();
-        digits
-            .parse()
-            .unwrap_or_else(|_| panic!("{name}: {}", prof.sim))
+        digits.parse().unwrap_or_else(|_| panic!("{name}: {}", sim))
     };
-    assert!(count("FrameArrival") > 0, "{}", prof.sim);
+    assert!(count("FrameArrival") > 0, "{}", sim);
     assert_eq!(
         count("FrameArrival"),
         count("sched_front"),
         "one front-class event per arrival: {}",
-        prof.sim
+        sim
     );
-    assert_eq!(count("IngressDrain"), 0, "{}", prof.sim);
-    assert!(
-        prof.sim.contains("\"drain_batch\":{\"count\":0,"),
-        "{}",
-        prof.sim
-    );
+    assert_eq!(count("IngressDrain"), 0, "{}", sim);
+    assert!(sim.contains("\"drain_batch\":{\"count\":0,"), "{}", sim);
     // The executed total in the section matches the merged result.
-    assert!(prof.sim.contains(&format!("\"executed\":{}", r.events)));
+    assert!(sim.contains(&format!("\"executed\":{}", r.events)));
     // The coalescer's histogram saw batches.
-    assert!(!prof.sim.contains("\"rx_batch\":{\"count\":0,"));
-    assert!(prof.sim.contains("\"rx_batch\":{\"count\":"));
-    // The local section exists and is per-shard.
-    assert!(prof.local.contains("\"prof\":\"local\""));
-    assert!(prof.local.contains("\"pool_hits\":"));
+    assert!(!sim.contains("\"rx_batch\":{\"count\":0,"));
+    assert!(sim.contains("\"rx_batch\":{\"count\":"));
 }
 
 #[test]

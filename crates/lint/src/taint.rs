@@ -54,7 +54,6 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     "PathState::send_verdict",
     // Sweep workers.
     "SweepRunner::run",
-    "SweepRunner::run_split",
     // Sharded-execution merge loop and the keyed arrival path (window
     // computation, barrier rounds, canonical-key minting for local and
     // cross-shard arrivals): nondeterminism here would break the grid

@@ -213,23 +213,14 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         }
     }
 
-    /// Run until the calendar drains or virtual time would pass `deadline`.
+    /// Run until the calendar drains or virtual time would pass `deadline`:
+    /// [`Engine::run_before`] with the exclusive edge one nanosecond later.
     ///
     /// Events scheduled strictly after `deadline` remain queued; the clock is
-    /// left at the last executed event (≤ `deadline`).
+    /// left at the last executed event (≤ `deadline`). The edge saturates,
+    /// so `Nanos::MAX` leaves events at exactly that instant queued.
     pub fn run_until(&mut self, world: &mut W, deadline: Nanos) {
-        while let Some(next) = self.calendar.peek_time() {
-            if next > deadline {
-                break;
-            }
-            self.step(world);
-            assert!(
-                self.executed <= self.event_limit,
-                "event limit {} exceeded at t={}",
-                self.event_limit,
-                self.calendar.now()
-            );
-        }
+        self.run_before(world, deadline.saturating_add(Nanos(1)));
     }
 
     /// Run until the calendar drains or the next event lies at or past

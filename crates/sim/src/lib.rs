@@ -41,7 +41,7 @@ pub use engine::{Engine, EventFire};
 pub use obs::{MetricKind, ObsConfig, Scope, StepSeries, Timelines};
 pub use prof::{CalendarCounters, EngineCounters, Hist, WallStats};
 pub use rng::SimRng;
-pub use sanitizer::{Sanitizer, SimConfig, Violation, ViolationKind};
+pub use sanitizer::{Sanitizer, Violation, ViolationKind};
 pub use server::{Admission, FifoServer, ServerBank};
 pub use shard::{run_sharded, run_sharded_wall, ShardWorld};
 pub use time::Nanos;

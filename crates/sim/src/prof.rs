@@ -254,8 +254,8 @@ impl Hist {
 /// Calendar-internal counters: how many keys entered the 4-ary heap and
 /// how often a cancel, or the cancel half of a re-arm, found its event.
 /// **Deterministic but calendar-private** — they describe one calendar's
-/// own queue, so they belong in the per-shard "local" profiling section,
-/// never in the merged golden-gated one.
+/// own queue and vary with the partition, so they never enter the merged
+/// golden-gated profile; the benchmark ledger reads them per shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalendarCounters {
     /// Keys pushed into the heap, a re-armed key when it is forwarded.
@@ -318,7 +318,8 @@ pub struct WallStats {
 }
 
 impl WallStats {
-    /// One-line host-domain rendering for the never-gated wall section.
+    /// One-line host-domain rendering of shard `shard`'s accounting, for
+    /// a benchmark trace; never gated.
     pub fn render(&self, shard: usize) -> String {
         format!(
             "{{\"wall\":\"shard\",\"shard\":{},\"windows\":{},\"barrier_wait_ns\":{},\"execute_ns\":{}}}",
@@ -330,8 +331,8 @@ impl WallStats {
 /// Monotonic wall-clock read for the profiling plane, in nanoseconds
 /// since the first call. This is the **single sanctioned wall-clock
 /// boundary** in the determinism crates: the value is observational
-/// only — accumulated into [`WallStats`], reported in the never-gated
-/// wall section, and provably unreachable from any calendar input (the
+/// only — accumulated into [`WallStats`], never golden-gated, and
+/// provably unreachable from any calendar input (the
 /// taint pass verifies every hot-path root stays clean because this
 /// boundary is marked trusted).
 // lint:trusted(profiling boundary: the one reviewed wall-clock read; host-domain output only, never golden-gated, never fed back into the simulation)

@@ -27,7 +27,7 @@
 //! error adds the scenario index and label).
 //!
 //! The sanitizer is enabled by default in debug builds (so all tests run
-//! under it) and opt-in via [`SimConfig`] in release builds.
+//! under it) and opt-in via [`set_default_enabled`] in release builds.
 
 use crate::time::Nanos;
 use std::fmt;
@@ -39,7 +39,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// default to off so measurement sweeps pay zero overhead unless asked.
 static DEFAULT_ENABLED: AtomicBool = AtomicBool::new(cfg!(debug_assertions));
 
-/// Whether simulations built with [`SimConfig::default`] install a sanitizer.
+/// Whether new simulations install a sanitizer: on under
+/// `debug_assertions`, off in release unless [`set_default_enabled`] was
+/// called.
 pub fn default_enabled() -> bool {
     DEFAULT_ENABLED.load(Ordering::Relaxed)
 }
@@ -50,23 +52,6 @@ pub fn default_enabled() -> bool {
 /// byte-identical reports, and by release callers to opt in.
 pub fn set_default_enabled(on: bool) {
     DEFAULT_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Simulation-wide correctness-checking configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimConfig {
-    /// Install a [`Sanitizer`] on the engine for this run.
-    pub sanitize: bool,
-}
-
-impl Default for SimConfig {
-    /// Follows the process-wide default: on under `debug_assertions`,
-    /// off in release unless [`set_default_enabled`] was called.
-    fn default() -> Self {
-        SimConfig {
-            sanitize: default_enabled(),
-        }
-    }
 }
 
 /// The class of invariant a [`Violation`] breaches.

@@ -11,7 +11,7 @@
 //! * [`cc`] — Reno congestion control (the AIMD of Table 1),
 //! * [`sysctl`] — the tuning surface (`tcp_rmem`, timestamps, window
 //!   scaling, MTU, txqueuelen, …),
-//! * [`segment`]/[`seq`] — wire units,
+//! * [`segment`] — wire units,
 //! * [`udp`] — datagrams for the pktgen workload.
 //!
 //! The state machines are deliberately I/O-free: they return [`Action`]s
@@ -24,13 +24,11 @@
 pub mod cc;
 pub mod conn;
 pub mod segment;
-pub mod seq;
 pub mod sysctl;
 pub mod udp;
 
 pub use cc::{CcAction, Phase, Reno};
 pub use conn::{Action, ConnStats, TcpConn, TimerKind};
 pub use segment::{Flags, Segment, Timestamps};
-pub use seq::WireSeq;
 pub use sysctl::{BufTriple, Sysctls};
 pub use udp::Datagram;

@@ -25,8 +25,8 @@ pub struct Timestamps {
 
 /// A TCP segment as it travels through the simulated network.
 ///
-/// Sequence/ack values are absolute 64-bit stream offsets (see
-/// [`crate::seq`] for the wire-format view); sizes are byte counts.
+/// Sequence/ack values are absolute 64-bit stream offsets, which cannot
+/// wrap within any simulated run; sizes are byte counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Absolute stream offset of the first payload byte.
