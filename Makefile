@@ -15,9 +15,29 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy doc benchmark-test lint lint-selftest golden-check bench-compare
+.PHONY: ci ci-times build test fmt clippy doc benchmark-test lint lint-selftest golden-check bench-compare
 
-ci: build test fmt clippy doc benchmark-test lint golden-check
+CI_GATES := build test fmt clippy doc benchmark-test lint golden-check
+
+ci: $(CI_GATES)
+
+# Wall seconds of every `ci` gate on a warm tree; not part of `ci`. Each
+# gate runs once untimed (so its artifacts are built) and then three
+# timed times; the median of the three is printed as a markdown table,
+# with the core count. Stops at the first gate that fails.
+ci-times:
+	@echo "| gate | median wall s (3 warm runs) |"; echo "|---|---|"; \
+	for g in $(CI_GATES); do \
+		$(MAKE) -s $$g >/dev/null 2>&1 || { echo "ci-times: $$g failed"; exit 1; }; \
+		ts=""; \
+		for i in 1 2 3; do \
+			t0=$$(date +%s.%N); \
+			$(MAKE) -s $$g >/dev/null 2>&1 || { echo "ci-times: $$g failed"; exit 1; }; \
+			ts="$$ts $$(echo "$$t0 $$(date +%s.%N)" | awk '{ printf "%.1f", $$2 - $$1 }')"; \
+		done; \
+		echo "| $$g | $$(echo $$ts | tr ' ' '\n' | sort -n | sed -n 2p) |"; \
+	done; \
+	echo; echo "nproc: $$(nproc)"
 
 build:
 	$(CARGO) build --release

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use tengig_ethernet::{ETH_FCS, ETH_HEADER};
 use tengig_hw::DiskModel;
 use tengig_nic::Coalescer;
-use tengig_sim::{FifoServer, Nanos, ServerBank, Stage, Tracer};
+use tengig_sim::{FifoServer, Nanos, ServerBank};
 use tengig_tcp::Segment;
 
 /// A TCP segment sitting in a host's receive ring awaiting an interrupt.
@@ -38,9 +38,6 @@ pub struct HostRt {
     /// Corrupted frames the NIC's MAC discarded on a bad FCS (before any
     /// DMA), i.e. the receive side of the corruption impairment.
     pub rx_crc_drops: u64,
-    /// This host's flight recorder, armed only by
-    /// [`install_sanitizer`](crate::lab::install_sanitizer).
-    pub tracer: Tracer,
     /// Disk bank, when this host is a storage endpoint of the
     /// disk→NIC→WAN→NIC→disk pipeline (see [`Lab::attach_disk`]).
     ///
@@ -60,19 +57,7 @@ impl HostRt {
             coalescer: Coalescer::new(cfg.nic.rx_coalesce_delay, cfg.nic.rx_coalesce_max_frames),
             rx_pending: VecDeque::new(),
             rx_crc_drops: 0,
-            tracer: Tracer::disabled(),
             disk: None,
-        }
-    }
-
-    /// Typed probe point: record a pipeline-stage observation on this
-    /// host's flight recorder. The disabled fast path is a single inlined
-    /// compare, so probes sprinkled through the hot pipeline cost nothing
-    /// unless a sanitizer armed the recorder.
-    #[inline]
-    pub fn probe(&mut self, at: Nanos, stage: Stage, packet: u64, bytes: u64, cost: Nanos) {
-        if self.tracer.is_enabled() {
-            self.tracer.emit(at, stage, packet, bytes, cost);
         }
     }
 
@@ -160,26 +145,17 @@ impl HostRt {
         cpu.plain_time(cpu.costs.syscall) + cpu.copy_time(bytes)
     }
 
-    /// Memory-bus occupancy of the write-time copy (read + write of the
-    /// payload).
-    pub fn write_bus_time(&self, bytes: u64) -> Nanos {
+    /// Memory-bus occupancy of a copy of `bytes` between user and kernel
+    /// space (the write-time `copy_from_user`, the read-time copy to
+    /// user): each byte is read once and written once.
+    pub fn copy_bus_time(&self, bytes: u64) -> Nanos {
         self.cfg.hw.mem.bus_time(2 * bytes)
     }
 
-    /// Memory-bus occupancy of emitting a segment: the NIC's DMA read of
-    /// the frame (the write-time copy is charged separately).
-    pub fn tx_bus_time(&self, seg: &Segment) -> Nanos {
-        self.cfg.hw.mem.bus_time(Self::frame_bytes(seg))
-    }
-
-    /// Memory-bus occupancy for the DMA write of a received frame.
-    pub fn rx_dma_bus_time(&self, frame_bytes: u64) -> Nanos {
+    /// Memory-bus occupancy of the NIC's DMA of one frame, in either
+    /// direction (the transmit read, the receive write).
+    pub fn dma_bus_time(&self, frame_bytes: u64) -> Nanos {
         self.cfg.hw.mem.bus_time(frame_bytes)
-    }
-
-    /// Memory-bus occupancy of copying `bytes` to user space on read.
-    pub fn read_bus_time(&self, bytes: u64) -> Nanos {
-        self.cfg.hw.mem.bus_time(2 * bytes)
     }
 
     /// PCI-X occupancy for one frame.
@@ -290,8 +266,9 @@ mod tests {
     #[test]
     fn bus_times_scale_with_payload() {
         let h = HostRt::new(LadderRung::Stock.pe2650_config(Mtu::JUMBO_9000));
-        assert!(h.tx_bus_time(&data_seg(8948)) > h.tx_bus_time(&data_seg(1448)));
-        assert!(h.read_bus_time(8948) > h.read_bus_time(1448));
+        let frame = |len| HostRt::frame_bytes(&data_seg(len));
+        assert!(h.dma_bus_time(frame(8948)) > h.dma_bus_time(frame(1448)));
+        assert!(h.copy_bus_time(8948) > h.copy_bus_time(1448));
     }
 
     #[test]

@@ -21,12 +21,13 @@ use crate::config::HostConfig;
 pub use grid::{Grid, GridMsg, GridRt, GridShard};
 pub use host::{HostRt, RxFrame};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use tengig_hw::DiskModel;
 use tengig_net::{Delivery, Path, PathState, PathVerdict};
 use tengig_nic::CoalesceAction;
 use tengig_sim::{
-    Engine, EventFire, EventId, FlightDump, Hist, MetricKind, Nanos, ObsConfig, Sanitizer, Scope,
-    SimRng, Stage, StepSeries, Timelines, Tracer, ViolationKind,
+    Engine, EventFire, EventId, Hist, MetricKind, Nanos, ObsConfig, Sanitizer, Scope, SimRng,
+    StepSeries, Timelines, ViolationKind,
 };
 use tengig_tcp::{Action, Segment, Sysctls, TcpConn, TimerKind};
 use tengig_tools::{Iperf, NetPipe, NttcpReceiver, NttcpSender, PingPongSide, Pktgen};
@@ -40,7 +41,7 @@ pub type LabEngine = Engine<Lab, Ev>;
 /// One scheduled laboratory event. Each variant carries only `Copy` data
 /// (indices and the fixed-size [`Segment`] header model), so the whole
 /// enum lives inline in the calendar slab.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Ev {
     /// Kick one flow's workload.
     StartFlow {
@@ -188,6 +189,24 @@ impl Ev {
             Ev::ObsSample => 11,
         }
     }
+
+    /// The host this event runs on: the endpoint host of its flow, the
+    /// coalescer's host, or none for the lab-wide [`Ev::ObsSample`].
+    pub fn host(&self, lab: &Lab) -> Option<usize> {
+        match *self {
+            Ev::StartFlow { f } | Ev::PktgenTick { f } => Some(lab.flows[f].host[0]),
+            Ev::TxDma { f, ep, .. }
+            | Ev::TxWire { f, ep, .. }
+            | Ev::FrameArrival { f, ep, .. }
+            | Ev::RxDmaDone { f, ep, .. }
+            | Ev::RxStack { f, ep, .. }
+            | Ev::ConnTimer { f, ep, .. }
+            | Ev::AppRead { f, ep, .. }
+            | Ev::ReadDone { f, ep, .. } => Some(lab.flows[f].host[ep]),
+            Ev::CoalesceTimer { h, .. } => Some(h),
+            Ev::ObsSample => None,
+        }
+    }
 }
 
 /// Deterministic self-profiling counters of one lab replica: per-kind
@@ -220,6 +239,9 @@ pub struct LabProf {
 impl EventFire<Lab> for Ev {
     fn fire(self, lab: &mut Lab, eng: &mut LabEngine) {
         lab.prof.fired[self.prof_idx()] += 1;
+        if lab.flight.is_some() {
+            lab.record(eng.now(), self);
+        }
         match self {
             Ev::StartFlow { f } => start_flow(lab, eng, f),
             Ev::TxDma { f, ep, seg } => tx_dma(lab, eng, f, ep, seg),
@@ -255,12 +277,6 @@ impl EventFire<Lab> for Ev {
             }
             Ev::ConnTimer { f, ep, kind, gen } => {
                 let now = eng.now();
-                let h = lab.flows[f].host[ep];
-                let stage = match kind {
-                    TimerKind::Rto => Stage::TimerRto,
-                    TimerKind::DelAck => Stage::TimerDelack,
-                };
-                lab.hosts[h].probe(now, stage, f as u64, 0, Nanos::ZERO);
                 let mut acts = lab.take_actions();
                 lab.flows[f].conns[ep].on_timer_into(now, kind, gen, &mut acts);
                 obs_touch(lab, f, ep);
@@ -548,6 +564,9 @@ pub struct Lab {
     /// Deterministic self-profiling counters (always on: pure integer
     /// increments on paths that already touch the counted state).
     prof: LabProf,
+    /// The flight recorder (None = off, the default): each host's ring
+    /// of the last events it fired, armed by [`arm_flight_recorder`].
+    flight: Option<FlightRecorder>,
 }
 
 impl Lab {
@@ -561,6 +580,7 @@ impl Lab {
             obs: None,
             grid: None,
             prof: LabProf::default(),
+            flight: None,
         }
     }
 
@@ -598,6 +618,21 @@ impl Lab {
     /// This replica's deterministic self-profiling counters.
     pub fn prof(&self) -> &LabProf {
         &self.prof
+    }
+
+    /// Push a fired event onto the ring of the host it runs on. Out of
+    /// line: only an armed recorder pays for it.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, now: Nanos, ev: Ev) {
+        let host = ev.host(self);
+        let Some(fr) = &mut self.flight else { return };
+        if let Some(ring) = host.and_then(|h| fr.rings.get_mut(h)) {
+            if ring.len() == fr.capacity {
+                ring.pop_front();
+            }
+            ring.push_back((now, ev));
+        }
     }
 
     /// Take a cleared [`Action`] buffer from the pool (or allocate the
@@ -675,8 +710,8 @@ impl Lab {
     }
 
     /// Enable the observability layer: accumulate metrics timelines on
-    /// `cfg.sample_interval` cadence. The hosts' flight recorders are not
-    /// obs's: only a sanitizer arms them ([`install_sanitizer`]).
+    /// `cfg.sample_interval` cadence. The flight recorder is not obs's:
+    /// only a sanitizer arms it ([`install_sanitizer`]).
     ///
     /// Timelines sample deterministic lab state, so `seed` is unused; the
     /// parameter stays because `benchmark/` calls this signature.
@@ -717,23 +752,44 @@ impl Default for Lab {
 // ---------------------------------------------------------------------
 
 /// Ring capacity of the flight recorder armed alongside the sanitizer:
-/// the "last N trace events" a violation dump shows per host.
+/// the "last N events" a violation dump shows per host.
 pub const FLIGHT_RING: usize = 256;
 
+/// The flight recorder, what is left of the MAGNET analog: one ring per
+/// host of the last `capacity` events it fired, oldest first. MAGNET
+/// (Gardner et al., CCGrid'03) traced individual packets through the
+/// Linux TCP stack; here every pipeline station is an [`Ev`] kind, so
+/// the fired event itself is the probe.
+#[derive(Debug)]
+struct FlightRecorder {
+    capacity: usize,
+    rings: Vec<VecDeque<(Nanos, Ev)>>,
+}
+
+/// Arm the flight recorder: from now on every event [`Ev::fire`] runs on
+/// a host is kept in that host's ring of its last `capacity` events
+/// (hosts added later are not recorded). A capacity of 0 is off.
+/// Recording is observe-only: it schedules no events and draws no
+/// randomness, so arming it cannot perturb a run.
+pub fn arm_flight_recorder(lab: &mut Lab, capacity: usize) {
+    lab.flight = (capacity > 0).then(|| FlightRecorder {
+        capacity,
+        rings: (0..lab.hosts.len())
+            .map(|_| VecDeque::with_capacity(capacity))
+            .collect(),
+    });
+}
+
 /// Install a runtime invariant [`Sanitizer`] recording `seed` on `eng`, and
-/// arm every host's flight recorder with a full-detail ring of its last
-/// [`FLIGHT_RING`] trace events — the one place a ring is armed.
+/// arm the flight recorder at [`FLIGHT_RING`] events per host — the one
+/// place library code arms it.
 ///
 /// The recorded `seed` makes every violation a one-command repro, and the
 /// flight recorder makes the violation come with its story:
 /// [`check_sanitizer`] appends every host's ring to the panic message.
-/// Recording is observe-only: it schedules no events and draws no
-/// randomness, so arming it cannot perturb a run.
 pub fn install_sanitizer(lab: &mut Lab, eng: &mut LabEngine, seed: u64) {
     eng.install_sanitizer(Sanitizer::new(seed));
-    for host in &mut lab.hosts {
-        host.tracer = Tracer::full(FLIGHT_RING);
-    }
+    arm_flight_recorder(lab, FLIGHT_RING);
 }
 
 /// [`install_sanitizer`] when the process-wide default asks for one
@@ -755,15 +811,52 @@ pub fn engine(lab: &mut Lab, seed: u64) -> LabEngine {
     eng
 }
 
-/// Collect the flight-recorder dump: every host's ring of recent trace
-/// events, in host-index order (empty if no sanitizer armed the rings).
+/// A flight-recorder dump: the last [`FLIGHT_RING`] events of every host
+/// (the armed capacity, in general), captured when the sanitizer fires
+/// and rendered as text for the panic message.
+#[derive(Debug, Clone, Default)]
+pub struct FlightDump {
+    /// Per-host `(host index, (fire time, event) oldest-first)`.
+    pub hosts: Vec<(usize, Vec<(Nanos, Ev)>)>,
+}
+
+impl FlightDump {
+    /// Whether no host recorded any events (recorder off or idle).
+    pub fn is_empty(&self) -> bool {
+        self.hosts.iter().all(|(_, evs)| evs.is_empty())
+    }
+
+    /// Total events across all hosts.
+    pub fn len(&self) -> usize {
+        self.hosts.iter().map(|(_, evs)| evs.len()).sum()
+    }
+
+    /// Human-readable rendering (the form embedded in panic messages):
+    /// one line per event, its fire time in ns and then the event with
+    /// its fields.
+    pub fn text(&self) -> String {
+        if self.is_empty() {
+            return "== flight recorder == (no events recorded)\n".to_string();
+        }
+        let mut out = String::from("== flight recorder ==\n");
+        for (host, evs) in &self.hosts {
+            let _ = writeln!(out, "host {host}: last {} events", evs.len());
+            for (at, ev) in evs {
+                let _ = writeln!(out, "  [{:>14}] {ev:?}", at.as_nanos());
+            }
+        }
+        out
+    }
+}
+
+/// Collect the flight-recorder dump: every host's ring, in host-index
+/// order (empty if the recorder is off).
 pub fn flight_dump(lab: &Lab) -> FlightDump {
+    let rings = lab.flight.iter().flat_map(|fr| fr.rings.iter());
     FlightDump {
-        hosts: lab
-            .hosts
-            .iter()
+        hosts: rings
             .enumerate()
-            .map(|(h, host)| (h, host.tracer.recent().cloned().collect()))
+            .map(|(h, ring)| (h, ring.iter().copied().collect()))
             .collect(),
     }
 }
@@ -1164,9 +1257,8 @@ fn app_write(lab: &mut Lab, eng: &mut LabEngine, f: usize, ep: usize, bytes: u64
     let cpu_idx = lab.hosts[h].app_cpu(f);
     let cost = lab.hosts[h].write_cpu_cost(bytes);
     lab.hosts[h].cpu.admit_pinned(cpu_idx, now, cost);
-    let bus = lab.hosts[h].write_bus_time(bytes);
+    let bus = lab.hosts[h].copy_bus_time(bytes);
     lab.hosts[h].membus.admit(now, bus);
-    lab.hosts[h].probe(now, Stage::AppWrite, f as u64, bytes, cost);
     let mut actions = lab.take_actions();
     let accepted = lab.flows[f].conns[ep].on_app_write_into(now, bytes, &mut actions);
     obs_touch(lab, f, ep);
@@ -1232,10 +1324,6 @@ fn send_segment(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg
     };
     let cpu_cost = host.tx_cpu_cost(&seg);
     let cpu_adm = host.cpu.admit_pinned(cpu_idx, now, cpu_cost);
-    host.probe(now, Stage::TxStack, seg.seq, seg.len, cpu_cost);
-    if seg.retransmit {
-        host.probe(now, Stage::Retransmit, seg.seq, seg.len, Nanos::ZERO);
-    }
     eng.schedule_event_at(cpu_adm.done, Ev::TxDma { f, ep: src_ep, seg });
 }
 
@@ -1246,11 +1334,9 @@ fn tx_dma(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Segm
     let h = lab.flows[f].host[src_ep];
     let frame = HostRt::frame_bytes(&seg);
     let host = &mut lab.hosts[h];
-    let pci = host.pci_time(frame);
-    let pci_adm = host.pci.admit(now, pci);
-    let bus_adm = host.membus.admit(now, host.tx_bus_time(&seg));
+    let pci_adm = host.pci.admit(now, host.pci_time(frame));
+    let bus_adm = host.membus.admit(now, host.dma_bus_time(frame));
     let t3 = pci_adm.done.max(bus_adm.done);
-    host.probe(now, Stage::TxDma, seg.seq, frame, pci);
     eng.schedule_event_at(t3, Ev::TxWire { f, ep: src_ep, seg });
 }
 
@@ -1302,43 +1388,13 @@ fn route_walk(
 /// happens inside the hop states).
 fn tx_wire(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Segment) {
     let now = eng.now();
-    let h = lab.flows[f].host[src_ep];
-    let dst_ep = 1 - src_ep;
     let wire = tengig_ethernet::Mtu::wire_bytes_for(seg.ip_bytes());
     if let Some(s) = eng.sanitizer_mut() {
         s.inject(wire);
     }
     let v = route_walk(lab, eng, f, src_ep, now, wire);
-    let host = &mut lab.hosts[h];
-    if v.duplicated {
-        host.probe(now, Stage::ImpairDup, seg.seq, wire, Nanos::ZERO);
-    }
-    for _ in 0..v.dropped {
-        host.probe(now, Stage::Drop, seg.seq, seg.len, Nanos::ZERO);
-    }
-    for _ in 0..v.dropped_impair {
-        host.probe(now, Stage::ImpairDrop, seg.seq, seg.len, Nanos::ZERO);
-    }
-    let mut first = true;
     for d in v.deliveries.into_iter().flatten() {
-        let host = &mut lab.hosts[h];
-        if first {
-            host.probe(now, Stage::Wire, seg.seq, wire, Nanos::ZERO);
-            // The frame traversed at least one store-and-forward stage
-            // (the route is only read when the flight recorder is armed).
-            if host.tracer.is_enabled() {
-                let route = &lab.flows[f].route[src_ep];
-                let hops: usize = route.iter().map(|&l| lab.links[l].hops.len()).sum();
-                if hops > 1 {
-                    host.probe(now, Stage::Switch, seg.seq, wire, Nanos::ZERO);
-                }
-            }
-            first = false;
-        }
-        if d.reordered {
-            host.probe(now, Stage::ImpairReorder, seg.seq, wire, Nanos::ZERO);
-        }
-        grid::route_arrival(lab, eng, f, dst_ep, seg, d);
+        grid::route_arrival(lab, eng, f, 1 - src_ep, seg, d);
     }
 }
 
@@ -1361,9 +1417,7 @@ fn frame_arrival(
         if let Some(s) = eng.sanitizer_mut() {
             s.drop_bytes(now, wire);
         }
-        let host = &mut lab.hosts[h];
-        host.rx_crc_drops += 1;
-        host.probe(now, Stage::ImpairCorrupt, seg.seq, wire, Nanos::ZERO);
+        lab.hosts[h].rx_crc_drops += 1;
         return;
     }
     if let Some(s) = eng.sanitizer_mut() {
@@ -1374,9 +1428,8 @@ fn frame_arrival(
     // The DMA's memory-bus traffic happens during the PCI-X transfer; both
     // engaged now, DMA complete when both are done.
     let pci_adm = host.pci.admit(now, host.pci_time(frame));
-    let bus_adm = host.membus.admit(now, host.rx_dma_bus_time(frame));
+    let bus_adm = host.membus.admit(now, host.dma_bus_time(frame));
     let t_dma = pci_adm.done.max(bus_adm.done);
-    host.probe(now, Stage::RxDma, seg.seq, frame, t_dma.saturating_sub(now));
     eng.schedule_event_at(t_dma, Ev::RxDmaDone { f, ep: dst_ep, seg });
 }
 
@@ -1405,19 +1458,12 @@ fn process_rx_batch(lab: &mut Lab, eng: &mut LabEngine, h: usize, batch: u32) {
     let irq_cpu = lab.hosts[h].irq_cpu();
     let irq = lab.hosts[h].irq_cost();
     lab.hosts[h].cpu.admit_pinned(irq_cpu, now, irq);
-    lab.hosts[h].probe(now, Stage::Interrupt, 0, batch as u64, irq);
     for _ in 0..batch {
         let Some(RxFrame { flow, ep, seg }) = lab.hosts[h].rx_pending.pop_front() else {
             break;
         };
         let cost = lab.hosts[h].rx_cpu_cost(&seg);
         let done = lab.hosts[h].cpu.admit_pinned(irq_cpu, now, cost).done;
-        let stage = if seg.is_pure_ack() {
-            Stage::Ack
-        } else {
-            Stage::RxStack
-        };
-        lab.hosts[h].probe(now, stage, seg.seq, seg.len, cost);
         eng.schedule_event_at(done, Ev::RxStack { f: flow, ep, seg });
     }
 }
@@ -1463,9 +1509,8 @@ fn app_read(lab: &mut Lab, eng: &mut LabEngine, f: usize, ep: usize, fresh: bool
     // The copy's bus traffic rides along with the copy loop; it charges
     // the shared bus but does not re-gate the reader, which is clocked by
     // CPU availability alone (a recv loop drains as fast as it can copy).
-    let bus = lab.hosts[h].read_bus_time(bytes);
+    let bus = lab.hosts[h].copy_bus_time(bytes);
     lab.hosts[h].membus.admit(now, bus);
-    lab.hosts[h].probe(now, Stage::RxCopy, f as u64, bytes, cost);
     let t2 = cpu_adm.done;
     eng.schedule_event_at(t2, Ev::ReadDone { f, ep, bytes });
 }
@@ -1475,8 +1520,6 @@ fn app_read(lab: &mut Lab, eng: &mut LabEngine, f: usize, ep: usize, fresh: bool
 /// data accumulated while this one copied.
 fn read_done(lab: &mut Lab, eng: &mut LabEngine, f: usize, ep: usize, bytes: u64) {
     let now = eng.now();
-    let h = lab.flows[f].host[ep];
-    lab.hosts[h].probe(now, Stage::AppRead, f as u64, bytes, Nanos::ZERO);
     let mut acts = lab.take_actions();
     lab.flows[f].conns[ep].on_app_read_into(now, bytes, &mut acts);
     obs_touch(lab, f, ep);
@@ -1605,7 +1648,7 @@ fn pktgen_tick(lab: &mut Lab, eng: &mut LabEngine, f: usize) {
     // PCI-X, with the DMA's memory-bus traffic concurrent.
     let pci_time = host.pci_time(frame);
     let adm = host.pci.admit(now, pci_time);
-    host.membus.admit(now, host.rx_dma_bus_time(frame));
+    host.membus.admit(now, host.dma_bus_time(frame));
     let t3 = adm.done;
     // Wire.
     let v = route_walk(lab, eng, f, 0, t3, wire);
@@ -1820,6 +1863,23 @@ mod tests {
             v.detail,
             "flow 0/1 retransmits: live 1, series last Some(0)"
         );
+    }
+
+    #[test]
+    fn flight_dump_renders_text() {
+        let dump = FlightDump {
+            hosts: vec![(0, vec![(Nanos(1234), Ev::PktgenTick { f: 7 })])],
+        };
+        let text = dump.text();
+        assert!(text.starts_with("== flight recorder ==\nhost 0: last 1 events\n"));
+        assert!(
+            text.contains("[          1234] PktgenTick { f: 7 }\n"),
+            "{text}"
+        );
+        assert!(!dump.is_empty());
+        assert_eq!(dump.len(), 1);
+        assert!(FlightDump::default().is_empty());
+        assert!(FlightDump::default().text().contains("no events recorded"));
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //!   `eprint!`) in the simulation hot paths (`crates/sim`, `crates/tcp`,
 //!   `crates/net`) outside an observability module (a file or inline
 //!   `mod` named `obs`): ad-hoc printf debugging must not leak into the
-//!   deterministic core — diagnostics flow through the tracer, the
-//!   flight recorder, and the metrics timelines.
+//!   deterministic core — diagnostics flow through the sanitizer, its
+//!   flight recorder of fired events, and the metrics timelines.
 //! * **sweep-routing** — every public sweep entry point in
 //!   `crates/core/src/experiments/` must route through `SweepRunner`, so
 //!   parallelism and per-scenario seeding stay centralized.
@@ -533,7 +533,7 @@ fn file_diags(
                     t,
                     "printf-debug",
                     "print macro in a simulation hot path; diagnostics go through \
-                     the tracer / obs module, not stdout"
+                     the flight recorder / obs module, not stdout"
                         .to_string(),
                 )
             }

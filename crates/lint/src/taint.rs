@@ -24,12 +24,14 @@ use crate::Diagnostic;
 /// function that runs per-event, per-segment, or per-frame during a
 /// sweep. Qualified names, matched against `Type::method` exactly.
 pub const HOT_PATH_ROOTS: &[&str] = &[
-    // Event loop.
+    // Event loop, and the lab's event dispatch (which also feeds the
+    // flight recorder).
     "Engine::run",
     "Engine::run_until",
     "Engine::run_before",
     "Engine::advance_to",
     "Engine::step",
+    "Ev::fire",
     // Calendar queue.
     "Calendar::schedule",
     "Calendar::rearm",

@@ -9,9 +9,7 @@
 //!   event enums ([`EventFire`]),
 //! * [`FifoServer`]/[`ServerBank`] — analytic work-conserving resources used
 //!   to model CPUs, buses, and wires,
-//! * statistics instruments ([`stats`]), metrics timelines ([`obs`]) and
-//!   the per-host flight recorder ([`trace`], what is left of the MAGNET
-//!   analog),
+//! * statistics instruments ([`stats`]) and metrics timelines ([`obs`]),
 //! * [`SimRng`] — deterministic, forkable randomness,
 //! * [`Sanitizer`] — a runtime invariant checker (causality, byte
 //!   conservation, TCP sequence invariants) installable on the engine.
@@ -32,7 +30,6 @@ pub mod server;
 pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod units;
 pub mod workload;
 
@@ -45,7 +42,6 @@ pub use sanitizer::{Sanitizer, Violation, ViolationKind};
 pub use server::{Admission, FifoServer, ServerBank};
 pub use shard::{run_sharded, run_sharded_wall, ShardWorld};
 pub use time::Nanos;
-pub use trace::{FlightDump, Stage, TraceEvent, Tracer};
 pub use units::{rate_of, Bandwidth};
 pub use workload::{
     build_schedule, ArrivalProcess, BoundedPareto, FctStats, FlowPlan, SizeMix, WorkloadSpec,

@@ -5,7 +5,8 @@
 //! traces, per-optimization CPU-load numbers, and cwnd/throughput-over-time
 //! plots that explain the WAN record's AIMD behaviour. This module provides
 //! the time-series half of the simulated equivalents (the packet half is
-//! the sanitizer's flight recorder, [`crate::trace`]):
+//! the sanitizer's flight recorder in the lab, each host's last fired
+//! events):
 //!
 //! * [`Timelines`] — compact step-series of per-flow TCP state (cwnd,
 //!   ssthresh, srtt/rttvar, bytes in flight, retransmits), per-host NIC and

@@ -13,7 +13,7 @@
 //!   accounted for as delivered or dropped; at the end of a fully drained
 //!   run the in-flight residue must be exactly zero. The composition layer
 //!   (the `tengig` core crate) feeds the ledger from its NIC → link →
-//!   switch → sink hooks.
+//!   sink hooks.
 //! * **TCP sequence invariants** — checked by the TCP layer at every ACK
 //!   and reported here (`snd_una ≤ snd_nxt`, cwnd/ssthresh bounds, SWS
 //!   rounding; see `TcpConn::check_invariants` in `tengig-tcp`).

@@ -1,25 +1,6 @@
-//! Coverage for the measurement substrate: flight-recorder ring eviction
-//! and histogram edge bins.
+//! Coverage for the measurement substrate: histogram edge bins.
 
-use tengig_sim::{Hist, Nanos, Stage, Tracer};
-
-#[test]
-fn ring_evicts_oldest_exactly_at_capacity() {
-    let mut t = Tracer::full(3);
-    for p in 0..7u64 {
-        t.emit(Nanos(p), Stage::Wire, p, 100, Nanos(1));
-    }
-    let kept: Vec<u64> = t.recent().map(|e| e.packet).collect();
-    assert_eq!(kept, vec![4, 5, 6], "oldest evicted first, newest kept");
-}
-
-#[test]
-fn zero_capacity_ring_records_nothing() {
-    let mut t = Tracer::full(0);
-    t.emit(Nanos(1), Stage::RxStack, 1, 64, Nanos(10));
-    assert_eq!(t.recent().count(), 0);
-    assert!(!t.is_enabled(), "a ring with no room is the off state");
-}
+use tengig_sim::Hist;
 
 #[test]
 fn histogram_edge_bins() {

@@ -5,9 +5,10 @@
 use tengig::config::{LadderRung, TuningStep};
 use tengig::experiments::throughput::nttcp_point;
 use tengig::experiments::{b2b_lab, run_to_completion};
-use tengig::lab::App;
+use tengig::lab::{self, App, Ev};
 use tengig_ethernet::Mtu;
 use tengig_sim::Nanos;
+use tengig_tcp::Segment;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
 const COUNT: u64 = 1_500;
@@ -106,7 +107,6 @@ fn timestamps_shrink_mss_and_cost_cpu() {
 
 #[test]
 fn tracer_reconstructs_packet_paths() {
-    use tengig_sim::{Stage, Tracer};
     let cfg = LadderRung::Stock.pe2650_config(Mtu::STANDARD);
     let app = App::Nttcp {
         tx: NttcpSender::new(1448, 50),
@@ -114,28 +114,36 @@ fn tracer_reconstructs_packet_paths() {
     };
     let (mut lab, mut eng) = b2b_lab(cfg, app, 9);
     // Rings deep enough to keep the whole run.
-    lab.hosts[0].tracer = Tracer::full(4096);
-    lab.hosts[1].tracer = Tracer::full(4096);
+    lab::arm_flight_recorder(&mut lab, 4096);
     run_to_completion(&mut lab, &mut eng);
-    let count = |h: usize, stage: Stage| {
-        let ring = lab.hosts[h].tracer.recent();
-        ring.filter(|e| e.stage == stage).count()
+    let dump = lab::flight_dump(&lab);
+    assert!(dump.hosts.iter().all(|(_, evs)| evs.len() < 4096));
+    // The data segment an event carries, if it carries one.
+    let data = |ev: &Ev| match *ev {
+        Ev::TxDma { seg, .. }
+        | Ev::TxWire { seg, .. }
+        | Ev::FrameArrival { seg, .. }
+        | Ev::RxDmaDone { seg, .. }
+        | Ev::RxStack { seg, .. } => Some(seg).filter(|s| s.len > 0),
+        _ => None,
     };
-    // MAGNET-style accounting: every data segment seen at tx and rx.
-    assert_eq!(count(0, Stage::TxStack), 50);
-    assert_eq!(count(1, Stage::RxStack), 50);
-    assert!(count(1, Stage::Interrupt) > 0);
-    // A mid-stream packet has a complete sender-side path.
+    // The kinds of host `h`'s events carrying a data segment `keep` accepts.
+    let kinds = |h: usize, keep: &dyn Fn(&Segment) -> bool| -> Vec<&str> {
+        let ring = dump.hosts[h].1.iter().map(|(_, ev)| ev);
+        ring.filter(|ev| data(ev).is_some_and(|s| keep(&s)))
+            .map(|ev| Ev::NAMES[ev.prof_idx()])
+            .collect()
+    };
+    // MAGNET-style accounting: every data segment seen at tx and rx (an
+    // interrupt scheduled each receive-stack pass).
+    let count = |h: usize, name: &str| kinds(h, &|_| true).iter().filter(|&&k| k == name).count();
+    assert_eq!(count(0, "TxDma"), 50);
+    assert_eq!(count(1, "RxStack"), 50);
+    // A mid-stream packet has a complete path, sender and receiver side.
     let seq = 25 * 1448;
-    let stages: Vec<Stage> = lab.hosts[0]
-        .tracer
-        .recent()
-        .filter(|e| e.packet == seq)
-        .map(|e| e.stage)
-        .collect();
-    assert!(stages.contains(&Stage::TxStack));
-    assert!(stages.contains(&Stage::TxDma));
-    assert!(stages.contains(&Stage::Wire));
+    let packet = |s: &Segment| s.seq == seq;
+    assert_eq!(kinds(0, &packet), ["TxDma", "TxWire"]);
+    assert_eq!(kinds(1, &packet), ["FrameArrival", "RxDmaDone", "RxStack"]);
 }
 
 #[test]

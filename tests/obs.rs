@@ -1,5 +1,6 @@
 //! Observability-layer integration tests: the sanitizer's flight recorder
-//! dumps on a violation and obs never empties it, metrics timelines
+//! dumps on a violation, keeps exactly its armed capacity and obs never
+//! empties it, metrics timelines
 //! reproduce the paper's cwnd-vs-time shape, and enabling obs never
 //! changes a primary result.
 
@@ -57,9 +58,9 @@ fn sanitizer_violation_dumps_the_flight_recorder() {
         .unwrap_or_else(|| "non-string panic".to_string());
     assert!(msg.contains("forced by tests/obs.rs"), "{msg}");
     assert!(msg.contains("flight recorder"), "{msg}");
-    // The dump carries the offending run's recent trace events.
+    // The dump carries the offending run's last fired events.
     assert!(
-        msg.contains("tx-stack") || msg.contains("rx-stack"),
+        msg.contains("TxDma {") && msg.contains("RxStack {"),
         "{msg}"
     );
 }
@@ -79,6 +80,39 @@ fn flight_dump_holds_the_last_events_of_a_run() {
     let text = dump.text();
     assert!(text.contains("flight recorder"), "{text}");
     assert!(text.contains("host 0"), "{text}");
+}
+
+/// Run a short b2b transfer with the flight recorder armed at `capacity`
+/// events per host; return its dump.
+fn recorded_run(capacity: usize) -> lab::FlightDump {
+    let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    let (mut lab, mut eng) = b2b_lab(cfg, nttcp_app(1448, 20), SEED);
+    lab::arm_flight_recorder(&mut lab, capacity);
+    run_to_completion(&mut lab, &mut eng);
+    lab::flight_dump(&lab)
+}
+
+#[test]
+fn ring_evicts_oldest_exactly_at_capacity() {
+    let full = recorded_run(4096);
+    let last3 = recorded_run(3);
+    assert_eq!(full.hosts.len(), 2);
+    for ((h, all), (h3, kept)) in full.hosts.iter().zip(&last3.hosts) {
+        assert_eq!(h, h3);
+        assert!(all.len() > 3 && all.len() < 4096, "host {h}: {}", all.len());
+        // Oldest evicted first, newest kept.
+        assert_eq!(kept[..], all[all.len() - 3..], "host {h}");
+    }
+}
+
+#[test]
+fn zero_capacity_ring_records_nothing() {
+    // A capacity of 0 is the off state, even over the ring a debug
+    // build's default sanitizer armed.
+    let dump = recorded_run(0);
+    assert!(dump.is_empty());
+    assert_eq!(dump.len(), 0);
+    assert!(dump.text().contains("no events recorded"));
 }
 
 #[test]
