@@ -98,40 +98,43 @@ lint-selftest:
 golden-check:
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- all
 
-# Before/after timing of one benchmark workload; not part of `ci`.
-# Builds BASE's benchmark from a git worktree under target/ (removed
+# Before/after timing of benchmark workloads; not part of `ci`. Builds
+# BASE's benchmark from a `git archive` export under target/ (removed
 # again once built: the goldens it checks against are compiled in) and
-# the working tree's benchmark, runs PAIRS pairs of `run` at the
-# benchmark's own run length, alternating which side goes first so a
-# drifting host cannot favour one side, and judges the two sets with
-# `compare`. Exits 1 on a regression or if any run failed.
-#   make bench-compare WORKLOAD=serve_openloop [BASE=HEAD~1] [PAIRS=10] [SEED=2003]
+# the working tree's benchmark. Then runs PAIRS pairs of `run` per
+# workload at the benchmark's own run length, alternating which side
+# goes first so a drifting host cannot favour one side, and judges the
+# two sets with `compare`. WORKLOAD is one name or a space-separated
+# list; every pair runs each listed workload once per side. Exits 1 on a
+# regression or if any run failed.
+#   make bench-compare WORKLOAD="wan_lossy bulk_b2b" [BASE=HEAD~1] [PAIRS=10] [SEED=2003]
 BASE ?= HEAD~1
 PAIRS ?= 10
 WORKLOAD ?= serve_openloop
 SEED ?= 2003
 BC := target/bench-compare
-BC_RUN = run --workload $(WORKLOAD) --seed $(SEED)
 
 bench-compare:
-	git worktree remove --force $(BC)/base 2>/dev/null || true
-	git worktree prune
-	rm -f $(BC)/base.jsonl $(BC)/change.jsonl $(BC)/runs.log
-	git worktree add --detach $(BC)/base $(BASE)
+	rm -rf $(BC)/base $(BC)/base.jsonl $(BC)/change.jsonl $(BC)/runs.log
+	mkdir -p $(BC)/base
+	git archive $(BASE) | tar -x -C $(BC)/base
 	CARGO_TARGET_DIR=$(CURDIR)/$(BC)/base-target $(CARGO) build --release --offline -q \
 		--manifest-path $(BC)/base/benchmark/Cargo.toml
-	git worktree remove --force $(BC)/base
+	rm -rf $(BC)/base
 	$(CARGO) build --release --offline -q --manifest-path benchmark/Cargo.toml
 	@failed=0; \
 	for i in $$(seq 1 $(PAIRS)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
-		echo "pair $$i/$(PAIRS): $$order"; \
-		for side in $$order; do \
-			if [ $$side = base ]; then bin=$(BC)/base-target/release/tengig-benchmark; \
-			else bin=benchmark/target/release/tengig-benchmark; fi; \
-			if ! $$bin $(BC_RUN) --out $(BC)/$$side.jsonl >> $(BC)/runs.log 2>&1; then \
-				echo "  $$side run failed (see $(BC)/runs.log)"; failed=$$((failed + 1)); \
-			fi; \
+		for w in $(WORKLOAD); do \
+			echo "pair $$i/$(PAIRS) $$w: $$order"; \
+			for side in $$order; do \
+				if [ $$side = base ]; then bin=$(BC)/base-target/release/tengig-benchmark; \
+				else bin=benchmark/target/release/tengig-benchmark; fi; \
+				if ! $$bin run --workload $$w --seed $(SEED) --out $(BC)/$$side.jsonl \
+					>> $(BC)/runs.log 2>&1; then \
+					echo "  $$side run failed (see $(BC)/runs.log)"; failed=$$((failed + 1)); \
+				fi; \
+			done; \
 		done; \
 	done; \
 	benchmark/target/release/tengig-benchmark compare $(BC)/base.jsonl $(BC)/change.jsonl \

@@ -165,10 +165,11 @@ impl GridRt {
 }
 
 /// Route one wire delivery: an arrival for a host this replica runs
-/// becomes a front-class [`Ev::FrameArrival`] under its canonical key;
-/// an arrival for a host another shard owns retires its bytes from this
-/// shard's conservation ledger and rides the outbox to the owning shard,
-/// which schedules it the same way in [`GridShard::accept`].
+/// becomes a front-class [`Ev::FrameArrival`] under its canonical key,
+/// through its receiving endpoint's lane; an arrival for a host another
+/// shard owns retires its bytes from this shard's conservation ledger
+/// and rides the outbox to the owning shard, which schedules it the same
+/// way in [`GridShard::accept`].
 pub(super) fn route_arrival(
     lab: &mut Lab,
     eng: &mut LabEngine,
@@ -199,9 +200,18 @@ pub(super) fn route_arrival(
                 s.deliver(now, wire);
             }
         }
-        _ => {
-            eng.schedule_front_at(d.at, key, arr.event());
-        }
+        _ => schedule_arrival(lab, eng, d.at, key, arr),
+    }
+}
+
+/// Schedule an arrival through its receiving endpoint's lane
+/// ([`FlowRt`]'s `lanes`): the calendar gets it now, or, when it is
+/// later than every arrival the lane already has in flight, once the
+/// arrival ahead of it fires.
+fn schedule_arrival(lab: &mut Lab, eng: &mut LabEngine, at: Nanos, key: u64, arr: Arrival) {
+    let lane = &mut lab.flows[arr.f].lanes[arr.ep];
+    if let Some(ev) = lane.offer(&mut lab.arrivals, at, key, arr.event()) {
+        eng.schedule_front_at(at, key, ev);
     }
 }
 
@@ -253,7 +263,7 @@ impl ShardWorld for GridShard {
                 .runs_host(self.lab.flows[msg.arr.f].host[msg.arr.ep]),
             "arrival routed to a non-owning shard"
         );
-        self.eng.schedule_front_at(at, msg.key, msg.arr.event());
+        schedule_arrival(&mut self.lab, &mut self.eng, at, msg.key, msg.arr);
         // A message landing on a drained shard restarts its dormant
         // observability sampling chain (no-op when obs is off or armed).
         super::obs_revive(&mut self.lab, &mut self.eng, at);

@@ -26,8 +26,8 @@ use tengig_hw::DiskModel;
 use tengig_net::{Delivery, Path, PathState, PathVerdict};
 use tengig_nic::CoalesceAction;
 use tengig_sim::{
-    Engine, EventFire, EventId, Hist, MetricKind, Nanos, ObsConfig, Sanitizer, Scope, SimRng,
-    StepSeries, Timelines, ViolationKind,
+    Engine, EventFire, EventId, FrontLane, Hist, LanePool, MetricKind, Nanos, ObsConfig, Sanitizer,
+    Scope, SimRng, StepSeries, Timelines, ViolationKind,
 };
 use tengig_tcp::{Action, Segment, Sysctls, TcpConn, TimerKind};
 use tengig_tools::{Iperf, NetPipe, NttcpReceiver, NttcpSender, PingPongSide, Pktgen};
@@ -456,6 +456,10 @@ pub struct FlowRt {
     /// Wire deliveries emitted so far, per transmitting endpoint: the
     /// ordinals of the canonical arrival keys ([`FlowRt::next_key`]).
     emit: [u64; 2],
+    /// In-flight wire arrivals per receiving endpoint: only each lane's
+    /// head sits in the calendar, the rest wait in [`Lab`]'s
+    /// `arrivals` pool ([`FrontLane`]).
+    lanes: [FrontLane; 2],
 }
 
 impl FlowRt {
@@ -567,6 +571,9 @@ pub struct Lab {
     /// The flight recorder (None = off, the default): each host's ring
     /// of the last events it fired, armed by [`arm_flight_recorder`].
     flight: Option<FlightRecorder>,
+    /// Wire arrivals the flows' lanes ([`FlowRt`]'s `lanes`) hold back
+    /// from the calendar.
+    arrivals: LanePool<Ev>,
 }
 
 impl Lab {
@@ -581,6 +588,7 @@ impl Lab {
             grid: None,
             prof: LabProf::default(),
             flight: None,
+            arrivals: LanePool::new(),
         }
     }
 
@@ -694,6 +702,7 @@ impl Lab {
             timer_ids: [[None; 2]; 2],
             started: false,
             emit: [0, 0],
+            lanes: [FrontLane::new(), FrontLane::new()],
         });
         self.flows.len() - 1
     }
@@ -1411,6 +1420,9 @@ fn frame_arrival(
     corrupted: bool,
 ) {
     let now = eng.now();
+    if let Some((at, key, ev)) = lab.flows[f].lanes[dst_ep].advance(&mut lab.arrivals, now) {
+        eng.schedule_front_at(at, key, ev);
+    }
     let wire = tengig_ethernet::Mtu::wire_bytes_for(seg.ip_bytes());
     let h = lab.flows[f].host[dst_ep];
     if corrupted {

@@ -288,28 +288,6 @@ impl Impairments {
     }
 }
 
-/// Why a hop refused a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// Drop-tail buffer overflow (congestion — the only drop the paper's
-    /// WAN premise allows).
-    Buffer,
-    /// Legacy independent Bernoulli loss (`Hop::with_random_loss`).
-    Random,
-    /// Gilbert–Elliott bad-state burst loss.
-    Burst,
-    /// Scripted carrier-down window.
-    Flap,
-}
-
-impl DropCause {
-    /// Whether this cause comes from the impairment layer (as opposed to
-    /// congestion or the legacy Bernoulli dial).
-    pub fn is_impairment(self) -> bool {
-        matches!(self, DropCause::Burst | DropCause::Flap)
-    }
-}
-
 /// Per-hop impairment runtime: the Gilbert–Elliott state bit plus
 /// per-cause counters.
 #[derive(Debug, Default)]
@@ -472,13 +450,5 @@ mod tests {
         assert_eq!(r.probability, 1.0);
         assert_eq!(r.min_extra, Nanos(10));
         assert_eq!(r.max_extra, Nanos(50));
-    }
-
-    #[test]
-    fn drop_cause_classification() {
-        assert!(DropCause::Burst.is_impairment());
-        assert!(DropCause::Flap.is_impairment());
-        assert!(!DropCause::Buffer.is_impairment());
-        assert!(!DropCause::Random.is_impairment());
     }
 }

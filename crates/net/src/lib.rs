@@ -23,7 +23,7 @@ pub mod wan;
 
 pub use fabric::{FatTreeSpec, TorusSpec};
 pub use impair::{
-    DropCause, GilbertElliott, ImpairState, ImpairmentSchedule, Impairments, Reorder, MAX_OUTAGES,
+    GilbertElliott, ImpairState, ImpairmentSchedule, Impairments, Reorder, MAX_OUTAGES,
 };
 pub use link::{Delivery, Hop, HopOutcome, HopState, Path, PathState, PathVerdict};
 pub use wan::{pos_payload, WanSpec, OC192_LINE, OC48_LINE, POS_FRAMING};

@@ -6,7 +6,7 @@
 //! propagates for the hop's delay. This is enough to model everything from
 //! a crossover cable to the Sunnyvale–Geneva OC-192/OC-48 circuit.
 
-use crate::impair::{clamp01, DropCause, ImpairState, Impairments};
+use crate::impair::{clamp01, ImpairState, Impairments};
 use tengig_sim::stats::Counter;
 use tengig_sim::{Bandwidth, FifoServer, Nanos, SimRng};
 
@@ -93,11 +93,10 @@ pub enum HopOutcome {
         corrupted: bool,
         /// The hop minted one duplicate copy of the frame.
         duplicated: bool,
-        /// The frame picked up extra reordering latency on this hop.
-        reordered: bool,
     },
-    /// The hop dropped the frame.
-    Drop(DropCause),
+    /// The hop dropped the frame; its per-cause counter (`drops`,
+    /// `random_drops`, or the impairment state's) says why.
+    Drop,
 }
 
 /// Runtime state of one hop.
@@ -152,17 +151,17 @@ impl HopState {
     ) -> HopOutcome {
         if self.spec.random_loss > 0.0 && rng.chance(self.spec.random_loss) {
             self.random_drops.bump();
-            return HopOutcome::Drop(DropCause::Random);
+            return HopOutcome::Drop;
         }
         let active = !self.spec.impair.is_none();
         if active {
             if self.spec.impair.schedule.carrier_down(now) {
                 self.impair.flap_drops.bump();
-                return HopOutcome::Drop(DropCause::Flap);
+                return HopOutcome::Drop;
             }
             if let Some(ge) = self.spec.impair.burst {
                 if self.impair.burst_loss(&ge, rng) {
-                    return HopOutcome::Drop(DropCause::Burst);
+                    return HopOutcome::Drop;
                 }
             }
         }
@@ -171,7 +170,7 @@ impl HopState {
             let backlog = self.backlog_bytes(now);
             if backlog + bytes > cap {
                 self.drops.bump();
-                return HopOutcome::Drop(DropCause::Buffer);
+                return HopOutcome::Drop;
             }
         }
         let service = self.spec.rate.time_to_send(bytes);
@@ -180,7 +179,6 @@ impl HopState {
         let mut at = adm.done + self.spec.prop + self.spec.fixed;
         let mut corrupted = false;
         let mut duplicated = false;
-        let mut reordered = false;
         if active {
             let imp = self.spec.impair;
             if imp.corrupt > 0.0 && rng.chance(imp.corrupt) {
@@ -200,7 +198,6 @@ impl HopState {
                     };
                     self.impair.reorders.bump();
                     at += extra;
-                    reordered = true;
                 }
             }
         }
@@ -208,7 +205,6 @@ impl HopState {
             at,
             corrupted,
             duplicated,
-            reordered,
         }
     }
 
@@ -327,7 +323,6 @@ impl PathState {
             let Delivery {
                 mut at,
                 mut corrupted,
-                mut reordered,
             } = c;
             let mut arrived = true;
             for (i, hop) in (from..).zip(self.hops[from..].iter_mut()) {
@@ -336,38 +331,24 @@ impl PathState {
                         at: out,
                         corrupted: c,
                         duplicated,
-                        reordered: r,
                     } => {
                         if duplicated {
-                            let dup = Delivery {
-                                at,
-                                corrupted,
-                                reordered,
-                            };
-                            next = Some((i, dup));
+                            next = Some((i, Delivery { at, corrupted }));
                             mint = false;
                             v.duplicated = true;
                         }
                         at = out;
                         corrupted |= c;
-                        reordered |= r;
                     }
-                    HopOutcome::Drop(cause) => {
+                    HopOutcome::Drop => {
                         v.dropped += 1;
-                        if cause.is_impairment() {
-                            v.dropped_impair += 1;
-                        }
                         arrived = false;
                         break;
                     }
                 }
             }
             if arrived {
-                let d = Delivery {
-                    at,
-                    corrupted,
-                    reordered,
-                };
+                let d = Delivery { at, corrupted };
                 v.deliveries[usize::from(v.deliveries[0].is_some())] = Some(d);
             }
         }
@@ -408,8 +389,6 @@ pub struct Delivery {
     /// The copy was bit-corrupted en route; the receiving NIC will
     /// discard it on the bad FCS before DMA.
     pub corrupted: bool,
-    /// The copy picked up reordering latency on some hop.
-    pub reordered: bool,
 }
 
 /// The fate of every copy of one offered frame, over one path
@@ -426,9 +405,6 @@ pub struct PathVerdict {
     pub duplicated: bool,
     /// Copies dropped at some hop, any cause.
     pub dropped: u32,
-    /// Of [`PathVerdict::dropped`], how many were impairment-caused
-    /// (burst or flap) rather than buffer overflow / legacy random loss.
-    pub dropped_impair: u32,
 }
 
 #[cfg(test)]
@@ -653,8 +629,18 @@ mod tests {
             let v = st.send_verdict(Nanos::ZERO, 1538, true);
             let copies: Vec<_> = v.deliveries.iter().flatten().collect();
             assert_eq!(copies.len(), 2, "original + one duplicate");
-            let marked = |d: &&Delivery| if corrupts { d.corrupted } else { d.reordered };
-            assert!(copies.iter().all(marked), "{copies:?}");
+            if corrupts {
+                assert!(copies.iter().all(|d| d.corrupted), "{copies:?}");
+            } else {
+                // One reorder draw (the duplicate never re-walks hop 0),
+                // and both copies carry its delay.
+                assert_eq!(st.reordered_frames(), 1);
+                let undelayed = path.one_way(1538);
+                assert!(
+                    copies.iter().all(|d| d.at >= undelayed + late),
+                    "{copies:?}"
+                );
+            }
         }
     }
 

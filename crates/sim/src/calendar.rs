@@ -34,6 +34,10 @@
 //! equivalence (including cancellation and every re-arm case) is pinned
 //! by property tests against a reference heap in
 //! `crates/sim/tests/calendar_equivalence.rs`.
+//!
+//! Beside the calendar, a [`FrontLane`] holds a stream of front-class
+//! events whose keys only grow, such as one flow endpoint's wire
+//! arrivals, in a [`LanePool`], and lets only its head into the heap.
 
 use crate::prof::CalendarCounters;
 use crate::time::Nanos;
@@ -478,6 +482,177 @@ impl<T> Calendar<T> {
     }
 }
 
+/// A FIFO of front-class events bound for one lane: a stream of
+/// [`Calendar::schedule_front`] events whose keys only grow, such as one
+/// flow endpoint's wire arrivals. Only the lane's head sits in the
+/// calendar; an event strictly later than the lane's tail waits in a
+/// [`LanePool`] until its predecessor fires, so a long pipe's in-flight
+/// arrivals cost the heap one key instead of one key each.
+///
+/// The pop order is unchanged. A front key does not consume the
+/// insertion counter, so an event's place in the pop order is fixed by
+/// its `(at, key)` pair alone, not by when it was scheduled, as long as
+/// it is scheduled before its instant. Each held event is strictly later
+/// than the one ahead of it, and [`FrontLane::advance`] hands it over
+/// when that one fires, so it always reaches the calendar in time.
+///
+/// The lane is pure data: the caller does the scheduling. Its held
+/// events live in a pool that many lanes share, so a lane owns no
+/// allocation, and the pool holds no more than the lanes hold at once.
+/// `EngineCounters::sched_front` counts an event when it reaches the
+/// calendar, so a run stopped with events still held has counted fewer
+/// than were emitted.
+#[derive(Debug, Clone, Copy)]
+pub struct FrontLane {
+    /// Time of the lane's event that sits in the calendar.
+    head: Option<Nanos>,
+    /// The oldest and newest held events (`NIL` when none): a FIFO
+    /// linked through the pool's entries, strictly increasing in time.
+    first: u32,
+    last: u32,
+}
+
+/// The events a set of [`FrontLane`]s hold back from the calendar: one
+/// slab of entries, each lane's linked through it in FIFO order, freed
+/// entries reused.
+#[derive(Debug)]
+pub struct LanePool<T> {
+    held: Vec<Held<T>>,
+    free: u32,
+}
+
+/// One held event, linked to the next one of its lane (or to the next
+/// free entry).
+#[derive(Debug, Clone, Copy)]
+struct Held<T> {
+    at: Nanos,
+    key: u64,
+    item: T,
+    next: u32,
+}
+
+impl<T: Copy> Default for LanePool<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Copy> LanePool<T> {
+    /// An empty pool; allocates nothing until a lane holds an event.
+    pub fn new() -> Self {
+        LanePool {
+            held: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    fn push(&mut self, h: Held<T>) -> u32 {
+        if self.free != NIL {
+            let i = self.free;
+            self.free = self.held[widen(i)].next;
+            self.held[widen(i)] = h;
+            i
+        } else {
+            let i = u32::try_from(self.held.len()).ok().filter(|&i| i != NIL);
+            let i = i.expect("lane pool exhausted u32 handles");
+            self.held.push(h);
+            i
+        }
+    }
+
+    fn take(&mut self, i: u32) -> Held<T> {
+        let h = self.held[widen(i)];
+        self.held[widen(i)].next = self.free;
+        self.free = i;
+        h
+    }
+}
+
+impl Default for FrontLane {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FrontLane {
+    /// An empty lane.
+    pub fn new() -> Self {
+        FrontLane {
+            head: None,
+            first: NIL,
+            last: NIL,
+        }
+    }
+
+    /// Offer the lane's next event, bound for `at` under `key`. Returns
+    /// the item back when the caller must schedule it now with
+    /// `schedule_front(at, key, item)`: it becomes the head of an empty
+    /// lane, or it is no later than the lane's tail (a reordered or
+    /// same-instant event, which the calendar orders as it always has).
+    /// Returns `None` when `pool` holds it behind the lane's tail.
+    #[inline]
+    pub fn offer<T: Copy>(
+        &mut self,
+        pool: &mut LanePool<T>,
+        at: Nanos,
+        key: u64,
+        item: T,
+    ) -> Option<T> {
+        let Some(head) = self.head else {
+            self.head = Some(at);
+            return Some(item);
+        };
+        let tail = if self.last == NIL {
+            head
+        } else {
+            pool.held[widen(self.last)].at
+        };
+        if at <= tail {
+            return Some(item);
+        }
+        let i = pool.push(Held {
+            at,
+            key,
+            item,
+            next: NIL,
+        });
+        if self.last == NIL {
+            self.first = i;
+        } else {
+            pool.held[widen(self.last)].next = i;
+        }
+        self.last = i;
+        None
+    }
+
+    /// An event of the lane fired at `now`. If the head was due now, the
+    /// next held event (strictly later than `now`) leaves `pool` and
+    /// becomes the head, and the caller must schedule it. Calling this
+    /// for a fallback event that fires at the head's instant before the
+    /// head does is harmless: it only schedules the next event sooner.
+    #[inline]
+    pub fn advance<T: Copy>(
+        &mut self,
+        pool: &mut LanePool<T>,
+        now: Nanos,
+    ) -> Option<(Nanos, u64, T)> {
+        if self.head != Some(now) {
+            return None;
+        }
+        if self.first == NIL {
+            self.head = None;
+            return None;
+        }
+        let h = pool.take(self.first);
+        self.first = h.next;
+        if self.first == NIL {
+            self.last = NIL;
+        }
+        self.head = Some(h.at);
+        Some((h.at, h.key, h.item))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,5 +875,85 @@ mod tests {
         assert_eq!(c.peek_time(), Some(Nanos(30)));
         assert_eq!(c.pop().map(|(at, _)| at), Some(Nanos(30)));
         assert_eq!(c.peek_time(), None);
+    }
+
+    #[test]
+    fn a_lane_holds_only_what_follows_its_tail() {
+        let mut pool: LanePool<u32> = LanePool::new();
+        let mut l = FrontLane::new();
+        assert_eq!(
+            l.offer(&mut pool, Nanos(10), 0, 0),
+            Some(0),
+            "an empty lane schedules"
+        );
+        assert_eq!(
+            pool.held.capacity(),
+            0,
+            "one event in flight allocates nothing"
+        );
+        assert_eq!(
+            l.offer(&mut pool, Nanos(20), 1, 1),
+            None,
+            "later than the tail: held"
+        );
+        assert_eq!(
+            l.offer(&mut pool, Nanos(20), 2, 2),
+            Some(2),
+            "a tie with the tail schedules"
+        );
+        assert_eq!(
+            l.offer(&mut pool, Nanos(15), 3, 3),
+            Some(3),
+            "a reorder schedules"
+        );
+        assert_eq!(l.offer(&mut pool, Nanos(30), 4, 4), None);
+        assert_ne!(l.first, NIL);
+        assert_eq!(
+            l.advance(&mut pool, Nanos(15)),
+            None,
+            "not the head's instant"
+        );
+        assert_eq!(l.advance(&mut pool, Nanos(10)), Some((Nanos(20), 1, 1)));
+        assert_eq!(l.advance(&mut pool, Nanos(10)), None, "the head moved on");
+        assert_eq!(l.advance(&mut pool, Nanos(20)), Some((Nanos(30), 4, 4)));
+        assert_eq!((l.first, l.last), (NIL, NIL));
+        assert_eq!(l.advance(&mut pool, Nanos(30)), None);
+        assert_eq!(
+            l.offer(&mut pool, Nanos(40), 5, 5),
+            Some(5),
+            "the drained lane is empty"
+        );
+    }
+
+    #[test]
+    fn lanes_share_the_pool_and_reuse_its_entries() {
+        let mut pool: LanePool<u32> = LanePool::new();
+        let (mut a, mut b) = (FrontLane::new(), FrontLane::new());
+        for (t, lane) in [(10, &mut a), (11, &mut b)] {
+            assert!(lane.offer(&mut pool, Nanos(t), 0, 0).is_some());
+        }
+        // Interleaved holds: each lane keeps its own FIFO order.
+        for i in 1..=3u32 {
+            let (at, key) = (10 + 10 * u64::from(i), u64::from(i));
+            assert_eq!(a.offer(&mut pool, Nanos(at), key, 100 + i), None);
+            assert_eq!(b.offer(&mut pool, Nanos(at + 1), key, 200 + i), None);
+        }
+        assert_eq!(pool.held.len(), 6);
+        assert_eq!(a.advance(&mut pool, Nanos(10)), Some((Nanos(20), 1, 101)));
+        assert_eq!(b.advance(&mut pool, Nanos(11)), Some((Nanos(21), 1, 201)));
+        // A freed entry is reused before the pool grows.
+        assert_eq!(a.offer(&mut pool, Nanos(50), 4, 104), None);
+        assert_eq!(pool.held.len(), 6);
+        let drain = |lane: &mut FrontLane, pool: &mut LanePool<u32>, mut now: Nanos| {
+            let mut got = Vec::new();
+            while let Some((at, _, item)) = lane.advance(pool, now) {
+                got.push(item);
+                now = at;
+            }
+            got
+        };
+        assert_eq!(drain(&mut a, &mut pool, Nanos(20)), vec![102, 103, 104]);
+        assert_eq!(drain(&mut b, &mut pool, Nanos(21)), vec![202, 203]);
+        assert_eq!((a.first, b.first), (NIL, NIL));
     }
 }

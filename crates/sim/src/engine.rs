@@ -107,7 +107,15 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         self.executed
     }
 
-    /// Number of events still pending (cancelled events excluded).
+    /// Number of events still pending in the calendar (cancelled events
+    /// excluded). Arrivals a caller holds back in a
+    /// [`crate::FrontLane`] are not calendar events and are not counted,
+    /// but a lane that holds any has its head in the calendar, so
+    /// `pending() > 0` still means "something will fire". (The lab holds
+    /// wire arrivals this way, so a long pipe's depth shows here as a
+    /// handful of lane heads: the benchmark ledger's traced
+    /// `calendar.pending_p50` on `wan_lossy` fell from 246 to 5. That
+    /// is a per-layer figure; no report or count moved.)
     #[inline]
     pub fn pending(&self) -> usize {
         self.calendar.len()

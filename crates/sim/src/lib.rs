@@ -33,7 +33,7 @@ pub mod time;
 pub mod units;
 pub mod workload;
 
-pub use calendar::{Calendar, EventId};
+pub use calendar::{Calendar, EventId, FrontLane, LanePool};
 pub use engine::{Engine, EventFire};
 pub use obs::{MetricKind, ObsConfig, Scope, StepSeries, Timelines};
 pub use prof::{CalendarCounters, EngineCounters, Hist, WallStats};

@@ -739,18 +739,16 @@ impl TcpConn {
         }
     }
 
-    fn insert_ooo(&mut self, start: u64, end: u64) {
-        // Merge overlapping/adjacent ranges.
-        let mut start = start;
-        let mut end = end;
-        let keys: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .filter(|(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        for k in keys {
-            let e = self.ooo.remove(&k).expect("key just observed");
+    /// Record `[start, end)` as received out of order, merged with every
+    /// stored range it overlaps or touches. The stored ranges are
+    /// disjoint and non-adjacent, so those are the last few that start at
+    /// or before `end`: absorb them from the back, allocating nothing.
+    fn insert_ooo(&mut self, mut start: u64, mut end: u64) {
+        while let Some((&k, &e)) = self.ooo.range(..=end).next_back() {
+            if e < start {
+                break;
+            }
+            self.ooo.remove(&k);
             start = start.min(k);
             end = end.max(e);
         }
@@ -1456,6 +1454,46 @@ mod tests {
         assert_eq!(acc, 65_536, "write bounded by tcp_wmem");
         let (acc2, _) = a.on_app_write(Nanos(0), 1000);
         assert_eq!(acc2, 0, "buffer full");
+    }
+
+    /// The out-of-order map after inserting `ranges` into `stored`.
+    fn ooo_after(stored: &[(u64, u64)], ranges: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        let (mut c, _) = lan_pair(Sysctls::default());
+        c.ooo.extend(stored.iter().copied());
+        for &(s, e) in ranges {
+            c.insert_ooo(s, e);
+        }
+        c.ooo.into_iter().collect()
+    }
+
+    #[test]
+    fn ooo_insert_keeps_disjoint_ranges_apart() {
+        let got = ooo_after(&[(100, 200)], &[(300, 400), (10, 50)]);
+        assert_eq!(got, vec![(10, 50), (100, 200), (300, 400)]);
+    }
+
+    #[test]
+    fn ooo_insert_merges_a_range_adjacent_on_either_side() {
+        assert_eq!(ooo_after(&[(100, 200)], &[(200, 250)]), vec![(100, 250)]);
+        assert_eq!(ooo_after(&[(100, 200)], &[(50, 100)]), vec![(50, 200)]);
+        assert_eq!(
+            ooo_after(&[(100, 200), (300, 400)], &[(200, 300)]),
+            vec![(100, 400)],
+            "touching both neighbours joins them"
+        );
+    }
+
+    #[test]
+    fn ooo_insert_absorbs_containment_both_ways() {
+        assert_eq!(ooo_after(&[(100, 200)], &[(120, 180)]), vec![(100, 200)]);
+        assert_eq!(ooo_after(&[(100, 200)], &[(50, 250)]), vec![(50, 250)]);
+    }
+
+    #[test]
+    fn ooo_insert_spanning_three_ranges_leaves_one() {
+        let stored = [(10, 20), (100, 200), (300, 400), (500, 600), (900, 950)];
+        let got = ooo_after(&stored, &[(150, 550)]);
+        assert_eq!(got, vec![(10, 20), (100, 600), (900, 950)]);
     }
 
     #[test]

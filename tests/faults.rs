@@ -1,14 +1,22 @@
 //! The fault-injection family end to end: burst-loss shape sensitivity,
-//! carrier-flap recovery vs RTT, and the chaos campaign's determinism and
-//! seed-reproduction contract.
+//! carrier-flap recovery vs RTT, the chaos campaign's determinism and
+//! seed-reproduction contract, and an event-level pin of an impaired
+//! pair.
 
+use tengig::config::HostConfig;
 use tengig::experiments::faults::{
     burst_sweep_report, chaos_campaign, chaos_run, faults_lab_tuned, flap_recovery_run_tuned,
     flap_recovery_sweep_report, scaled_wan, BURST_LENGTHS, FLAP_RTTS,
 };
+use tengig::experiments::{pair, run_to_completion};
+use tengig::lab::{arm_flight_recorder, flight_dump, App};
 use tengig::sweep::SweepRunner;
-use tengig_net::Impairments;
-use tengig_sim::{Nanos, Sanitizer};
+use tengig_hw::HostSpec;
+use tengig_net::{GilbertElliott, Hop, Impairments, Path, Reorder};
+use tengig_nic::NicSpec;
+use tengig_sim::{Bandwidth, Nanos, Sanitizer};
+use tengig_tcp::Sysctls;
+use tengig_tools::{NttcpReceiver, NttcpSender};
 
 #[test]
 fn goodput_degrades_monotonically_with_burst_length() {
@@ -198,5 +206,71 @@ fn chaos_failures_reproduce_from_their_seed() {
         jsonl.matches("\"survived\":true").count(),
         7,
         "the other scenarios must still run"
+    );
+}
+
+/// FNV-1a over `bytes`: a dependency-free, platform-independent digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn impaired_pair_fires_every_event_in_its_pinned_order() {
+    // An event-level pin, stronger than any report golden: every event
+    // both hosts fire, with its time and fields, in firing order. The
+    // impairments sit on the last hop of a 10 ms-RTT path (on an earlier
+    // hop, the next hop's FIFO admission would undo a reorder), so wire
+    // arrivals take every scheduling path: in order behind a full pipe,
+    // overtaken by a later frame (reordering), minted twice
+    // (duplication), and missing (burst loss). A change to how arrivals
+    // are queued that moves any arrival's place in the pop order moves
+    // this digest.
+    let cfg = HostConfig {
+        hw: HostSpec::wan_endpoint(),
+        nic: NicSpec::intel_pro_10gbe(),
+        sysctls: Sysctls::wan_tuned(4 << 20),
+    };
+    let link = |impair: Impairments| Path {
+        hops: vec![
+            Hop::wire("uplink", Bandwidth::from_gbps(10), Nanos::from_micros(5)),
+            Hop::wire("long-haul", Bandwidth::from_gbps(1), Nanos::from_millis(5))
+                .with_buffer(1 << 20)
+                .with_impairments(impair),
+        ],
+    };
+    let impair = Impairments::none()
+        .with_burst(GilbertElliott::bursty(0.005, 3.0))
+        .with_reorder(Reorder::new(
+            0.05,
+            Nanos::from_micros(10),
+            Nanos::from_micros(500),
+        ))
+        .with_duplicate(0.01);
+    let payload = cfg.sysctls.mss();
+    let count = (4 << 20) / payload;
+    let app = App::Nttcp {
+        tx: NttcpSender::new(payload, count),
+        rx: NttcpReceiver::new(payload * count),
+    };
+    let (fwd, rev) = (link(impair), link(Impairments::none()));
+    let (mut lab, mut eng) = pair(cfg, cfg, &fwd, &rev, app, 2003);
+    arm_flight_recorder(&mut lab, 1 << 15);
+    run_to_completion(&mut lab, &mut eng);
+    let path = &lab.links[0];
+    assert!(path.reordered_frames() > 0, "the path must have reordered");
+    assert!(path.dup_frames() > 0, "the path must have duplicated");
+    assert!(path.impair_drops() > 0, "the burst chain must have fired");
+    let dump = flight_dump(&lab);
+    assert_eq!(
+        dump.len() as u64,
+        eng.executed(),
+        "the rings must hold every fired event"
+    );
+    assert_eq!(
+        (eng.executed(), fnv1a(dump.text().as_bytes())),
+        (7702, 0x21c7_7470_b3df_fb57),
+        "fired-event digest moved"
     );
 }
