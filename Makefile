@@ -89,9 +89,9 @@ lint-selftest:
 # (goldens/*.jsonl): obs (the metrics side channel never touches the
 # report), faults (burst, flap, chaos), counts (exact event and sim-byte
 # counts of seven pinned workloads), grid (the sharded fabric; the
-# golden is shard-count-invariant), prof (the gated profiling sidecar,
-# and the profiled report equals the grid golden) and serve (open-loop
-# FCT report plus CPU sidecar). A missing golden is an error, not a pass.
+# goldens are shard-count-invariant; one sweep yields the report and the
+# gated profiling sidecar) and serve (open-loop FCT report plus CPU
+# sidecar). A missing golden is an error, not a pass.
 # On mismatch the computed document lands in target/<doc>_current.jsonl.
 # Run one family with `tengig-check <family> [--shards N]`; regenerate
 # deliberately by appending `--write-golden`.

@@ -16,7 +16,7 @@ use crate::golden;
 use tengig::experiments::faults::{
     burst_sweep_report, chaos_campaign, flap_recovery_sweep_report, BURST_LENGTHS, FLAP_RTTS,
 };
-use tengig::experiments::grid::{grid_prof_sweep, grid_sweep_report, standard_presets};
+use tengig::experiments::grid::{grid_sweep_report, standard_presets};
 use tengig::experiments::serve::{serve_sweep_report, standard_rungs};
 use tengig::experiments::throughput::throughput_sweep_report;
 use tengig::{LadderRung, SweepRunner};
@@ -144,31 +144,22 @@ pub static REGISTRY: &[Family] = &[
             golden: Golden::Writes("goldens/counts.jsonl"),
         }],
     },
-    // The golden is shard-count-invariant by construction: every shard
-    // count compares against the same file.
+    // One sweep, two documents: the report and the deterministic "sim"
+    // profiling sidecar read from the same runs. Both goldens are
+    // shard-count-invariant by construction: every shard count compares
+    // against the same files.
     Family {
         name: "grid",
         shards: &[1, 2, 4],
         compute: grid,
-        outputs: &[Output {
-            doc: "grid",
-            golden: Golden::Writes("goldens/grid.jsonl"),
-        }],
-    },
-    // Only the deterministic "sim" profiling section is gated; the
-    // profiled run's report must equal the plain grid golden.
-    Family {
-        name: "prof",
-        shards: &[1, 2, 4],
-        compute: prof,
         outputs: &[
+            Output {
+                doc: "grid",
+                golden: Golden::Writes("goldens/grid.jsonl"),
+            },
             Output {
                 doc: "prof",
                 golden: Golden::Writes("goldens/prof_throughput.jsonl"),
-            },
-            Output {
-                doc: "prof_report",
-                golden: Golden::Reads("goldens/grid.jsonl"),
             },
         ],
     },
@@ -232,15 +223,9 @@ fn faults(_shards: usize, threads: usize) -> Vec<String> {
 }
 
 fn grid(shards: usize, threads: usize) -> Vec<String> {
-    let (_, report) =
+    let (_, report, gated) =
         grid_sweep_report(&standard_presets(), shards, SEED, SweepRunner::new(threads));
-    vec![report.to_jsonl()]
-}
-
-fn prof(shards: usize, threads: usize) -> Vec<String> {
-    let (report, gated) =
-        grid_prof_sweep(&standard_presets(), shards, SEED, SweepRunner::new(threads));
-    vec![gated.concatenated(), report.to_jsonl()]
+    vec![report.to_jsonl(), gated.concatenated()]
 }
 
 fn serve(shards: usize, threads: usize) -> Vec<String> {

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use tengig::experiments::faults::{faults_lab_tuned, scaled_wan};
 use tengig::experiments::grid::{run_grid, GridPreset};
-use tengig::experiments::multiflow::{aggregate_seeded, Direction};
+use tengig::experiments::multiflow::{aggregate, Direction};
 use tengig::experiments::wan::wan_lab_seeded;
 use tengig::experiments::{b2b_lab, run_to_completion, run_window};
 use tengig::lab::{App, Lab, LabEngine};
@@ -97,7 +97,7 @@ fn multiflow() -> (u64, u64) {
     let mut events = 0;
     let mut bytes = 0;
     for peers in [1usize, 2, 4] {
-        let r = aggregate_seeded(
+        let r = aggregate(
             tengbe,
             peers,
             Direction::IntoTenGbe,
@@ -148,7 +148,7 @@ fn pktgen() -> (u64, u64) {
 
 /// The pinned fat-tree fabric on one shard: 64 GbE workstations in 4
 /// racks feeding 2 10GbE spines, ~1.2M events. Its counts at other shard
-/// counts are held equal by the `grid` and `prof` rows.
+/// counts are held equal by the `grid` row.
 fn grid_fabric() -> (u64, u64) {
     let preset = GridPreset::FatTree {
         spec: FatTreeSpec::gbe_into_tengbe(4, 16, 2),

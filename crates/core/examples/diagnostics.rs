@@ -51,12 +51,12 @@ fn main() {
     // latency probe
     use tengig::experiments::latency::{netpipe_point, without_coalescing};
     let base = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
-    println!("lat b2b 1B    : {}", netpipe_point(base, 1, false));
-    println!("lat sw  1B    : {}", netpipe_point(base, 1, true));
-    println!("lat b2b 1024B : {}", netpipe_point(base, 1024, false));
+    println!("lat b2b 1B    : {}", netpipe_point(base, 1, false, 18));
+    println!("lat sw  1B    : {}", netpipe_point(base, 1, true, 18));
+    println!("lat b2b 1024B : {}", netpipe_point(base, 1024, false, 1041));
     println!(
         "lat b2b nocoal: {}",
-        netpipe_point(without_coalescing(base), 1, false)
+        netpipe_point(without_coalescing(base), 1, false, 18)
     );
     // pktgen
     let pg = tengig::experiments::throughput::pktgen_run(

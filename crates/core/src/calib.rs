@@ -129,28 +129,28 @@ pub fn run_calibration() -> Vec<Target> {
     push(
         "fig6 one-way latency, back-to-back, 1 B",
         19.0,
-        netpipe_point(lat_cfg, 1, false).as_micros_f64(),
+        netpipe_point(lat_cfg, 1, false, 18).as_micros_f64(),
         "us",
         0.08,
     );
     push(
         "fig6 one-way latency, through switch, 1 B",
         25.0,
-        netpipe_point(lat_cfg, 1, true).as_micros_f64(),
+        netpipe_point(lat_cfg, 1, true, 18).as_micros_f64(),
         "us",
         0.08,
     );
     push(
         "fig6 one-way latency, back-to-back, 1024 B",
         23.0,
-        netpipe_point(lat_cfg, 1024, false).as_micros_f64(),
+        netpipe_point(lat_cfg, 1024, false, 1041).as_micros_f64(),
         "us",
         0.08,
     );
     push(
         "fig7 latency without coalescing, 1 B",
         14.0,
-        netpipe_point(without_coalescing(lat_cfg), 1, false).as_micros_f64(),
+        netpipe_point(without_coalescing(lat_cfg), 1, false, 18).as_micros_f64(),
         "us",
         0.08,
     );
@@ -170,6 +170,7 @@ pub fn run_calibration() -> Vec<Target> {
         None,
         Nanos::from_secs(3),
         Nanos::from_secs(2),
+        2003,
     );
     push("WAN single-stream record", 2.38, wan.gbps, "Gb/s", 0.05);
     push(

@@ -49,7 +49,7 @@ pub fn itanium_aggregation(peers: usize, warmup: Nanos, window: Nanos) -> Multif
             .with_mtu(tengig_ethernet::Mtu::JUMBO_9000)
             .with_buffers(512 * 1024),
     };
-    aggregate(tengbe, peers, Direction::IntoTenGbe, warmup, window)
+    aggregate(tengbe, peers, Direction::IntoTenGbe, warmup, window, 99)
 }
 
 /// Sweep the E7505 anecdote as a two-point grid (timestamps off → on) on

@@ -29,7 +29,7 @@ use super::{pair, run_to_completion, run_window};
 use crate::config::HostConfig;
 use crate::lab::{self, App, Lab, LabEngine};
 use crate::report::{Json, SweepReport};
-use crate::sweep::{scenarios, SweepRunner};
+use crate::sweep::{panic_text, scenarios, SweepRunner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tengig_net::{GilbertElliott, Hop, ImpairmentSchedule, Impairments, Path, Reorder, WanSpec};
 use tengig_nic::NicSpec;
@@ -485,15 +485,7 @@ pub fn chaos_run(seed: u64, inject_failure: bool) -> Result<ChaosOutcome, String
             events: eng.executed(),
         }
     }))
-    .map_err(|p| {
-        if let Some(s) = p.downcast_ref::<String>() {
-            s.clone()
-        } else if let Some(s) = p.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
+    .map_err(|p| panic_text(p.as_ref()))
 }
 
 /// One campaign scenario's record: seed, spec, and survive/fail outcome.

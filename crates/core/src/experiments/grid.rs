@@ -26,7 +26,7 @@
 use crate::config::{HostConfig, LadderRung};
 use crate::lab::{App, Ev, Grid, Lab};
 use crate::report::{Json, MetricsSidecar, SweepReport};
-use crate::sweep::{scenarios, Scenario, SweepRunner};
+use crate::sweep::{scenarios, SweepRunner};
 use tengig_ethernet::Mtu;
 use tengig_net::{FatTreeSpec, TorusSpec};
 use tengig_nic::NicSpec;
@@ -316,63 +316,18 @@ pub fn standard_presets() -> Vec<GridPreset> {
 }
 
 /// Sweep the grid presets on the deterministic [`SweepRunner`] with each
-/// scenario executed as `shards` shards. Returns per-point results plus
-/// the machine-readable report whose JSONL bytes `goldens/grid.jsonl`
-/// pins across shard counts {1, 2, 4} and sweep thread counts {1, 4}.
+/// scenario executed as `shards` shards. Returns per-point results, the
+/// machine-readable report whose JSONL bytes `goldens/grid.jsonl` pins,
+/// and the gated profiling sidecar — one [`profile`] line per scenario,
+/// read after the run from counters that are always on — whose bytes
+/// `goldens/prof_throughput.jsonl` pins. Both are pinned across shard
+/// counts {1, 2, 4} and sweep thread counts {1, 4}.
 pub fn grid_sweep_report(
     presets: &[GridPreset],
     shards: usize,
     master_seed: u64,
     runner: SweepRunner,
-) -> (Vec<GridResult>, SweepReport) {
-    let grid = scenarios(master_seed, presets.iter().copied(), |p| p.label());
-    let results = runner
-        .run(&grid, |sc| run_grid(&sc.input, shards, sc.seed))
-        .expect("grid sweep scenario panicked");
-    let mut report = SweepReport::new("grid/fabric", master_seed);
-    for (sc, r) in grid.iter().zip(&results) {
-        push_grid_row(&mut report, sc, r);
-    }
-    (results, report)
-}
-
-/// Append one grid scenario's row to the sweep report. Shared between
-/// [`grid_sweep_report`] and [`grid_prof_sweep`] so the profiled sweep's
-/// report bytes are identical to the plain one's by construction — the
-/// proof that collecting the profile never perturbs `goldens/grid.jsonl`.
-fn push_grid_row(report: &mut SweepReport, sc: &Scenario<GridPreset>, r: &GridResult) {
-    report.push_row(
-        sc.index,
-        sc.label.clone(),
-        sc.seed,
-        vec![
-            ("flows".to_string(), Json::U64(r.flows)),
-            ("events".to_string(), Json::U64(r.events)),
-            ("payload_bytes".to_string(), Json::U64(r.payload_bytes)),
-            (
-                "first_start_ns".to_string(),
-                Json::U64(r.first_start.as_nanos()),
-            ),
-            (
-                "last_done_ns".to_string(),
-                Json::U64(r.last_done.as_nanos()),
-            ),
-            ("aggregate_gbps".to_string(), Json::F64(r.aggregate_gbps)),
-        ],
-    );
-}
-
-/// Sweep the grid presets with the self-profiling plane collected.
-/// Returns the primary report (byte-identical to [`grid_sweep_report`]'s)
-/// and the gated profiling sidecar: one [`profile`] line per scenario,
-/// the bytes `goldens/prof_throughput.jsonl` pins across shard counts
-/// {1, 2, 4} and sweep threads {1, 4}.
-pub fn grid_prof_sweep(
-    presets: &[GridPreset],
-    shards: usize,
-    master_seed: u64,
-    runner: SweepRunner,
-) -> (SweepReport, MetricsSidecar) {
+) -> (Vec<GridResult>, SweepReport, MetricsSidecar) {
     let grid = scenarios(master_seed, presets.iter().copied(), |p| p.label());
     let runs = runner
         .run(&grid, |sc| {
@@ -381,14 +336,34 @@ pub fn grid_prof_sweep(
             let result = read(&mut world).0;
             (result, profile(&sc.label, sc.seed, &world))
         })
-        .expect("grid prof sweep scenario panicked");
+        .expect("grid sweep scenario panicked");
     let mut report = SweepReport::new("grid/fabric", master_seed);
     let mut gated = MetricsSidecar::new("grid/prof");
+    let mut results = Vec::with_capacity(runs.len());
     for (sc, (r, sim)) in grid.iter().zip(runs) {
-        push_grid_row(&mut report, sc, &r);
+        report.push_row(
+            sc.index,
+            sc.label.clone(),
+            sc.seed,
+            vec![
+                ("flows".to_string(), Json::U64(r.flows)),
+                ("events".to_string(), Json::U64(r.events)),
+                ("payload_bytes".to_string(), Json::U64(r.payload_bytes)),
+                (
+                    "first_start_ns".to_string(),
+                    Json::U64(r.first_start.as_nanos()),
+                ),
+                (
+                    "last_done_ns".to_string(),
+                    Json::U64(r.last_done.as_nanos()),
+                ),
+                ("aggregate_gbps".to_string(), Json::F64(r.aggregate_gbps)),
+            ],
+        );
         gated.push(sc.index, sc.label.clone(), sim);
+        results.push(r);
     }
-    (report, gated)
+    (results, report, gated)
 }
 
 #[cfg(test)]

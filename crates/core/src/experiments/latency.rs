@@ -30,14 +30,8 @@ fn fastiron() -> Path {
 }
 
 /// One-way latency for one payload size, back-to-back or through the
-/// switch, with an explicit RNG seed (used by the sweep runner's
-/// per-scenario seeding).
-pub fn netpipe_point_seeded(
-    cfg: HostConfig,
-    payload: u64,
-    through_switch: bool,
-    seed: u64,
-) -> Nanos {
+/// switch, from `seed`.
+pub fn netpipe_point(cfg: HostConfig, payload: u64, through_switch: bool, seed: u64) -> Nanos {
     let app = App::NetPipe(NetPipe::new(payload, ROUNDS));
     let path = if through_switch { fastiron() } else { xover() };
     let (mut lab, mut eng) = pair(cfg, cfg, &path, &path, app, seed);
@@ -46,11 +40,6 @@ pub fn netpipe_point_seeded(
         unreachable!()
     };
     np.one_way_latency()
-}
-
-/// One-way latency for one payload size.
-pub fn netpipe_point(cfg: HostConfig, payload: u64, through_switch: bool) -> Nanos {
-    netpipe_point_seeded(cfg, payload, through_switch, 17 + payload)
 }
 
 /// The Fig. 6/7 payload range: 1 byte to 1 KiB.
@@ -77,7 +66,7 @@ pub fn latency_sweep_report(
     });
     let results = runner
         .run(&grid, |sc| {
-            netpipe_point_seeded(cfg, sc.input, through_switch, sc.seed)
+            netpipe_point(cfg, sc.input, through_switch, sc.seed)
         })
         .expect("latency sweep scenario panicked");
     let mut series = Series::new(label.clone());
@@ -136,8 +125,8 @@ mod tests {
 
     #[test]
     fn switch_adds_latency() {
-        let b2b = netpipe_point(base(), 1, false);
-        let sw = netpipe_point(base(), 1, true);
+        let b2b = netpipe_point(base(), 1, false, 18);
+        let sw = netpipe_point(base(), 1, true, 18);
         let delta = sw.as_micros_f64() - b2b.as_micros_f64();
         // Paper: 25 µs vs 19 µs → ≈ 6 µs through the FastIron.
         assert!((4.5..7.5).contains(&delta), "switch delta {delta} µs");
@@ -145,8 +134,8 @@ mod tests {
 
     #[test]
     fn coalescing_off_saves_about_5us() {
-        let on = netpipe_point(base(), 1, false);
-        let off = netpipe_point(without_coalescing(base()), 1, false);
+        let on = netpipe_point(base(), 1, false, 18);
+        let off = netpipe_point(without_coalescing(base()), 1, false, 18);
         let delta = on.as_micros_f64() - off.as_micros_f64();
         assert!((4.0..6.0).contains(&delta), "coalescing delta {delta} µs");
     }
@@ -154,8 +143,8 @@ mod tests {
     #[test]
     fn latency_grows_modestly_with_payload() {
         // Fig. 6: +~20% from 1 byte to 1024 bytes, stepwise.
-        let l1 = netpipe_point(base(), 1, false).as_micros_f64();
-        let l1024 = netpipe_point(base(), 1024, false).as_micros_f64();
+        let l1 = netpipe_point(base(), 1, false, 18).as_micros_f64();
+        let l1024 = netpipe_point(base(), 1024, false, 1041).as_micros_f64();
         let growth = l1024 / l1;
         assert!(
             (1.05..1.5).contains(&growth),

@@ -50,20 +50,9 @@ fn gbe_peer() -> HostConfig {
 }
 
 /// Run `peers` GbE hosts against one 10GbE host through the FastIron, for
-/// a measurement window after warmup. Payloads are full GbE-MTU segments.
+/// a measurement window after warmup, from `seed`. Payloads are full
+/// GbE-MTU segments.
 pub fn aggregate(
-    tengbe: HostConfig,
-    peers: usize,
-    dir: Direction,
-    warmup: Nanos,
-    window: Nanos,
-) -> MultiflowResult {
-    aggregate_seeded(tengbe, peers, dir, warmup, window, 99)
-}
-
-/// [`aggregate`] with an explicit RNG seed (used by the sweep runner's
-/// per-scenario seeding).
-pub fn aggregate_seeded(
     tengbe: HostConfig,
     peers: usize,
     dir: Direction,
@@ -181,7 +170,7 @@ pub fn peer_sweep_report(
     });
     let results = runner
         .run(&grid, |sc| {
-            aggregate_seeded(tengbe, sc.input, dir, warmup, window, sc.seed)
+            aggregate(tengbe, sc.input, dir, warmup, window, sc.seed)
         })
         .expect("multiflow sweep scenario panicked");
     let mut report = SweepReport::new(name, master_seed);
@@ -213,8 +202,8 @@ mod tests {
     #[test]
     fn aggregation_scales_with_senders() {
         let w = Nanos::from_millis(30);
-        let one = aggregate(tengbe(), 1, Direction::IntoTenGbe, w, w);
-        let four = aggregate(tengbe(), 4, Direction::IntoTenGbe, w, w);
+        let one = aggregate(tengbe(), 1, Direction::IntoTenGbe, w, w, 99);
+        let four = aggregate(tengbe(), 4, Direction::IntoTenGbe, w, w, 99);
         assert!(
             one.aggregate_gbps < 1.0,
             "one GbE sender caps at ~0.95: {}",
@@ -233,8 +222,8 @@ mod tests {
         // §3.5.2: "These results unexpectedly show that the transmit and
         // receive paths are of statistically equal performance."
         let w = Nanos::from_millis(30);
-        let rx = aggregate(tengbe(), 3, Direction::IntoTenGbe, w, w);
-        let tx = aggregate(tengbe(), 3, Direction::OutOfTenGbe, w, w);
+        let rx = aggregate(tengbe(), 3, Direction::IntoTenGbe, w, w, 99);
+        let tx = aggregate(tengbe(), 3, Direction::OutOfTenGbe, w, w, 99);
         let ratio = rx.aggregate_gbps / tx.aggregate_gbps;
         assert!((0.75..1.35).contains(&ratio), "rx/tx ratio {ratio}");
     }

@@ -54,16 +54,10 @@ fn rdma_host(mtu: Mtu) -> HostConfig {
     cfg
 }
 
-/// Run the throughput projection: a zero-copy, kernel-bypass stream of
-/// MTU-sized transfers (modeled on the pktgen path — single DMA, no
-/// copies — which is exactly what direct data placement leaves).
-pub fn throughput(mtu: Mtu, count: u64) -> OsBypassResult {
-    throughput_seeded(mtu, count, 5)
-}
-
-/// [`throughput`] with an explicit RNG seed (used by the sweep runner's
-/// per-scenario seeding).
-pub fn throughput_seeded(mtu: Mtu, count: u64, seed: u64) -> OsBypassResult {
+/// Run the throughput projection from `seed`: a zero-copy, kernel-bypass
+/// stream of MTU-sized transfers (modeled on the pktgen path — single
+/// DMA, no copies — which is exactly what direct data placement leaves).
+pub fn throughput(mtu: Mtu, count: u64, seed: u64) -> OsBypassResult {
     let cfg = rdma_host(mtu);
     let payload = tengig_tcp::Datagram::max_payload(mtu.get());
     let (mut lab, mut eng) = b2b_lab(cfg, App::Pktgen(Pktgen::new(payload, count)), seed);
@@ -104,7 +98,7 @@ pub fn mtu_sweep_report(
         format!("mtu={}", m.get())
     });
     let results = runner
-        .run(&grid, |sc| throughput_seeded(sc.input, count, sc.seed))
+        .run(&grid, |sc| throughput(sc.input, count, sc.seed))
         .expect("osbypass sweep scenario panicked");
     let mut report = SweepReport::new("osbypass/mtu_sweep", master_seed);
     for (sc, r) in grid.iter().zip(&results) {
@@ -134,7 +128,7 @@ mod tests {
     #[test]
     fn projection_approaches_8_gbps() {
         // §5's claim, at the adapter's largest MTU.
-        let r = throughput(Mtu::MAX_INTEL_16000, 3_000);
+        let r = throughput(Mtu::MAX_INTEL_16000, 3_000, 5);
         assert!(
             r.gbps > 6.5,
             "OS-bypass throughput {} should approach 8 Gb/s",
@@ -158,7 +152,7 @@ mod tests {
 
     #[test]
     fn cpu_load_approaches_zero() {
-        let r = throughput(Mtu::JUMBO_9000, 3_000);
+        let r = throughput(Mtu::JUMBO_9000, 3_000, 5);
         assert!(
             r.cpu_load < 0.2,
             "OS-bypass CPU load {} should approach zero",
@@ -171,7 +165,7 @@ mod tests {
         // The sustained rate the bus-level math supports: one datagram's
         // payload per PCI-X transfer of its frame.
         let mtu = Mtu::JUMBO_9000;
-        let sim = throughput(mtu, 3_000).gbps;
+        let sim = throughput(mtu, 3_000, 5).gbps;
         let pci = rdma_host(mtu).hw.pci.packet_transfer_time(mtu.get() + 18);
         let ceiling = rate_of(tengig_tcp::Datagram::max_payload(mtu.get()), pci).gbps();
         assert!(

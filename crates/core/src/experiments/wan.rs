@@ -61,14 +61,9 @@ pub fn wan_lab_seeded(wan: &WanSpec, buffer: Option<u64>, seed: u64) -> (Lab, La
     pair(cfg, cfg, &fwd, &rev, endless_stream(&cfg), seed)
 }
 
-/// Run the record scenario: warm up past slow start, then measure.
-pub fn record_run(wan: &WanSpec, buffer: Option<u64>, warmup: Nanos, window: Nanos) -> WanResult {
-    record_run_seeded(wan, buffer, warmup, window, 2003)
-}
-
-/// [`record_run`] with an explicit RNG seed (used by the sweep runner's
-/// per-scenario seeding).
-pub fn record_run_seeded(
+/// Run the record scenario from `seed`: warm up past slow start, then
+/// measure.
+pub fn record_run(
     wan: &WanSpec,
     buffer: Option<u64>,
     warmup: Nanos,
@@ -78,7 +73,7 @@ pub fn record_run_seeded(
     record_run_inner(wan, buffer, warmup, window, seed, None).0
 }
 
-/// [`record_run_seeded`] with the observability layer enabled: returns the
+/// [`record_run`] with the observability layer enabled: returns the
 /// WAN result plus the metrics timelines — the cwnd-vs-time series that
 /// reproduces the record run's AIMD plot (flow 0, endpoint 0, `cwnd`).
 pub fn record_timeline(
@@ -138,7 +133,7 @@ pub fn buffer_sweep_report(
     });
     let results = runner
         .run(&grid, |sc| {
-            record_run_seeded(wan, sc.input, warmup, window, sc.seed)
+            record_run(wan, sc.input, warmup, window, sc.seed)
         })
         .expect("wan sweep scenario panicked");
     let mut report = SweepReport::new("wan/record_buffer_sweep", master_seed);
@@ -171,7 +166,7 @@ mod tests {
         let wan = WanSpec::record_run();
         // Short debug-friendly windows: 3 s warmup (slow start at 90 ms
         // one-way needs ~15 RTTs), 2 s measurement.
-        let r = record_run(&wan, None, Nanos::from_secs(3), Nanos::from_secs(2));
+        let r = record_run(&wan, None, Nanos::from_secs(3), Nanos::from_secs(2), 2003);
         assert_eq!(r.retransmits, 0, "BDP-capped flow must not lose packets");
         assert_eq!(r.drops, 0);
         assert!(r.gbps > 2.0, "steady state {} Gb/s (paper: 2.38)", r.gbps);
@@ -196,6 +191,7 @@ mod tests {
             Some(8 << 20), // 8 MB ≪ 54 MB BDP
             Nanos::from_secs(2),
             Nanos::from_secs(2),
+            2003,
         );
         // W/RTT with W=6 MB usable (3/4 of 8 MB) and RTT 180 ms ≈ 0.27 Gb/s.
         assert!(

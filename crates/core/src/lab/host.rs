@@ -211,7 +211,6 @@ mod tests {
             flags: Flags {
                 ack: true,
                 psh: true,
-                fin: false,
             },
             ts: Some(Timestamps {
                 tsval: Nanos(1),
@@ -255,7 +254,6 @@ mod tests {
             flags: Flags {
                 ack: true,
                 psh: false,
-                fin: false,
             },
             ..data_seg(0)
         };

@@ -484,7 +484,7 @@ impl FlowRt {
 ///
 /// Two dirty maps tell [`obs_sample`] which flow endpoints and links to
 /// read. An endpoint's bit (`2f + ep`) is set by [`obs_touch`] right
-/// after each of the six `TcpConn` mutators the lab calls; a link's bit
+/// after each of the four `TcpConn` mutators the lab calls; a link's bit
 /// is set by [`obs_touch_route`] whenever a route walk drops a frame.
 /// Every sampled metric of those scopes is a pure getter over state only
 /// those calls change, and re-recording an unchanged value is a no-op
@@ -1154,17 +1154,14 @@ pub(super) fn obs_revive(lab: &mut Lab, eng: &mut LabEngine, at: Nanos) {
 
 fn start_flow(lab: &mut Lab, eng: &mut LabEngine, f: usize) {
     let now = eng.now();
-    // First fire only: capture CPU baselines for load measurement and
-    // stamp the connections open. Disk relays re-enter here on every pump
-    // wakeup ([`Ev::StartFlow`] doubles as their timer), and a re-fire
-    // must not move the baselines.
+    // First fire only: capture CPU baselines for load measurement. Disk
+    // relays re-enter here on every pump wakeup ([`Ev::StartFlow`]
+    // doubles as their timer), and a re-fire must not move the baselines.
     if !lab.flows[f].started {
         lab.flows[f].started = true;
         for ep in 0..2 {
             let h = lab.flows[f].host[ep];
             lab.flows[f].meas.cpu_busy_start[ep] = lab.hosts[h].hottest_cpu_busy(now);
-            lab.flows[f].conns[ep].on_open(now);
-            obs_touch(lab, f, ep);
         }
     }
     match &mut lab.flows[f].app {
@@ -1555,8 +1552,6 @@ fn mark_done(lab: &mut Lab, f: usize, now: Nanos) {
     for ep in 0..2 {
         let h = lab.flows[f].host[ep];
         lab.flows[f].meas.cpu_busy_end[ep] = lab.hosts[h].hottest_cpu_busy(now);
-        lab.flows[f].conns[ep].on_close(now);
-        obs_touch(lab, f, ep);
     }
 }
 
@@ -1837,7 +1832,8 @@ mod tests {
 
     /// A flow that has not started is read at the first sample, so its
     /// series exist from the same instant as every other scope's, and
-    /// not again until its `StartFlow` opens the connections.
+    /// not again until its `StartFlow` makes the sender's first write.
+    /// The receiver is not re-read before its first segment lands.
     #[test]
     fn an_idle_flow_is_read_at_the_first_sample_and_again_at_its_start() {
         let (mut lab, mut eng) = late_start_obs_lab();
@@ -1854,7 +1850,7 @@ mod tests {
         let idle = flow + hosts + links + 4 * hosts;
         assert_eq!(lab.prof.obs_records, idle, "only hosts are re-read");
         eng.advance_to(&mut lab, Nanos::from_micros(600));
-        assert_eq!(lab.prof.obs_records, idle + hosts + flow);
+        assert_eq!(lab.prof.obs_records, idle + hosts + flow / 2);
         assert!(!eng.sanitizer().expect("installed").has_violations());
     }
 

@@ -189,7 +189,7 @@ impl SweepRunner {
 
 /// Render a panic payload as text (the common `&str` / `String` payloads;
 /// anything else gets a placeholder).
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -84,12 +84,12 @@ impl FifoServer {
     }
 }
 
-/// A bank of identical FIFO servers with static or round-robin routing —
-/// the model of a multi-processor host.
+/// A bank of identical FIFO servers — the model of a multi-processor host.
 ///
-/// The 2.4-era SMP kernel the paper studies pins all NIC interrupts to a
-/// single CPU; [`ServerBank::admit_pinned`] models that, while application
-/// work can be spread with [`ServerBank::admit_least_loaded`].
+/// Every admission names its server: the 2.4-era SMP kernel the paper
+/// studies pins all NIC interrupts to a single CPU, and the host layer
+/// places each flow's application work on a fixed CPU too, so
+/// [`ServerBank::admit_pinned`] is the only way in.
 #[derive(Debug, Clone)]
 pub struct ServerBank {
     servers: Vec<FifoServer>,
@@ -117,18 +117,6 @@ impl ServerBank {
     /// Admit to a specific server (interrupt pinning).
     pub fn admit_pinned(&mut self, idx: usize, now: Nanos, service: Nanos) -> Admission {
         self.servers[idx].admit(now, service)
-    }
-
-    /// Admit to the server that can start the job soonest.
-    pub fn admit_least_loaded(&mut self, now: Nanos, service: Nanos) -> (usize, Admission) {
-        let idx = self
-            .servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.busy_until())
-            .map(|(i, _)| i)
-            .expect("bank is non-empty");
-        (idx, self.servers[idx].admit(now, service))
     }
 
     /// A specific server, for inspection.
@@ -200,12 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn bank_pinned_vs_least_loaded() {
+    fn bank_pinned_admissions_queue_on_their_own_server() {
         let mut bank = ServerBank::new(2);
         bank.admit_pinned(0, Nanos(0), Nanos(1000));
-        // Least-loaded routing picks CPU 1.
-        let (idx, a) = bank.admit_least_loaded(Nanos(0), Nanos(10));
-        assert_eq!(idx, 1);
+        // CPU 1 is idle, so work pinned there starts at once.
+        let a = bank.admit_pinned(1, Nanos(0), Nanos(10));
         assert_eq!(a.start, Nanos(0));
         // Pinned routing keeps hammering CPU 0 — the SMP interrupt pathology.
         let a = bank.admit_pinned(0, Nanos(0), Nanos(10));

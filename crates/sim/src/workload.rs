@@ -8,7 +8,7 @@
 //! slow down because the server is busy. This module provides the
 //! deterministic pieces of that regime:
 //!
-//! * [`ArrivalProcess`] — when flows arrive (Poisson, or bursty on/off),
+//! * [`ArrivalProcess`] — when flows arrive (Poisson),
 //! * [`BoundedPareto`] / [`SizeMix`] — how many bytes each flow carries
 //!   (heavy-tailed, with mice/elephant mix presets),
 //! * [`build_schedule`] — the arrival loop: samples a full [`FlowPlan`]
@@ -39,9 +39,8 @@ use crate::time::Nanos;
 
 /// When flows arrive: the inter-arrival--gap process.
 ///
-/// Gaps are sampled by [`ArrivalProcess::sample_gap`], one flow index at
-/// a time, so the draw count per arrival is fixed by the variant (see
-/// the method docs) and schedule construction is reproducible from the
+/// Gaps are sampled by [`ArrivalProcess::sample_gap`] at a fixed draw
+/// count per arrival, so schedule construction is reproducible from the
 /// seed alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
@@ -51,63 +50,24 @@ pub enum ArrivalProcess {
         /// Mean inter-arrival gap (must be positive).
         mean_gap: Nanos,
     },
-    /// Bursty on/off arrivals: flows arrive in bursts of `burst` with
-    /// exponential in-burst gaps of mean `on_gap`; between bursts the
-    /// source goes silent for an additional exponential idle period of
-    /// mean `off_gap`. Models synchronized client wave-fronts.
-    OnOff {
-        /// Mean gap between arrivals inside a burst (must be positive).
-        on_gap: Nanos,
-        /// Arrivals per burst (must be ≥ 1).
-        burst: u64,
-        /// Mean extra idle gap inserted between bursts (must be positive).
-        off_gap: Nanos,
-    },
 }
 
 impl ArrivalProcess {
-    /// Sample the gap between arrival `index - 1` and arrival `index`
-    /// (`index == 0` offsets the first arrival from the workload start).
+    /// Sample the gap before the next arrival (the first gap offsets the
+    /// first arrival from the workload start).
     ///
-    /// Draw contract: exactly **one** `next_u64` for `Poisson` and for
-    /// in-burst `OnOff` gaps; exactly **two** when `index` opens a new
-    /// `OnOff` burst (`index > 0 && index % burst == 0` — the in-burst
-    /// gap plus the idle period). Changing this contract invalidates
-    /// every serve golden; the pinned tests below fail first.
-    pub fn sample_gap(&self, rng: &mut SimRng, index: u64) -> Nanos {
-        match *self {
-            ArrivalProcess::Poisson { mean_gap } => exp_gap(rng, mean_gap),
-            ArrivalProcess::OnOff {
-                on_gap,
-                burst,
-                off_gap,
-            } => {
-                debug_assert!(burst >= 1, "on/off burst length must be >= 1");
-                let gap = exp_gap(rng, on_gap);
-                if index > 0 && index % burst.max(1) == 0 {
-                    gap + exp_gap(rng, off_gap)
-                } else {
-                    gap
-                }
-            }
-        }
+    /// Draw contract: exactly **one** `next_u64` per gap. Changing it
+    /// invalidates every serve golden; the pinned tests below fail first.
+    pub fn sample_gap(&self, rng: &mut SimRng) -> Nanos {
+        let ArrivalProcess::Poisson { mean_gap } = *self;
+        exp_gap(rng, mean_gap)
     }
 
     /// Mean inter-arrival gap of the process — the open-loop offered
     /// flow rate is `1 / mean_gap()`.
     pub fn mean_gap(&self) -> Nanos {
-        match *self {
-            ArrivalProcess::Poisson { mean_gap } => mean_gap,
-            ArrivalProcess::OnOff {
-                on_gap,
-                burst,
-                off_gap,
-            } => {
-                // Per-arrival average: every arrival pays the on-gap, and
-                // one arrival per burst additionally pays the idle gap.
-                on_gap + Nanos::from_nanos(off_gap.as_nanos() / burst.max(1))
-            }
-        }
+        let ArrivalProcess::Poisson { mean_gap } = *self;
+        mean_gap
     }
 }
 
@@ -292,18 +252,18 @@ impl WorkloadSpec {
 
 /// The arrival loop: sample the full flow schedule for `spec` from `rng`.
 ///
-/// Per flow the draw order is fixed — inter-arrival gap first (one draw,
-/// two at an on/off burst boundary), then transfer size (two draws) —
-/// and arrival instants are the running gap sum, so the whole plan is a
-/// pure function of `(spec, rng seed)`. Declared as a `tengig-lint`
+/// Per flow the draw order is fixed — inter-arrival gap first (one
+/// draw), then transfer size (two draws) — and arrival instants are the
+/// running gap sum, so the whole plan is a pure function of `(spec, rng
+/// seed)`. Declared as a `tengig-lint`
 /// hot-path root: nothing reachable from here may read a wall clock or
 /// an unseeded RNG.
 pub fn build_schedule(spec: &WorkloadSpec, rng: &mut SimRng) -> Vec<FlowPlan> {
     let flows = usize::try_from(spec.flows).unwrap_or(usize::MAX);
     let mut plans = Vec::with_capacity(flows);
     let mut t = Nanos::ZERO;
-    for index in 0..spec.flows {
-        t += spec.arrivals.sample_gap(rng, index);
+    for _ in 0..spec.flows {
+        t += spec.arrivals.sample_gap(rng);
         let bytes = spec.sizes.sample(rng);
         plans.push(FlowPlan { at: t, bytes });
     }
@@ -419,9 +379,7 @@ mod tests {
             mean_gap: Nanos::from_micros(100),
         };
         let mut rng = SimRng::seeded(2003);
-        let gaps: Vec<u64> = (0..4)
-            .map(|i| p.sample_gap(&mut rng, i).as_nanos())
-            .collect();
+        let gaps: Vec<u64> = (0..4).map(|_| p.sample_gap(&mut rng).as_nanos()).collect();
         // Pinned for seed 2003. A renamed variant, a reordered draw, or a
         // changed inverse-CDF form must fail here before it can silently
         // shift goldens/serve.jsonl.
@@ -429,30 +387,6 @@ mod tests {
         // Exactly one draw per gap: the next raw word matches a fresh rng
         // advanced by four.
         assert_eq!(rng.next_u64(), sentinel(2003, 4));
-    }
-
-    #[test]
-    fn onoff_burst_boundary_costs_exactly_one_extra_draw() {
-        let p = ArrivalProcess::OnOff {
-            on_gap: Nanos::from_micros(10),
-            burst: 3,
-            off_gap: Nanos::from_millis(1),
-        };
-        let mut rng = SimRng::seeded(7);
-        // Indices 0,1,2 in-burst; 3 opens a burst (2 draws); 4,5 in-burst;
-        // 6 opens a burst (2 draws): 9 draws total.
-        let gaps: Vec<u64> = (0..7)
-            .map(|i| p.sample_gap(&mut rng, i).as_nanos())
-            .collect();
-        assert_eq!(rng.next_u64(), sentinel(7, 9));
-        // Burst-boundary gaps include the idle period, so they dominate.
-        let in_burst_max = [gaps[0], gaps[1], gaps[2], gaps[4], gaps[5]]
-            .into_iter()
-            .max()
-            .expect("non-empty");
-        assert!(gaps[3] > in_burst_max && gaps[6] > in_burst_max, "{gaps:?}");
-        // Pinned values for seed 7.
-        assert_eq!(gaps, vec![1492, 6801, 16868, 1980317, 4296, 4833, 1865128]);
     }
 
     #[test]

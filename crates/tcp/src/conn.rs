@@ -91,8 +91,6 @@ struct TxRecord {
 /// Aggregate connection statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConnStats {
-    /// Segments transmitted (including retransmissions).
-    pub segs_out: u64,
     /// Data segments received in order.
     pub segs_in: u64,
     /// Pure ACKs received.
@@ -101,22 +99,19 @@ pub struct ConnStats {
     pub retransmits: u64,
     /// Duplicate ACKs sent.
     pub dup_acks_out: u64,
-    /// Bytes acknowledged by the peer.
-    pub bytes_acked: u64,
     /// Bytes delivered to the application in order.
     pub bytes_delivered: u64,
     /// Times the sender found itself blocked by the peer's window.
     pub rwnd_limited: u64,
     /// Times the sender found itself blocked by cwnd.
     pub cwnd_limited: u64,
-    /// Receive-queue prune (collapse) episodes — in-order data accepted
-    /// beyond the buffer budget.
-    pub prunes: u64,
-    /// Out-of-order segments dropped for lack of buffer space.
-    pub ooo_dropped: u64,
 }
 
 /// An established TCP connection endpoint.
+///
+/// There is no handshake, FIN or open/close bookkeeping: every transfer
+/// the paper measures is an established bulk stream, and the laboratory
+/// keeps each flow's start and completion times itself.
 #[derive(Debug, Clone)]
 pub struct TcpConn {
     cfg: Sysctls,
@@ -161,14 +156,6 @@ pub struct TcpConn {
     segs_since_ack: u32,
     delack_gen: u64,
     delack_armed: bool,
-    fin_seen: bool,
-
-    // ---- lifecycle ----
-    /// When the flow using this connection was opened (admitted to the
-    /// laboratory), if the owner marked it.
-    opened_at: Option<Nanos>,
-    /// When the flow's transfer completed, if the owner marked it.
-    closed_at: Option<Nanos>,
 
     /// Statistics.
     pub stats: ConnStats,
@@ -208,9 +195,6 @@ impl TcpConn {
             segs_since_ack: 0,
             delack_gen: 0,
             delack_armed: false,
-            fin_seen: false,
-            opened_at: None,
-            closed_at: None,
             stats: ConnStats::default(),
         }
     }
@@ -269,52 +253,6 @@ impl TcpConn {
     /// RTT variance estimate (RFC 6298 `rttvar`; zero before any sample).
     pub fn rttvar(&self) -> Nanos {
         self.rttvar
-    }
-
-    /// Whether the peer's FIN has been received.
-    pub fn fin_seen(&self) -> bool {
-        self.fin_seen
-    }
-
-    // ------------------------------------------------------------------
-    // lifecycle hooks
-    // ------------------------------------------------------------------
-
-    /// Flow-open hook: record when the flow using this connection was
-    /// admitted. Pure bookkeeping (no segments, no timers, no actions) —
-    /// the open-loop workload plane uses it to cross-check its
-    /// completion-time accounting. First call wins; later calls are
-    /// ignored so re-entrant start events stay idempotent.
-    pub fn on_open(&mut self, now: Nanos) {
-        if self.opened_at.is_none() {
-            self.opened_at = Some(now);
-        }
-    }
-
-    /// Flow-close hook: record when the flow's transfer completed. Pure
-    /// bookkeeping, idempotent like [`TcpConn::on_open`].
-    pub fn on_close(&mut self, now: Nanos) {
-        if self.closed_at.is_none() {
-            self.closed_at = Some(now);
-        }
-    }
-
-    /// When the flow was opened, if marked.
-    pub fn opened_at(&self) -> Option<Nanos> {
-        self.opened_at
-    }
-
-    /// When the flow completed, if marked.
-    pub fn closed_at(&self) -> Option<Nanos> {
-        self.closed_at
-    }
-
-    /// Open-to-close lifetime, once both lifecycle marks are present.
-    pub fn lifetime(&self) -> Option<Nanos> {
-        match (self.opened_at, self.closed_at) {
-            (Some(open), Some(close)) => Some(close.saturating_sub(open)),
-            _ => None,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -445,11 +383,7 @@ impl TcpConn {
             len,
             ack: self.rcv_nxt,
             wnd: self.advertise(),
-            flags: Flags {
-                ack: true,
-                psh,
-                fin: false,
-            },
+            flags: Flags { ack: true, psh },
             ts: self.cfg.timestamps.then_some(Timestamps {
                 tsval: now,
                 tsecr: self.ts_recent,
@@ -467,7 +401,6 @@ impl TcpConn {
             flags: Flags {
                 ack: true,
                 psh: false,
-                fin: false,
             },
             ts: self.cfg.timestamps.then_some(Timestamps {
                 tsval: self.ts_recent,
@@ -514,7 +447,6 @@ impl TcpConn {
                 retransmitted: false,
                 psh,
             });
-            self.stats.segs_out += 1;
             out.push(Action::Send(
                 self.make_data_segment(now, seq, len, psh, false),
             ));
@@ -571,9 +503,6 @@ impl TcpConn {
         // --- receiver half: process payload ---
         if seg.len > 0 {
             self.process_data(now, seg, out);
-        } else if seg.flags.fin {
-            self.fin_seen = true;
-            out.push(Action::Send(self.make_ack(false)));
         } else {
             self.stats.acks_in += 1;
         }
@@ -589,9 +518,7 @@ impl TcpConn {
             self.snd_wnd_right = right;
         }
         if seg.ack > self.snd_una {
-            let acked_bytes = seg.ack - self.snd_una;
             self.snd_una = seg.ack;
-            self.stats.bytes_acked += acked_bytes;
             // Retire fully acked records and take an RTT sample.
             let mut acked_segs = 0u64;
             let mut sample: Option<Nanos> = None;
@@ -651,7 +578,6 @@ impl TcpConn {
         front.sent_at = now;
         let (seq, len, psh) = (front.seq, front.len, front.psh);
         self.stats.retransmits += 1;
-        self.stats.segs_out += 1;
         let seg = self.make_data_segment(now, seq, len, psh, true);
         out.push(Action::Send(seg));
     }
@@ -676,12 +602,8 @@ impl TcpConn {
         // the budget is dropped.
         let budget = (self.cfg.tcp_rmem.default as f64 * self.cfg.window_fraction()) as u64;
         let over_budget = self.rcv_truesize + truesize > budget + self.cfg.tcp_rmem.default / 4;
-        if over_budget {
-            if seg.seq > self.rcv_nxt {
-                self.stats.ooo_dropped += 1;
-                return;
-            }
-            self.stats.prunes += 1;
+        if over_budget && seg.seq > self.rcv_nxt {
+            return;
         }
 
         if seg.seq <= self.rcv_nxt {

@@ -10,8 +10,6 @@ pub struct Flags {
     pub ack: bool,
     /// Push: segment closes an application write.
     pub psh: bool,
-    /// Sender has finished its stream.
-    pub fin: bool,
 }
 
 /// The RFC 1323 timestamp option carried by a segment.
@@ -61,9 +59,9 @@ impl Segment {
         IP_HEADER + TCP_HEADER + opts + self.len
     }
 
-    /// Whether this is a pure acknowledgment (no payload, no FIN).
+    /// Whether this is a pure acknowledgment (no payload).
     pub fn is_pure_ack(&self) -> bool {
-        self.len == 0 && !self.flags.fin
+        self.len == 0
     }
 }
 
@@ -109,14 +107,5 @@ mod tests {
     fn pure_ack_detection() {
         assert!(seg(0, 0).is_pure_ack());
         assert!(!seg(0, 1).is_pure_ack());
-        let fin = Segment {
-            flags: Flags {
-                fin: true,
-                ack: true,
-                psh: false,
-            },
-            ..seg(0, 0)
-        };
-        assert!(!fin.is_pure_ack());
     }
 }

@@ -195,7 +195,7 @@ fn print_fig7(_count: u64) {
         "{}",
         figure("Fig. 7: latency without interrupt coalescing (us)", &series)
     );
-    let with = netpipe_point(base, 1, false).as_micros_f64();
+    let with = netpipe_point(base, 1, false, 18).as_micros_f64();
     let without = series[0].at(1.0).unwrap();
     println!(
         "1-byte b2b: {without:.1} us (paper 14); coalescing delta {:.1} us (paper 5)\n",
@@ -242,12 +242,14 @@ fn print_table1(_count: u64) {
         None,
         Nanos::from_millis(600),
         Nanos::from_millis(600),
+        2003,
     );
     let lossy = record_run(
         &mini.with_random_loss(2e-5),
         None,
         Nanos::from_millis(600),
         Nanos::from_secs(2),
+        2003,
     );
     println!(
         "sawtooth cross-check at 10 ms RTT: clean {:.2} Gb/s, with sparse loss {:.2} Gb/s \
@@ -332,7 +334,7 @@ fn print_multiflow(_count: u64) {
         .into_iter()
         .chain([4usize, 8].map(|peers| (peers, Direction::OutOfTenGbe, "out of 10GbE (tx)")));
     for (peers, direction, label) in runs {
-        let r = aggregate(tengbe(), peers, direction, w, w);
+        let r = aggregate(tengbe(), peers, direction, w, w, 99);
         t.row(vec![
             peers.to_string(),
             label.into(),
@@ -445,7 +447,7 @@ fn print_ablations(count: u64) {
             LadderRung::OversizedWindows,
             TuningStep::Coalescing(Nanos::from_micros(us)),
         );
-        let lat = netpipe_point(cfg, 1, false);
+        let lat = netpipe_point(cfg, 1, false, 18);
         let thr = nttcp_point(cfg, 8948, count, 1);
         t.row(vec![
             us.to_string(),
@@ -499,7 +501,7 @@ fn print_osbypass(count: u64) {
     );
     let cfg = LadderRung::Mtu8160.pe2650_config(Mtu::TUNED_8160);
     let tcp = nttcp_point(cfg, 8108, count, 7);
-    let tcp_lat = netpipe_point(cfg, 1, false);
+    let tcp_lat = netpipe_point(cfg, 1, false, 18);
     t.row(vec![
         "TCP/IP, tuned (measured)".into(),
         format!("{:.2}", tcp.throughput.gbps()),
@@ -507,7 +509,7 @@ fn print_osbypass(count: u64) {
         format!("{:.2}", tcp.rx_cpu_load),
     ]);
     for mtu in [Mtu::JUMBO_9000, Mtu::MAX_INTEL_16000] {
-        let r = osbypass::throughput(mtu, 4_000);
+        let r = osbypass::throughput(mtu, 4_000, 5);
         t.row(vec![
             format!("OS-bypass, {} MTU (projected)", mtu.get()),
             format!("{:.2}", r.gbps),

@@ -20,7 +20,7 @@ fn main() {
     let cfg = LadderRung::Mtu8160.pe2650_config(Mtu::TUNED_8160);
     println!("measuring tuned 10GbE in simulation…");
     let thr = nttcp_point(cfg, cfg.sysctls.mss(), 8_000, 7).throughput;
-    let lat = netpipe_point(cfg, 1, false);
+    let lat = netpipe_point(cfg, 1, false, 18);
     let ours = Interconnect {
         name: "10GbE/TCP (simulated)",
         api: tengig_nic::InterconnectApi::TcpIp,
@@ -68,7 +68,7 @@ fn main() {
 
     // The best-case 12 µs of §5 comes from the faster E7505-class hosts.
     let e7 = tengig::experiments::anecdotal::e7505_config();
-    let best = netpipe_point(e7, 1, false);
+    let best = netpipe_point(e7, 1, false, 18);
     println!(
         "\nbest-case one-way latency on E7505-class hosts: {:.1} us (paper: 12)",
         best.as_micros_f64()

@@ -34,7 +34,7 @@ fn main() {
     );
 
     // End-to-end latency, NetPipe-style single-byte ping-pong.
-    let lat = netpipe_point(tuned, 1, false);
+    let lat = netpipe_point(tuned, 1, false, 18);
     println!(
         "one-way latency, back-to-back: {:>6.2} us  (paper: 19)",
         lat.as_micros_f64()

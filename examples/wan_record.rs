@@ -37,7 +37,7 @@ fn main() {
         ],
     );
     // The record configuration: buffers ≈ 2×BDP.
-    let rec = record_run(&wan, None, warmup, window);
+    let rec = record_run(&wan, None, warmup, window, 2003);
     t.row(vec![
         "tuned (≈2×BDP)".into(),
         format!("{:.3}", rec.gbps),
@@ -47,7 +47,7 @@ fn main() {
         humanize(rec.terabyte_time),
     ]);
     // Undersized buffers: the flow-control window throttles the stream.
-    let small = record_run(&wan, Some(8 << 20), warmup, window);
+    let small = record_run(&wan, Some(8 << 20), warmup, window, 2003);
     t.row(vec![
         "undersized (8 MB)".into(),
         format!("{:.3}", small.gbps),
@@ -59,7 +59,7 @@ fn main() {
     // Oversized buffers against a shallow router queue: congestion loss
     // and the AIMD sawtooth the paper's Table 1 warns about.
     let shallow = wan.with_bottleneck_buffer(6 << 20);
-    let over = record_run(&shallow, Some(256 << 20), warmup, window);
+    let over = record_run(&shallow, Some(256 << 20), warmup, window, 2003);
     t.row(vec![
         "oversized + 6MB router buffer".into(),
         format!("{:.3}", over.gbps),

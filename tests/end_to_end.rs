@@ -67,8 +67,8 @@ fn mtu_ordering_matches_paper() {
 fn interrupt_coalescing_trades_latency_for_cpu() {
     use tengig::experiments::latency::{netpipe_point, without_coalescing};
     let base = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
-    let with = netpipe_point(base, 1, false);
-    let without = netpipe_point(without_coalescing(base), 1, false);
+    let with = netpipe_point(base, 1, false, 18);
+    let without = netpipe_point(without_coalescing(base), 1, false, 18);
     // Fig. 6 vs Fig. 7: ~5 µs shaved by turning coalescing off.
     let delta = with.as_micros_f64() - without.as_micros_f64();
     assert!((4.0..6.0).contains(&delta), "coalescing delta {delta} µs");

@@ -123,7 +123,7 @@ fn tso_relieves_the_sender_cpu() {
 fn osbypass_projection_matches_section5() {
     // "throughput approaching 8 Gb/s, end-to-end latencies below 10 µs,
     // and a CPU load approaching zero".
-    let r = osbypass::throughput(Mtu::MAX_INTEL_16000, 2_000);
+    let r = osbypass::throughput(Mtu::MAX_INTEL_16000, 2_000, 5);
     assert!(r.gbps > 6.5, "throughput {}", r.gbps);
     assert!(r.latency < Nanos::from_micros(10), "latency {}", r.latency);
     assert!(r.cpu_load < 0.2, "cpu load {}", r.cpu_load);
@@ -165,7 +165,7 @@ fn record_run_is_robust_to_moderate_router_buffers() {
     // The record needs the bottleneck queue to absorb slow-start overshoot
     // (~half a BDP of transient queue); 48 MB suffices.
     let wan = WanSpec::record_run().with_bottleneck_buffer(48 << 20);
-    let r = record_run(&wan, None, Nanos::from_secs(3), Nanos::from_secs(1));
+    let r = record_run(&wan, None, Nanos::from_secs(3), Nanos::from_secs(1), 2003);
     assert!(r.gbps > 2.2, "throughput {}", r.gbps);
     assert_eq!(r.drops, 0);
 }

@@ -226,7 +226,9 @@ fn impaired_pair_fires_every_event_in_its_pinned_order() {
     // overtaken by a later frame (reordering), minted twice
     // (duplication), and missing (burst loss). A change to how arrivals
     // are queued that moves any arrival's place in the pop order moves
-    // this digest.
+    // this digest. It hashes each event's `Debug` text, so a field
+    // deleted from a fired event's payload moves it too, even when the
+    // event order stays put.
     let cfg = HostConfig {
         hw: HostSpec::wan_endpoint(),
         nic: NicSpec::intel_pro_10gbe(),
@@ -270,7 +272,7 @@ fn impaired_pair_fires_every_event_in_its_pinned_order() {
     );
     assert_eq!(
         (eng.executed(), fnv1a(dump.text().as_bytes())),
-        (7702, 0x21c7_7470_b3df_fb57),
+        (7702, 0x1cbc_ec7f_6626_7d41),
         "fired-event digest moved"
     );
 }

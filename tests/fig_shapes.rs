@@ -133,8 +133,9 @@ fn fig6_latency_steps_and_grows_about_20pct_to_1kb() {
 fn fig7_coalescing_off_shifts_the_whole_curve_down() {
     let base = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
     for payload in [1u64, 512, 1024] {
-        let on = netpipe_point(base, payload, false).as_micros_f64();
-        let off = netpipe_point(without_coalescing(base), payload, false).as_micros_f64();
+        let on = netpipe_point(base, payload, false, 17 + payload).as_micros_f64();
+        let off =
+            netpipe_point(without_coalescing(base), payload, false, 17 + payload).as_micros_f64();
         let delta = on - off;
         assert!(
             (4.0..6.0).contains(&delta),
@@ -148,8 +149,8 @@ fn switch_adds_constant_latency_across_payloads() {
     // Fig. 6's two curves stay ~6 µs apart over the whole payload range.
     let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
     for payload in [1u64, 512, 1024] {
-        let b2b = netpipe_point(cfg, payload, false).as_micros_f64();
-        let sw = netpipe_point(cfg, payload, true).as_micros_f64();
+        let b2b = netpipe_point(cfg, payload, false, 17 + payload).as_micros_f64();
+        let sw = netpipe_point(cfg, payload, true, 17 + payload).as_micros_f64();
         let delta = sw - b2b;
         assert!(
             (4.5..8.0).contains(&delta),

@@ -16,7 +16,7 @@ fn aggregation_approaches_single_flow_ceiling() {
     // Aggregating GbE senders into one PE2650 receiver tops out near the
     // same host ceiling a single tuned 10GbE flow hits.
     let w = Nanos::from_millis(30);
-    let agg = aggregate(tengbe(), 5, Direction::IntoTenGbe, w, w);
+    let agg = aggregate(tengbe(), 5, Direction::IntoTenGbe, w, w, 99);
     let single = nttcp_point(tengbe(), 8948, 1_500, 3).throughput.gbps();
     assert!(agg.aggregate_gbps > 2.5, "aggregate {}", agg.aggregate_gbps);
     assert!(
@@ -31,8 +31,8 @@ fn aggregation_approaches_single_flow_ceiling() {
 fn transmit_and_receive_paths_statistically_equal() {
     // §3.5.2: the unexpected symmetry between tx and rx multiflow paths.
     let w = Nanos::from_millis(30);
-    let rx = aggregate(tengbe(), 3, Direction::IntoTenGbe, w, w);
-    let tx = aggregate(tengbe(), 3, Direction::OutOfTenGbe, w, w);
+    let rx = aggregate(tengbe(), 3, Direction::IntoTenGbe, w, w, 99);
+    let tx = aggregate(tengbe(), 3, Direction::OutOfTenGbe, w, w, 99);
     let ratio = rx.aggregate_gbps / tx.aggregate_gbps;
     assert!((0.7..1.4).contains(&ratio), "rx/tx ratio {ratio}");
 }
@@ -45,8 +45,8 @@ fn receive_benefits_from_interrupt_coalescing_bursts() {
     // on the receiver; here we check the aggregate CPU cost per byte does
     // not balloon with sender count.
     let w = Nanos::from_millis(30);
-    let two = aggregate(tengbe(), 2, Direction::IntoTenGbe, w, w);
-    let five = aggregate(tengbe(), 5, Direction::IntoTenGbe, w, w);
+    let two = aggregate(tengbe(), 2, Direction::IntoTenGbe, w, w, 99);
+    let five = aggregate(tengbe(), 5, Direction::IntoTenGbe, w, w, 99);
     let cost_two = two.tengbe_cpu_load / two.aggregate_gbps;
     let cost_five = five.tengbe_cpu_load / five.aggregate_gbps;
     assert!(
@@ -90,7 +90,7 @@ fn itanium_aggregation_exceeds_xeon_hosts() {
     // §3.4: 7.2 Gb/s into the quad Itanium-II.
     let w = Nanos::from_millis(25);
     let it = itanium_aggregation(8, w, w);
-    let pe = aggregate(tengbe(), 8, Direction::IntoTenGbe, w, w);
+    let pe = aggregate(tengbe(), 8, Direction::IntoTenGbe, w, w, 99);
     assert!(
         it.aggregate_gbps > pe.aggregate_gbps,
         "Itanium {} must beat the PE2650 {}",

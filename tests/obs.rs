@@ -1,19 +1,20 @@
 //! Observability-layer integration tests: the sanitizer's flight recorder
 //! dumps on a violation, keeps exactly its armed capacity and obs never
 //! empties it, metrics timelines
-//! reproduce the paper's cwnd-vs-time shape, and enabling obs never
-//! changes a primary result.
+//! reproduce the paper's cwnd-vs-time shape, enabling obs never
+//! changes a primary result, and a timer that moves a sampled metric
+//! marks its scope for the sampler.
 
 use std::panic::AssertUnwindSafe;
 
 use tengig::experiments::throughput::{nttcp_point, nttcp_run};
 use tengig::experiments::wan::record_timeline;
-use tengig::experiments::{b2b_lab, run_to_completion};
+use tengig::experiments::{b2b_lab, pair, run_to_completion, XOVER_PROP};
 use tengig::lab::{self, App};
 use tengig::LadderRung;
 use tengig_ethernet::Mtu;
-use tengig_net::WanSpec;
-use tengig_sim::{MetricKind, Nanos, ObsConfig, Scope, ViolationKind};
+use tengig_net::{Hop, ImpairmentSchedule, Impairments, Path, WanSpec};
+use tengig_sim::{Bandwidth, MetricKind, Nanos, ObsConfig, Scope, ViolationKind};
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
 const SEED: u64 = 42;
@@ -179,4 +180,40 @@ fn obs_never_empties_the_sanitizers_flight_recorder() {
             "sanitizer first: {sanitizer_first}"
         );
     }
+}
+
+/// A 500 ms outage on the data path, 1 ms into slow start, swallows the
+/// sender's window and the retransmission of its first RTO (the 200 ms
+/// floor), so recovery waits on the backed-off timer. The expiry cuts
+/// `cwnd` and `ssthresh` and counts a retransmission, and no segment
+/// touches the sender until the carrier returns, so the samples taken in
+/// between see those moves only if the timer arm marked the sender's
+/// scope. The sanitizer's `obs-stale` check, run at every sample, proves
+/// that it did.
+#[test]
+fn rto_moves_reach_the_sampler_through_the_timer_arm() {
+    let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    let line = Bandwidth::from_gbps(10);
+    let outage =
+        ImpairmentSchedule::none().with_outage(Nanos::from_millis(1), Nanos::from_millis(500));
+    let fwd = Path {
+        hops: vec![Hop::wire("xover", line, XOVER_PROP)
+            .with_impairments(Impairments::none().with_schedule(outage))],
+    };
+    let rev = Path {
+        hops: vec![Hop::wire("xover", line, XOVER_PROP)],
+    };
+    let (mut lab, mut eng) = pair(cfg, cfg, &fwd, &rev, nttcp_app(8948, 400), SEED);
+    lab::install_sanitizer(&mut lab, &mut eng, SEED);
+    lab.enable_obs(
+        &ObsConfig {
+            sample_interval: Nanos::from_millis(1),
+            ..ObsConfig::default()
+        },
+        SEED,
+    );
+    // Checks the sanitizer over the drained run, obs-stale included.
+    run_to_completion(&mut lab, &mut eng);
+    let sender = &lab.flows[0].conns[0];
+    assert!(sender.cc.timeouts > 0, "the outage must force an RTO");
 }

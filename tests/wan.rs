@@ -10,7 +10,7 @@ use tengig_sim::{Bandwidth, Nanos};
 #[test]
 fn record_run_reaches_paper_throughput() {
     let wan = WanSpec::record_run();
-    let r = record_run(&wan, None, Nanos::from_secs(3), Nanos::from_secs(2));
+    let r = record_run(&wan, None, Nanos::from_secs(3), Nanos::from_secs(2), 2003);
     assert!(
         (2.25..2.45).contains(&r.gbps),
         "steady-state {} Gb/s (paper: 2.38)",
@@ -39,6 +39,7 @@ fn undersized_buffers_are_window_limited() {
         Some(8 << 20),
         Nanos::from_secs(2),
         Nanos::from_secs(2),
+        2003,
     );
     assert!(r.gbps < 0.8, "undersized buffers still got {} Gb/s", r.gbps);
     assert_eq!(r.retransmits, 0, "window-limited, not loss-limited");
@@ -56,6 +57,7 @@ fn shallow_router_buffers_plus_big_windows_lose_packets() {
         Some(256 << 20),
         Nanos::from_secs(2),
         Nanos::from_secs(3),
+        2003,
     );
     assert!(r.drops > 0, "overdriven bottleneck must drop");
     assert!(r.retransmits > 0);
@@ -64,6 +66,7 @@ fn shallow_router_buffers_plus_big_windows_lose_packets() {
         None,
         Nanos::from_secs(2),
         Nanos::from_secs(3),
+        2003,
     );
     assert!(
         r.gbps < clean.gbps * 0.7,
@@ -121,7 +124,13 @@ fn recovery_time_validated_by_simulation() {
         ..WanSpec::record_run()
     };
     // Clean baseline.
-    let clean = record_run(&wan, None, Nanos::from_millis(600), Nanos::from_millis(400));
+    let clean = record_run(
+        &wan,
+        None,
+        Nanos::from_millis(600),
+        Nanos::from_millis(400),
+        2003,
+    );
     assert!(clean.gbps > 2.0, "clean baseline {}", clean.gbps);
     // With sparse random loss the average sits visibly below the clean
     // rate: each loss costs ~W/2 RTTs of reduced window (the Table 1
@@ -132,6 +141,7 @@ fn recovery_time_validated_by_simulation() {
         None,
         Nanos::from_millis(600),
         Nanos::from_secs(3),
+        2003,
     );
     assert!(lossy.retransmits > 0, "loss process must have fired");
     assert!(
